@@ -10,14 +10,15 @@ speedup assertions relax to sanity thresholds.
 
 Two measurements:
 
-* the Monte-Carlo *trial path* — per trial, turn ``Π``'s sampled
-  (hash-row, sign) representation into ``ΠU`` for a structured ``D_β``
-  draw.  The materialized route builds the scipy matrix (COO sort) and
-  slices/combines its columns; the kernel route constructs the kernel and
-  scatters straight into the ``(m, d)`` output.  RNG consumption and draw
-  sampling are identical on both routes, so they are pre-computed outside
-  the timer.  Reference grid (n=16384, d=64, s=1, m=1024): the kernel
-  route is ≥5× faster.
+* the Monte-Carlo *trial path* — per trial, turn ``Π`` into ``ΠU`` for a
+  structured ``D_β`` draw.  The materialized route builds the scipy matrix
+  (COO sort) from the full ``(s, n)`` (hash-row, sign) representation and
+  slices/combines its columns; the kernel route constructs the kernel from
+  its hash key, hashes only the draw's support columns and scatters
+  straight into the ``(m, d)`` output.  Key and draw sampling are
+  identical on both routes, so they are pre-computed outside the timer.
+  Reference grid (n=16384, d=64, s=1, m=1024): the kernel route is ≥5×
+  faster.
 * the dense *apply grid* — ``ΠA`` for tall dense ``A`` across
   ``(n, d, m, s)``, kernel dispatch vs. a pre-built sparse matmul,
   printed as a table.
@@ -57,23 +58,25 @@ def _best_of(repeats, fn, *args):
 
 
 def _sample_representations(family, count):
-    """Per-trial sampled (rows, values) representations of ``Π``.
+    """Per-trial kernel parameters and full (rows, values) arrays of ``Π``.
 
-    Sampled once, outside the timed regions: the RNG work is identical on
+    Sampled once, outside the timed regions: the key draw is identical on
     both routes, so timing it would only dilute the comparison.
     """
+    variant = getattr(family, "variant", "uniform")
     reprs = []
     for seed in np.random.SeedSequence(77).spawn(count):
         kernel = sample_sketch(family, seed, lazy=True).kernel
         arrays = kernel.representation()
-        reprs.append((arrays["rows"], arrays["values"], kernel.shape))
+        reprs.append(((kernel.key, kernel.s, kernel.shape, variant),
+                      arrays["rows"], arrays["values"], kernel.shape))
     return reprs
 
 
 def _materialized_trials(reprs, draws):
     """Per trial: build the scipy matrix, then slice-and-combine ``ΠU``."""
     out = []
-    for (rows, values, shape), draw in zip(reprs, draws):
+    for (_, rows, values, shape), draw in zip(reprs, draws):
         s, n = rows.shape
         cols = np.broadcast_to(np.arange(n), (s, n))
         matrix = from_triplets(
@@ -87,8 +90,8 @@ def _materialized_trials(reprs, draws):
 def _kernel_trials(reprs, draws):
     """Per trial: construct the kernel, then scatter ``ΠU`` directly."""
     out = []
-    for (rows, values, shape), draw in zip(reprs, draws):
-        kernel = ColumnScatterKernel(rows, values, shape)
+    for (params, _, _, _), draw in zip(reprs, draws):
+        kernel = ColumnScatterKernel(*params)
         out.append(kernel.sketched_basis(draw))
     return out
 

@@ -23,12 +23,18 @@ pool comes from two properties:
   flush a line in several syscalls and interleave fragments).  Duplicate
   keys are harmless — both lines hold the same value by construction and
   the loader keeps the last.
+
+Within one process, a lock serializes the descriptor's lifecycle: the
+server's ``asyncio.to_thread`` workers may append through one store at
+once, and without it two first appends could both open a descriptor
+(leaking one) or a ``close`` could pull it from under a write.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
@@ -44,6 +50,7 @@ class JsonlStore:
         self._path = Path(path)
         self._pid = os.getpid()
         self._fd: Optional[int] = None
+        self._lock = threading.Lock()
 
     @property
     def path(self) -> Path:
@@ -97,17 +104,19 @@ class JsonlStore:
                           default=json_default)
         data = (line + "\n").encode("utf-8")
         self._path.parent.mkdir(parents=True, exist_ok=True)
-        if self._fd is None:
-            self._trim_torn_tail()
-            self._fd = os.open(
-                str(self._path),
-                os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                0o666,
-            )
-        written = os.write(self._fd, data)
-        while written < len(data):  # pragma: no cover - short regular-file
-            # writes essentially never happen; loop for POSIX correctness.
-            written += os.write(self._fd, data[written:])
+        with self._lock:
+            if self._fd is None:
+                self._trim_torn_tail()
+                self._fd = os.open(
+                    str(self._path),
+                    os.O_WRONLY | os.O_CREAT | os.O_APPEND,
+                    0o666,
+                )
+            written = os.write(self._fd, data)
+            while written < len(data):  # pragma: no cover - short writes
+                # to regular files essentially never happen; loop for
+                # POSIX correctness.
+                written += os.write(self._fd, data[written:])
 
     def _trim_torn_tail(self) -> None:
         """Drop a torn final line before the first append of this handle.
@@ -130,9 +139,10 @@ class JsonlStore:
 
     def close(self) -> None:
         """Release the append descriptor (idempotent; reopened on demand)."""
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
+        with self._lock:
+            if self._fd is not None:
+                os.close(self._fd)
+                self._fd = None
 
     def __iter__(self) -> Iterator[Dict[str, Any]]:
         return iter(self.load())

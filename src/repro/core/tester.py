@@ -81,12 +81,15 @@ def _distortion_trial(family: SketchFamily, instance: HardInstance,
 
     Fresh sketches are drawn ``lazy=True`` so kernel-backed families skip
     scipy matrix assembly entirely; ``basis_image`` then runs on the
-    matrix-free kernel (bit-identical to the materialized path).
+    matrix-free kernel (bit-identical to the materialized path).  The
+    subspace is drawn with ``sample_support`` (stream-identical to
+    ``sample_draw``), so a structured trial never allocates the dense
+    ``n × d`` matrix and its cost does not grow with ``n``.
     """
     sketch_seed, draw_seed = seed.spawn(2)
     sketch = fixed if fixed is not None \
         else sample_sketch(family, sketch_seed, lazy=True)
-    draw = instance.sample_draw(draw_seed)
+    draw = instance.sample_support(draw_seed)
     return distortion_of_product(sketch.basis_image(draw))
 
 
@@ -113,7 +116,7 @@ def _batched_trial_chunk(family: SketchFamily, instance: HardInstance,
         return [
             float(distortion_of_product(
                 sample_sketch(family, sketch_seed, lazy=True).basis_image(
-                    instance.sample_draw(draw_seed)
+                    instance.sample_support(draw_seed)
                 )
             ))
             for sketch_seed, draw_seed in pairs

@@ -29,6 +29,10 @@ __all__ = ["HardInstance", "HardDraw", "SupportDraw", "DBeta",
            "assemble_basis"]
 
 
+#: Rademacher values, indexed by a uniform draw from ``{0, 1}``.
+_SIGNS = np.array([-1.0, 1.0])
+
+
 def assemble_basis(n: int, d: int, rows: np.ndarray,
                    signs: np.ndarray, reps: int) -> np.ndarray:
     """Build ``U = VW`` directly from the support and signs.
@@ -336,7 +340,9 @@ class DBeta(HardInstance):
             rows = gen.choice(self._n, size=count, replace=False)
         else:
             rows = gen.integers(0, self._n, size=count)
-        signs = gen.choice((-1.0, 1.0), size=count)
+        # Stream-identical to ``gen.choice((-1.0, 1.0), size=count)``
+        # (same variates, same values) without choice's per-call overhead.
+        signs = _SIGNS[gen.integers(0, 2, size=count)]
         return rows, signs
 
     def _assemble(self, rows: np.ndarray, signs: np.ndarray) -> np.ndarray:

@@ -3,12 +3,12 @@
 The Monte-Carlo loop in :mod:`repro.core.tester` pays per-trial Python
 overhead for every draw: one sampler call, one scatter, one ``(m, d)`` SVD.
 This module fuses ``B`` trials.  A :class:`BatchedTrialKernel` holds the
-stacked index/value representations of ``B`` independently sampled sketches
-(e.g. ``(B, s, n)`` hash rows and signs for the column-scatter families),
-applies all of them to structured hard-instance draws with a single
-batch-axis ``np.bincount`` scatter (or mask gather), and reduces the
-distortions with one gufunc-batched :func:`np.linalg.svd` over the stacked
-products.
+stacked representations of ``B`` independently sampled sketches (``B``
+hash keys for the column-scatter families, ``(B, m)`` gather indices for
+the row-sampling ones), applies all of them to structured hard-instance
+draws with a single batch-axis ``np.bincount`` scatter (or mask gather),
+and reduces the distortions with one gufunc-batched
+:func:`np.linalg.svd` over the stacked products.
 
 Row compaction
 --------------
@@ -40,11 +40,13 @@ this.
 Samplers
 --------
 Families override :meth:`repro.sketch.base.SketchFamily.sample_trial_batch`
-to build these kernels with *stream-faithful* vectorized sampling: the
-per-trial sub-streams (one spawned ``SeedSequence`` per trial) consume
-exactly the same variates as the serial samplers, so ``trial_kernel(i)``
-reconstructs the very kernel ``sample(seeds[i], lazy=True)`` would have
-produced.  Families whose draws are kernel-less (dense Gaussian, SRHT,
+to build these kernels with *stream-faithful* sampling: the per-trial
+sub-streams (one spawned ``SeedSequence`` per trial) consume exactly the
+same variates as the serial samplers, so ``trial_kernel(i)`` reconstructs
+the very kernel ``sample(seeds[i], lazy=True)`` would have produced.  For
+CountSketch/OSNAP that is one hash key per trial; the columns a trial
+reads are hashed only when :meth:`BatchedColumnScatter.sketched_bases`
+needs them.  Families whose draws are kernel-less (dense Gaussian, SRHT,
 dense-regime sparse-JL) fall back to :class:`StackedKernelBatch` or to the
 serial path entirely.
 """
@@ -58,6 +60,7 @@ import numpy as np
 
 from ..linalg.distortion import distortion_of_product, distortions_of_products
 from ..observe.counters import add_count
+from .hashing import check_column_hash, column_hash
 from .kernels import (
     ApplyKernel,
     ColumnScatterKernel,
@@ -223,80 +226,41 @@ MixtureInstance` — must go through :meth:`distortions`, which groups them.
 class BatchedColumnScatter(BatchedTrialKernel):
     """``B`` stacked column-scatter sketches (CountSketch, OSNAP).
 
+    Each sketch is the keyed column hash of :class:`ColumnScatterKernel`,
+    so the batch stores only ``B`` keys; :meth:`sketched_bases` hashes the
+    ``(B, q)`` support columns of all trials in one vectorized call.
+
     Parameters
     ----------
-    rows:
-        ``B`` integer arrays of shape ``(s, n)`` (a sequence, or an
-        equivalent stacked ``(B, s, n)`` array): ``rows[b][:, j]`` are the
-        nonzero rows of column ``j`` of sketch ``b``, in *drawn* (not
-        sorted) order — the batched scatter does not need canonical order,
-        and keeping the raw draw lets :meth:`trial_kernel` replay the
-        serial sort exactly.  Rows must be distinct within each column
-        (the families guarantee this), which is what makes the scatter
-        order canonical.  Per-trial arrays are stored as given — the
-        samplers hand over the RNG output without stacking, because a
-        stacked ``(B, s, n)`` copy costs more than the whole scatter.
-    signs:
-        ``B`` matching ``(s, n)`` float arrays of Rademacher signs.
-    scale:
-        Common entry magnitude (``1/√s``); entries are ``signs · scale``.
+    keys:
+        ``B`` uint64 hash keys, one per sketch.
+    s:
+        Exact column sparsity; entries are ``±1/√s``.
     shape:
         The per-sketch dimensions ``(m, n)``.
+    variant:
+        ``"uniform"`` or ``"block"`` row layout.
     """
 
-    def __init__(self, rows: Sequence[np.ndarray],
-                 signs: Sequence[np.ndarray], scale: float,
-                 shape: ShapeLike) -> None:
-        rows = [np.asarray(trial) for trial in rows]
-        signs = [np.asarray(trial, dtype=np.float64) for trial in signs]
-        super().__init__(len(rows), shape)
-        if len(signs) != len(rows):
-            raise ValueError(
-                f"got {len(rows)} row arrays but {len(signs)} sign arrays"
-            )
-        first = rows[0].shape
-        for trial_rows, trial_signs in zip(rows, signs):
-            if (trial_rows.ndim != 2 or trial_rows.shape != first
-                    or trial_signs.shape != first):
-                raise ValueError(
-                    f"every trial needs rows and signs of one (s, n) "
-                    f"shape, got {trial_rows.shape} and {trial_signs.shape}"
-                )
-        if first[1] != self.n:
-            raise ValueError(f"expected {self.n} columns, got {first[1]}")
-        self._rows = [trial.astype(np.int64, copy=False) for trial in rows]
-        for trial_rows in self._rows:
-            if trial_rows.size and (trial_rows.min() < 0
-                                    or trial_rows.max() >= self.m):
-                raise ValueError("row index out of range")
-        self._signs = signs
-        self._scale = float(scale)
-        self._s = first[0]
+    def __init__(self, keys: Sequence[Any], s: int, shape: ShapeLike,
+                 variant: str = "uniform") -> None:
+        flat = np.asarray(keys, dtype=np.uint64)
+        if flat.ndim != 1:
+            raise ValueError(f"keys must be 1-D, got shape {flat.shape}")
+        super().__init__(flat.size, shape)
+        check_column_hash(s, self.m, variant)
+        self._keys = flat
+        self._s = int(s)
+        self._variant = variant
 
     @property
     def s(self) -> int:
         """Exact column sparsity."""
         return self._s
 
-    def representation(self) -> Dict[str, np.ndarray]:
-        """The stacked arrays (see :meth:`ApplyKernel.representation`)."""
-        rows = np.stack(self._rows)
-        signs = np.stack(self._signs)
-        return {"rows": rows, "signs": signs,
-                "values": signs * self._scale}
-
     def trial_kernel(self, index: int) -> ColumnScatterKernel:
-        rows = self._rows[index]
-        values = self._signs[index] * self._scale
-        # The serial samplers sort the drawn rows into canonical CSC order
-        # with a stable argsort; replaying that here on the same drawn
-        # arrays reconstructs the serial kernel bit-for-bit.
-        order = np.argsort(rows, axis=0, kind="stable")
-        return ColumnScatterKernel(
-            np.take_along_axis(rows, order, axis=0),
-            np.take_along_axis(values, order, axis=0),
-            self.shape,
-        )
+        return ColumnScatterKernel(self._keys[index], self._s, self.shape,
+                                   self._variant)
 
     def sketched_bases(self, draws: Sequence[Any],
                        indices: Optional[Sequence[int]] = None) -> np.ndarray:
@@ -306,39 +270,32 @@ class BatchedColumnScatter(BatchedTrialKernel):
         q = reps * d
         weights = dsigns * (1.0 / np.sqrt(reps))            # (B, q)
         bix = np.arange(group)[:, None, None]
-        # Gather the s nonzeros of each selected column, one small (s, q)
-        # slice per trial — the draws touch only q = reps·d of the n
-        # columns, so per-trial gathers beat any stacked-array indexing.
-        sel_rows = np.empty((group, self._s, q), dtype=np.int64)
-        sel_vals = np.empty((group, self._s, q))
-        for pos, slot in enumerate(idx):
-            sel_rows[pos] = self._rows[slot][:, drows[pos]]
-            sel_vals[pos] = self._signs[slot][:, drows[pos]]
-        sel_vals *= self._scale
-        sel_vals = sel_vals * weights[:, None, :]
+        # Hash only the s nonzeros of each trial's q = reps·d support
+        # columns, all trials at once: (B, q, s), entries inner.
+        sel_rows, signs = column_hash(self._keys[idx][:, None], drows,
+                                      self._s, self.m, self._variant)
+        sel_vals = signs * (1.0 / np.sqrt(self._s))
+        sel_vals = sel_vals * weights[:, :, None]
         # Compact row ids: per trial, the unique touched rows in ascending
         # order.  k_pad is a pure function of the chunk's draws, so chunked
         # execution is deterministic.
         m = self.m
-        keys = bix * m + sel_rows                           # (B, s, q)
-        uniq, inv = np.unique(keys.ravel(), return_inverse=True)
+        tagged = bix * m + sel_rows                         # (B, q, s)
+        uniq, inv = np.unique(tagged.ravel(), return_inverse=True)
         starts = np.searchsorted(uniq // m, np.arange(group + 1))
         counts = np.diff(starts)
         k_pad = int(max(d, counts.max()))
         rowc = (np.arange(uniq.size) - starts[uniq // m])[inv]
-        rowc = rowc.reshape(group, self._s, q)
+        rowc = rowc.reshape(group, q, self._s)
         out_cols = np.repeat(np.arange(d), reps)            # (q,)
-        lin = (bix * k_pad + rowc) * d + out_cols[None, None, :]
-        # Flatten selected-column-major with the s axis inner: within each
-        # trial this is exactly the serial scatter's insertion order, and
-        # distinct within-column rows mean every output bin accumulates
+        lin = (bix * k_pad + rowc) * d + out_cols[None, :, None]
+        # Flattened selected-column-major with the s axis inner: within
+        # each trial this is exactly the serial scatter's insertion order,
+        # and distinct within-column rows mean every output bin accumulates
         # its entries in the same sequence — the products are bit-identical
         # to the serial kernel scatter on the surviving rows.
-        flat = np.bincount(
-            np.transpose(lin, (0, 2, 1)).ravel(),
-            weights=np.transpose(sel_vals, (0, 2, 1)).ravel(),
-            minlength=group * k_pad * d,
-        )
+        flat = np.bincount(lin.ravel(), weights=sel_vals.ravel(),
+                           minlength=group * k_pad * d)
         return flat.reshape(group, k_pad, d)
 
 

@@ -10,16 +10,16 @@ and E2 measure the empirical threshold and its scaling exponents.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
-from ..linalg.sparse_ops import from_triplets
 from ..observe.counters import add_count
-from ..utils.rng import RngLike, as_generator
+from ..utils.rng import RngLike
 from ..utils.validation import check_epsilon, check_probability
 from .base import Sketch, SketchFamily
 from .batched import BatchedColumnScatter
+from .hashing import STREAM_VERSION, draw_key
 from .kernels import ColumnScatterKernel
 
 __all__ = ["CountSketch"]
@@ -39,42 +39,31 @@ class CountSketch(SketchFamily):
     #: Column sparsity of every sampled sketch.
     column_sparsity = 1
 
+    def spec(self) -> Dict[str, Any]:
+        return {**super().spec(), "stream": STREAM_VERSION}
+
     def sample(self, rng: RngLike = None, lazy: bool = False) -> Sketch:
         """Sample ``Π``: per column one ±1 entry in a uniform row.
 
-        The sketch carries a matrix-free :class:`ColumnScatterKernel`
-        (its one-nonzero-per-column layout is already canonical CSC);
+        Draws one hash key from ``rng``; column ``j``'s row and sign are
+        lanes 0 and 1 of the keyed column hash (:mod:`.hashing`).  The
+        sketch carries a matrix-free :class:`ColumnScatterKernel`;
         ``lazy=True`` skips assembling the scipy matrix entirely.
         """
-        gen = as_generator(rng)
-        rows = gen.integers(0, self.m, size=self.n)
-        signs = gen.choice((-1.0, 1.0), size=self.n)
-        kernel = ColumnScatterKernel(
-            rows[np.newaxis, :], signs[np.newaxis, :], (self.m, self.n)
-        )
-        matrix = None
-        if not lazy:
-            cols = np.arange(self.n)
-            matrix = from_triplets(rows, cols, signs, (self.m, self.n))
+        kernel = ColumnScatterKernel(draw_key(rng), 1, (self.m, self.n))
+        matrix = None if lazy else kernel.materialize()
         return Sketch(matrix, family=self, kernel=kernel)
 
     def sample_trial_batch(
         self, seeds: Sequence[np.random.SeedSequence],
     ) -> Optional[BatchedColumnScatter]:
-        """Per-trial ``(1, n)`` hash rows and signs, one sub-stream per
-        trial — each entry consumes its seed exactly like :meth:`sample`.
-        The RNG outputs are handed to the batch kernel as-is (reshaped
-        views, never copied into a stacked buffer)."""
+        """One hash key per trial, each drawn from its seed exactly like
+        :meth:`sample` — so slot ``i`` is the sketch ``sample(seeds[i])``."""
         if not seeds:
             return None
-        rows = []
-        signs = []
-        for seed in seeds:
-            gen = as_generator(seed)
-            rows.append(gen.integers(0, self.m, size=self.n)[np.newaxis, :])
-            signs.append(gen.choice((-1.0, 1.0), size=self.n)[np.newaxis, :])
         add_count("sketch_samples", len(seeds))
-        return BatchedColumnScatter(rows, signs, 1.0, (self.m, self.n))
+        return BatchedColumnScatter([draw_key(seed) for seed in seeds], 1,
+                                    (self.m, self.n))
 
     @staticmethod
     def recommended_m(d: int, epsilon: float, delta: float,

@@ -28,12 +28,14 @@ memory layouts and hard-instance draws.
 from __future__ import annotations
 
 import abc
+import math
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..observe.counters import add_count
+from .hashing import check_column_hash, column_hash
 
 #: A ``(m, n)`` sketch dimension pair (anything int-pair-shaped accepted).
 ShapeLike = Tuple[int, int]
@@ -152,55 +154,76 @@ class ApplyKernel(abc.ABC):
 class ColumnScatterKernel(ApplyKernel):
     """Exactly ``s`` nonzeros per column (CountSketch ``s = 1``, OSNAP).
 
+    ``Π`` is defined by the keyed column hash of :mod:`repro.sketch.hashing`:
+    the kernel stores only ``(key, s, m, n, variant)``.  Support-only
+    operations (:meth:`column_gather`, :meth:`sketched_basis`) hash just
+    the requested columns; whole-matrix operations (:meth:`apply`,
+    :meth:`materialize`, :meth:`representation`) evaluate all ``n``
+    columns once and cache them.  Either way the entries come from the one
+    hash, so every path agrees on ``Π``.
+
     Parameters
     ----------
-    rows:
-        ``(s, n)`` integer array; ``rows[:, j]`` are the nonzero rows of
-        column ``j``, **strictly increasing** down the axis (canonical CSC
-        order; the families sort once at sampling time).
-    values:
-        ``(s, n)`` float array of the matching entries.
+    key:
+        The uint64 hash key (see :func:`~repro.sketch.hashing.draw_key`).
+    s:
+        Exact column sparsity; entries are ``±1/√s``.
     shape:
         The sketch dimensions ``(m, n)``.
+    variant:
+        ``"uniform"`` or ``"block"`` row layout (identical at ``s = 1``).
     """
 
-    def __init__(self, rows: np.ndarray, values: np.ndarray,
-                 shape: ShapeLike) -> None:
+    def __init__(self, key: Any, s: int, shape: ShapeLike,
+                 variant: str = "uniform") -> None:
         super().__init__(shape)
-        rows = np.asarray(rows)
-        values = np.asarray(values, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape != values.shape:
-            raise ValueError(
-                f"rows and values must share a (s, n) shape, got "
-                f"{rows.shape} and {values.shape}"
-            )
-        if rows.shape[1] != self.n:
-            raise ValueError(
-                f"expected {self.n} columns, got {rows.shape[1]}"
-            )
-        if rows.size and (rows.min() < 0 or rows.max() >= self.m):
-            raise ValueError("row index out of range")
-        self._rows = rows
-        self._values = values
-        self._s = rows.shape[0]
+        check_column_hash(s, self.m, variant)
+        self._key = np.uint64(key)
+        self._s = int(s)
+        self._variant = variant
+        self._scale = 1.0 / math.sqrt(self._s)
+        self._full: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def s(self) -> int:
         """Exact column sparsity."""
         return self._s
 
+    @property
+    def key(self) -> np.uint64:
+        """The hash key that, with ``(s, m, n, variant)``, defines ``Π``."""
+        return self._key
+
+    def entries(self, cols: Any) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows and values ``(s, q)`` of columns ``cols``, in hash order."""
+        rows, signs = column_hash(self._key, cols, self._s, self.m,
+                                  self._variant)
+        return rows.T, signs.T * self._scale
+
+    def _all_columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """All ``n`` columns, rows ascending within each (canonical CSC)."""
+        if self._full is None:
+            rows, values = self.entries(np.arange(self.n))
+            if self._s > 1:
+                order = np.argsort(rows, axis=0)
+                rows = np.take_along_axis(rows, order, axis=0)
+                values = np.take_along_axis(values, order, axis=0)
+            self._full = (rows, values)
+        return self._full
+
     def representation(self) -> Dict[str, np.ndarray]:
-        return {"rows": self._rows, "values": self._values}
+        rows, values = self._all_columns()
+        return {"rows": rows, "values": values}
 
     def apply(self, a: np.ndarray) -> np.ndarray:
         a = np.asarray(a)
+        rows, values = self._all_columns()
         if a.ndim == 1:
             # Flat order (column-major over j, row order within a column)
             # replays the CSC matvec accumulation sequence exactly.
-            weights = self._values * _as_float64(a)
+            weights = values * _as_float64(a)
             return np.bincount(
-                self._rows.T.ravel(), weights=weights.T.ravel(),
-                minlength=self.m,
+                rows.T.ravel(), weights=weights.T.ravel(), minlength=self.m,
             )
         if a.shape[1] <= SCATTER_MAX_COLUMNS:
             # One 1-D scatter per output column: scipy's csc @ dense also
@@ -208,10 +231,10 @@ class ColumnScatterKernel(ApplyKernel):
             # the bit-identical narrow path.
             af = _as_float64(a)
             width = af.shape[1]
-            flat_rows = self._rows.T.ravel()
+            flat_rows = rows.T.ravel()
             out = np.empty((self.m, width))
             for j in range(width):
-                weights = self._values * af[:, j]
+                weights = values * af[:, j]
                 out[:, j] = np.bincount(
                     flat_rows, weights=weights.T.ravel(), minlength=self.m
                 )
@@ -219,10 +242,10 @@ class ColumnScatterKernel(ApplyKernel):
         return self.materialize() @ a
 
     def _materialize(self) -> sp.csc_matrix:
+        rows, values = self._all_columns()
         indptr = np.arange(0, self._s * self.n + 1, self._s)
         return sp.csc_matrix(
-            (self._values.T.ravel(), self._rows.T.ravel(), indptr),
-            shape=self.shape,
+            (values.T.ravel(), rows.T.ravel(), indptr), shape=self.shape,
         )
 
     def per_column_nnz(self) -> np.ndarray:
@@ -230,12 +253,13 @@ class ColumnScatterKernel(ApplyKernel):
 
     def column_gather(self, idx: Any) -> np.ndarray:
         idx = np.asarray(idx, dtype=np.int64)
+        rows, values = self.entries(idx)
         # Fortran order matches ``csc[:, idx].toarray()`` — downstream
         # reductions are layout-sensitive at the ULP level, so bit-identity
         # requires matching the memory order, not just the values.
         sub = np.zeros((self.m, idx.size), order="F")
         # Rows are distinct within a column, so plain assignment suffices.
-        sub[self._rows[:, idx], np.arange(idx.size)] = self._values[:, idx]
+        sub[rows, np.arange(idx.size)] = values
         return sub
 
     def sketched_basis(self, draw: Any) -> np.ndarray:
@@ -245,10 +269,12 @@ class ColumnScatterKernel(ApplyKernel):
         # column j lands in output column j // reps.  Flattening j-major
         # (entries within a column inner) replays the materialized path's
         # accumulation order — sequential over the reps axis — so the
-        # result is bit-identical for reps ≤ SCATTER_MAX_REPS.
+        # result is bit-identical for reps ≤ SCATTER_MAX_REPS.  Rows are
+        # distinct within a column, so no bin sees two entries of one
+        # column and the within-column (hash) order is immaterial.
         weights = draw.signs * (1.0 / np.sqrt(draw.reps))
-        sel_rows = self._rows[:, draw.rows]
-        sel_vals = self._values[:, draw.rows] * weights
+        sel_rows, sel_vals = self.entries(draw.rows)
+        sel_vals = sel_vals * weights
         out_cols = np.repeat(np.arange(draw.d), draw.reps)
         out = np.zeros((self.m, draw.d))
         np.add.at(

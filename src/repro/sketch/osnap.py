@@ -19,13 +19,12 @@ experiment E9 sweeps ``s`` and measures the trade-off.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
-from ..linalg.sparse_ops import from_triplets
 from ..observe.counters import add_count
-from ..utils.rng import RngLike, as_generator
+from ..utils.rng import RngLike
 from ..utils.validation import (
     check_epsilon,
     check_positive_int,
@@ -33,11 +32,10 @@ from ..utils.validation import (
 )
 from .base import Sketch, SketchFamily
 from .batched import BatchedColumnScatter
+from .hashing import STREAM_VERSION, check_column_hash, draw_key
 from .kernels import ColumnScatterKernel
 
 __all__ = ["OSNAP"]
-
-_VARIANTS = ("uniform", "block")
 
 
 class OSNAP(SketchFamily):
@@ -60,18 +58,7 @@ class OSNAP(SketchFamily):
     def __init__(self, m: int, n: int, s: int, variant: str = "uniform"):
         super().__init__(m, n)
         self._s = check_positive_int(s, "s")
-        if self._s > self.m:
-            raise ValueError(
-                f"column sparsity s ({self._s}) cannot exceed m ({self.m})"
-            )
-        if variant not in _VARIANTS:
-            raise ValueError(
-                f"variant must be one of {_VARIANTS}, got {variant!r}"
-            )
-        if variant == "block" and self.m % self._s != 0:
-            raise ValueError(
-                f"block variant requires s | m, got m={self.m}, s={self._s}"
-            )
+        check_column_hash(self._s, self.m, variant)
         self._variant = variant
 
     @property
@@ -95,137 +82,40 @@ class OSNAP(SketchFamily):
             "variant": self._variant,
         }
 
+    def spec(self) -> Dict[str, Any]:
+        return {**super().spec(), "stream": STREAM_VERSION}
+
     def with_m(self, m: int) -> "OSNAP":
-        """Copy with a new target dimension (rounded up for block variant)."""
-        if self._variant == "block" and m % self._s != 0:
-            m = m + (self._s - m % self._s)
-        params = self._resize_params()
-        params["m"] = max(m, self._s)
-        if self._variant == "block" and params["m"] % self._s != 0:
-            params["m"] += self._s - params["m"] % self._s
-        return OSNAP(**params)
+        """Copy with a new target dimension, at least ``s`` (and rounded
+        up to a multiple of ``s`` for the block variant)."""
+        m = max(m, self._s)
+        if self._variant == "block":
+            m += -m % self._s
+        return OSNAP(**dict(self._resize_params(), m=m))
 
     def sample(self, rng: RngLike = None, lazy: bool = False) -> Sketch:
         """Sample an OSNAP matrix with exactly ``s`` nonzeros per column.
 
-        The sketch carries a matrix-free :class:`ColumnScatterKernel`
-        (rows sorted within each column into canonical CSC order);
+        Draws one hash key from ``rng``; the keyed column hash
+        (:mod:`.hashing`) then fixes every column's rows and signs.  The
+        sketch carries a matrix-free :class:`ColumnScatterKernel`;
         ``lazy=True`` skips assembling the scipy matrix entirely.
         """
-        gen = as_generator(rng)
-        s, m, n = self._s, self.m, self.n
-        if self._variant == "uniform":
-            rows = self._sample_rows_without_replacement(gen, s, m, n)
-        else:
-            block = m // s
-            offsets = (np.arange(s) * block)[:, None]
-            rows = offsets + gen.integers(0, block, size=(s, n))
-        signs = gen.choice((-1.0, 1.0), size=(s, n))
-        values = signs / math.sqrt(s)
-        order = np.argsort(rows, axis=0, kind="stable")
-        kernel = ColumnScatterKernel(
-            np.take_along_axis(rows, order, axis=0),
-            np.take_along_axis(values, order, axis=0),
-            (m, n),
-        )
-        matrix = None
-        if not lazy:
-            cols = np.broadcast_to(np.arange(n), (s, n))
-            matrix = from_triplets(
-                rows.ravel(), np.ascontiguousarray(cols).ravel(),
-                values.ravel(), (m, n)
-            )
+        kernel = ColumnScatterKernel(draw_key(rng), self._s,
+                                     (self.m, self.n), self._variant)
+        matrix = None if lazy else kernel.materialize()
         return Sketch(matrix, family=self, kernel=kernel)
 
     def sample_trial_batch(
         self, seeds: Sequence[np.random.SeedSequence],
     ) -> Optional[BatchedColumnScatter]:
-        """Per-trial ``(s, n)`` rows and signs, one sub-stream per trial.
-
-        Each entry consumes its seed exactly like :meth:`sample`, but the
-        rows stay in drawn order — the canonical per-column sort (the most
-        expensive part of the serial sampler) is skipped, because the
-        batched scatter does not need it and
-        :meth:`BatchedColumnScatter.trial_kernel` can replay it on demand.
-        The RNG outputs are handed to the batch kernel as-is, never copied
-        into a stacked buffer.
-        """
+        """One hash key per trial, each drawn from its seed exactly like
+        :meth:`sample` — so slot ``i`` is the sketch ``sample(seeds[i])``."""
         if not seeds:
             return None
-        s, m, n = self._s, self.m, self.n
-        rows = []
-        signs = []
-        block = m // s if self._variant == "block" else 0
-        offsets = (np.arange(s) * block)[:, None]
-        for seed in seeds:
-            gen = as_generator(seed)
-            if self._variant == "uniform":
-                rows.append(self._distinct_rows_unsorted(gen, s, m, n))
-            else:
-                rows.append(offsets + gen.integers(0, block, size=(s, n)))
-            signs.append(gen.choice((-1.0, 1.0), size=(s, n)))
         add_count("sketch_samples", len(seeds))
-        return BatchedColumnScatter(rows, signs, 1.0 / math.sqrt(s), (m, n))
-
-    @staticmethod
-    def _distinct_rows_unsorted(gen: np.random.Generator, s: int,
-                                m: int, n: int) -> np.ndarray:
-        """Stream-identical to :meth:`_sample_rows_without_replacement`.
-
-        Consumes the same variates and rejection-resamples the same
-        columns (a column has a duplicate iff some unordered pair of its
-        rows coincides, however it is detected), but finds the duplicates
-        by pairwise comparison instead of a per-column sort — cheaper for
-        the small ``s`` of interest, and the batched scatter never needs
-        the sorted order.  After the first round only the just-resampled
-        columns are re-checked: untouched columns are already
-        duplicate-free, so the surviving bad sets (and hence the variates
-        drawn for them) match the serial sampler's full-width re-scan
-        exactly.
-        """
-        if s == 1:
-            return gen.integers(0, m, size=(1, n))
-        if 2 * s > m:
-            # Dense regime: random permutation per column, keep s rows.
-            return np.argsort(gen.random((m, n)), axis=0)[:s]
-        rows = gen.integers(0, m, size=(s, n))
-        active: Optional[np.ndarray] = None
-        draw = rows
-        while True:
-            duplicated = np.zeros(draw.shape[1], dtype=bool)
-            for i in range(s - 1):
-                for j in range(i + 1, s):
-                    duplicated |= draw[i] == draw[j]
-            hit = np.flatnonzero(duplicated)
-            if hit.size == 0:
-                return rows
-            bad = hit if active is None else active[hit]
-            draw = gen.integers(0, m, size=(s, bad.size))
-            rows[:, bad] = draw
-            active = bad
-
-    @staticmethod
-    def _sample_rows_without_replacement(gen: np.random.Generator, s: int,
-                                         m: int, n: int) -> np.ndarray:
-        """``s`` distinct uniform rows per column, vectorized.
-
-        Rejection-resamples columns containing duplicates; for ``s ≪ m``
-        this converges in a couple of rounds, avoiding a Python loop over
-        all ``n`` columns.
-        """
-        if s == 1:
-            return gen.integers(0, m, size=(1, n))
-        if 2 * s > m:
-            # Dense regime: random permutation per column, keep s rows.
-            return np.argsort(gen.random((m, n)), axis=0)[:s]
-        rows = gen.integers(0, m, size=(s, n))
-        while True:
-            ordered = np.sort(rows, axis=0)
-            bad = np.flatnonzero(np.any(np.diff(ordered, axis=0) == 0,
-                                        axis=0))
-            if bad.size == 0:
-                return rows
-            rows[:, bad] = gen.integers(0, m, size=(s, bad.size))
+        return BatchedColumnScatter([draw_key(seed) for seed in seeds],
+                                    self._s, (self.m, self.n), self._variant)
 
     @staticmethod
     def recommended_m(d: int, epsilon: float, delta: float,

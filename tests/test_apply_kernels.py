@@ -25,6 +25,7 @@ from repro.sketch import (
     SparseJL,
     sample_sketch,
 )
+from repro.sketch.hashing import draw_key
 from repro.sketch.kernels import (
     SCATTER_MAX_COLUMNS,
     SCATTER_MAX_REPS,
@@ -319,17 +320,13 @@ class TestApplyValidation:
 
 
 class TestKernelConstruction:
-    def test_column_scatter_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError, match="share"):
-            ColumnScatterKernel(
-                np.zeros((2, 4), dtype=int), np.zeros((3, 4)), (8, 4)
-            )
+    def test_column_scatter_rejects_sparsity_above_m(self):
+        with pytest.raises(ValueError, match="cannot exceed"):
+            ColumnScatterKernel(0, 9, (8, 4))
 
-    def test_column_scatter_rejects_out_of_range_rows(self):
-        with pytest.raises(ValueError, match="row index"):
-            ColumnScatterKernel(
-                np.full((1, 4), 8), np.ones((1, 4)), (8, 4)
-            )
+    def test_column_scatter_rejects_block_sparsity_not_dividing_m(self):
+        with pytest.raises(ValueError, match="s \\| m"):
+            ColumnScatterKernel(0, 3, (8, 4), variant="block")
 
     def test_row_gather_rejects_out_of_range_cols(self):
         with pytest.raises(ValueError, match="column index"):
@@ -364,6 +361,80 @@ class TestKernelConstruction:
         sketch = sample_sketch(family, np.random.SeedSequence(0), lazy=True)
         assert isinstance(sketch, Sketch)
         assert len(family.calls) == 1
+
+
+HASHED_FAMILIES = [
+    pytest.param(lambda: CountSketch(M, N), id="countsketch"),
+    pytest.param(lambda: OSNAP(M, N, s=4), id="osnap-uniform"),
+    pytest.param(lambda: OSNAP(M, N, s=4, variant="block"), id="osnap-block"),
+    pytest.param(lambda: OSNAP(12, N, s=7), id="osnap-dense"),
+]
+
+
+class TestSupportOnlyHashing:
+    """CountSketch/OSNAP are a keyed column hash: any set of columns is
+    evaluated on its own, and every path agrees on what ``Π`` is."""
+
+    @pytest.mark.parametrize("make_family", HASHED_FAMILIES)
+    def test_column_gather_is_materialized_slice(self, make_family):
+        family = make_family()
+        kernel = sample_sketch(family, np.random.SeedSequence(3),
+                               lazy=True).kernel
+        # Unsorted, repeated columns; gathered before the full evaluation.
+        idx = np.array([N - 1, 5, 0, 5, 77, 130])
+        gathered = kernel.column_gather(idx)
+        expected = kernel.materialize()[:, idx].toarray()
+        assert np.array_equal(gathered, expected)
+        assert gathered.flags.f_contiguous == expected.flags.f_contiguous
+
+    @pytest.mark.parametrize("make_family", HASHED_FAMILIES)
+    def test_batched_trial_kernel_is_serial_sample(self, make_family):
+        family = make_family()
+        seeds = np.random.SeedSequence(11).spawn(5)
+        batched = family.sample_trial_batch(seeds)
+        idx = np.arange(0, N, 7)
+        for index, seed in enumerate(seeds):
+            serial = sample_sketch(family, seed, lazy=True).kernel
+            got = batched.trial_kernel(index)
+            assert got.key == serial.key
+            assert np.array_equal(got.column_gather(idx),
+                                  serial.column_gather(idx))
+
+    def test_key_is_the_next_uint64_of_the_stream(self):
+        for seed in range(10):
+            gen = np.random.default_rng(seed)
+            ref = np.random.default_rng(seed)
+            assert draw_key(gen) == ref.integers(2**64, dtype=np.uint64)
+            assert gen.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("make_family", HASHED_FAMILIES)
+    def test_shared_generator_draws_distinct_sketches(self, make_family):
+        family = make_family()
+        gen = np.random.default_rng(0)
+        first = family.sample(gen)
+        second = family.sample(gen)
+        assert first.kernel.key != second.kernel.key
+        assert not _sparse_equal(first.matrix, second.matrix)
+
+    @pytest.mark.parametrize("make_family,reps", [
+        pytest.param(lambda n: CountSketch(256, n), 1, id="countsketch"),
+        pytest.param(lambda n: OSNAP(256, n, s=4), 2, id="osnap-uniform"),
+        pytest.param(lambda n: OSNAP(256, n, s=4, variant="block"), 2,
+                     id="osnap-block"),
+    ])
+    def test_trials_independent_of_ambient_dimension(self, make_family,
+                                                     reps):
+        # A full (s, n) draw at n = 2^30 would need at least 8 GiB, and so
+        # would the dense n×d subspace: completing proves that neither the
+        # serial nor the batched trial touches more than the support.
+        n = 2**30
+        family = make_family(n)
+        instance = DBeta(n, 8, reps=reps)
+        serial = distortion_samples(family, instance, trials=6,
+                                    rng=np.random.SeedSequence(4))
+        batched = distortion_samples(family, instance, trials=6,
+                                     rng=np.random.SeedSequence(4), batch=3)
+        np.testing.assert_allclose(batched, serial, rtol=1e-9, atol=1e-12)
 
 
 class TestKernelProperties:

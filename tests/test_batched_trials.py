@@ -263,12 +263,10 @@ class TestPerTrialReconstruction:
         batched = family.sample_trial_batch([p[0] for p in pairs])
         draws = [instance.sample_support(p[1]) for p in pairs]
         products = batched.sketched_bases(draws)
-        stacked = batched.representation()
         for index, draw in enumerate(draws):
-            serial = batched.trial_kernel(index).sketched_basis(draw)
-            touched = np.unique(
-                stacked["rows"][index][:, np.asarray(draw.rows)]
-            )
+            kernel = batched.trial_kernel(index)
+            serial = kernel.sketched_basis(draw)
+            touched = np.unique(kernel.entries(draw.rows)[0])
             assert np.array_equal(
                 products[index][:touched.size], serial[touched]
             )
@@ -291,17 +289,14 @@ class TestBatchedKernelValidation:
                 rng=np.random.SeedSequence(0), batch=0,
             )
 
-    def test_column_scatter_rejects_mismatched_trials(self):
-        rows = [np.zeros((2, 8), dtype=np.int64)]
-        signs = [np.ones((2, 8)), np.ones((2, 8))]
-        with pytest.raises(ValueError):
-            BatchedColumnScatter(rows, signs, 1.0, (4, 8))
+    def test_column_scatter_rejects_non_flat_keys(self):
+        with pytest.raises(ValueError, match="1-D"):
+            BatchedColumnScatter(np.zeros((2, 2), dtype=np.uint64), 1,
+                                 (4, 8))
 
-    def test_column_scatter_rejects_out_of_range_rows(self):
-        rows = [np.full((1, 8), 4, dtype=np.int64)]
-        signs = [np.ones((1, 8))]
-        with pytest.raises(ValueError, match="row index"):
-            BatchedColumnScatter(rows, signs, 1.0, (4, 8))
+    def test_column_scatter_rejects_sparsity_above_m(self):
+        with pytest.raises(ValueError, match="cannot exceed"):
+            BatchedColumnScatter([0, 1], 5, (4, 8))
 
     def test_row_gather_rejects_out_of_range_cols(self):
         cols = np.full((1, 4), 8, dtype=np.int64)

@@ -54,6 +54,23 @@ class TestCanonicalKeys:
         with pytest.raises(ValueError):
             canonical_json({"x": float("nan")})
 
+    def test_stream_version_only_in_hashed_family_specs(self):
+        # CountSketch/OSNAP are defined by a versioned column hash, so
+        # their keys name the version and entries cached under another
+        # definition of the sketch miss; every other family keeps the
+        # plain {type, params} spec, so its keys are unchanged.
+        from repro.sketch import OSNAP, GaussianSketch, RowSampling, SparseJL
+        from repro.sketch.hashing import STREAM_VERSION
+
+        assert _family().spec() == {
+            "type": "CountSketch", "params": {"m": 40, "n": 64},
+            "stream": STREAM_VERSION,
+        }
+        assert OSNAP(40, 64, s=2).spec()["stream"] == STREAM_VERSION
+        for family in (GaussianSketch(8, 64), RowSampling(8, 64),
+                       SparseJL(8, 64, q=0.1)):
+            assert set(family.spec()) == {"type", "params"}
+
 
 class TestJsonlStore:
     def test_round_trip_and_persistence(self, tmp_path):
@@ -141,6 +158,61 @@ class TestJsonlStore:
         assert seen == {
             (worker, i)
             for worker in range(workers) for i in range(per_worker)
+        }
+
+
+class TestThreadedAppends:
+    def test_thread_hammer_on_one_probe_cache(self, tmp_path, monkeypatch):
+        # The server's to_thread workers share one ProbeCache.  Slowing
+        # the first-append trim widens the check-then-open window, so
+        # without the store's lock several threads would each open (and
+        # all but one leak) an append descriptor.
+        import os
+        import sys
+        import threading
+        import time
+
+        fd_dir = "/proc/self/fd"
+        if not os.path.isdir(fd_dir):
+            pytest.skip("needs /proc/self/fd to count descriptors")
+        trim = JsonlStore._trim_torn_tail
+
+        def slow_trim(store):
+            time.sleep(0.05)
+            trim(store)
+
+        monkeypatch.setattr(JsonlStore, "_trim_torn_tail", slow_trim)
+        before = len(os.listdir(fd_dir))
+        cache = ProbeCache(tmp_path)
+        threads, per_thread = 8, 25
+        start = threading.Barrier(threads)
+
+        def hammer(worker):
+            start.wait()
+            for i in range(per_thread):
+                cache.put("k", {"worker": worker, "i": i},
+                          {"pad": "x" * 512})
+
+        workers = [threading.Thread(target=hammer, args=(worker,))
+                   for worker in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in workers)
+        cache.close()
+        assert len(os.listdir(fd_dir)) == before
+        lines = cache.path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == threads * per_thread
+        records = [json.loads(line) for line in lines]
+        assert {record["key"] for record in records} == {
+            cache_key("k", {"worker": worker, "i": i})
+            for worker in range(threads) for i in range(per_thread)
         }
 
 

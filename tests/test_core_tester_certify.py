@@ -52,15 +52,16 @@ class TestFailureEstimate:
 
 
 class _DrawRecordingInstance(DBeta):
-    """DBeta that records the seed handed to each ``sample_draw`` call."""
+    """DBeta that records the seed handed to each ``sample_support`` call
+    (the stream-identical draw the trial loop uses)."""
 
     def __init__(self, n, d):
         super().__init__(n=n, d=d, reps=1)
         self.seen = []
 
-    def sample_draw(self, rng=None):
+    def sample_support(self, rng=None):
         self.seen.append(rng)
-        return super().sample_draw(rng)
+        return super().sample_support(rng)
 
 
 class TestDistortionTrialSeedContract:

@@ -100,19 +100,27 @@ class TestExperimentShapes:
     """Tiny-scale runs asserting each experiment's qualitative claim."""
 
     def test_e1_quadratic_slope(self):
-        result = run_experiment("E1", scale=TINY, rng=0)
-        assert result.metrics["hard_slope_vs_d"] > 1.4
-        assert result.metrics["control_slope_vs_d"] < \
-            result.metrics["hard_slope_vs_d"]
+        # One TINY-scale slope fit is seed lottery (about 1.0-3.2 across
+        # seeds around the true exponent 2), so take the median of three.
+        runs = [run_experiment("E1", scale=TINY, rng=seed).metrics
+                for seed in range(3)]
+        hard = np.median([metrics["hard_slope_vs_d"] for metrics in runs])
+        control = np.median([metrics["control_slope_vs_d"]
+                             for metrics in runs])
+        assert hard > 1.4
+        assert control < hard
 
     def test_e2_scaling_exponents(self):
-        # E2 fits power-law exponents from a handful of minimal-m probes;
-        # at TINY scale the fit is seed lottery (slopes 0.4-2.7 across
-        # seeds), so this one runs at a slightly larger scale where the
-        # exponents stabilize.
-        result = run_experiment("E2", scale=0.25, rng=0)
-        assert result.metrics["slope_vs_inv_eps"] > 1.2
-        assert 0.5 < result.metrics["slope_vs_birthday_delta_scale"] < 1.6
+        # E2 fits power-law exponents from a handful of minimal-m probes.
+        # Below scale 0.5 the eps fit has two points of 30 trials each
+        # and is seed lottery (slopes 0.5-3.3 across seeds), so this runs
+        # the four-point sweep and takes the median of three seeds.
+        runs = [run_experiment("E2", scale=0.5, rng=seed).metrics
+                for seed in range(3)]
+        assert np.median([metrics["slope_vs_inv_eps"]
+                          for metrics in runs]) > 1.2
+        assert 0.5 < np.median([metrics["slope_vs_birthday_delta_scale"]
+                                for metrics in runs]) < 1.6
 
     def test_e3_sharp_norm_transition(self):
         result = run_experiment("E3", scale=TINY, rng=0)

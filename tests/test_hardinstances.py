@@ -79,6 +79,23 @@ class TestDBetaSampling:
         assert draw.rows.shape == (8,)
         assert set(np.unique(draw.signs)) <= {-1.0, 1.0}
 
+    @pytest.mark.parametrize("distinct_rows", [True, False])
+    def test_support_stream_matches_choice_reference(self, distinct_rows):
+        # The support draw is pinned to the reference calls it replaced:
+        # rows, then Rademacher signs via ``choice`` — same values, same
+        # generator state afterwards.
+        inst = DBeta(n=500, d=6, reps=3, distinct_rows=distinct_rows)
+        for seed in range(20):
+            gen = np.random.default_rng(seed)
+            draw = inst.sample_support(gen)
+            ref = np.random.default_rng(seed)
+            rows = ref.choice(500, size=18, replace=False) if distinct_rows \
+                else ref.integers(0, 500, size=18)
+            signs = ref.choice((-1.0, 1.0), size=18)
+            assert np.array_equal(draw.rows, rows)
+            assert np.array_equal(draw.signs, signs)
+            assert gen.bit_generator.state == ref.bit_generator.state
+
     def test_iid_rows_mode_allows_duplicates(self):
         # With n tiny and many rows, duplicates become likely.
         inst = DBeta(n=4, d=2, reps=2, distinct_rows=False)

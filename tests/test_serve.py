@@ -106,6 +106,15 @@ class TestParams:
         with pytest.raises(BadRequest, match="spec object"):
             family_from_spec("CountSketch")
 
+    def test_hashed_family_stream_field(self):
+        # Requests may omit the stream version (FAMILY_SPEC does) or name
+        # the current one; a request for another stream cannot be served.
+        current = CountSketch(16, 64).spec()
+        assert "stream" in current
+        assert family_from_spec(current).spec() == current
+        with pytest.raises(BadRequest, match="stream"):
+            family_from_spec(dict(current, stream=current["stream"] - 1))
+
 
 class TestSingleFlightGate:
     def test_inflight_bound_validated(self):

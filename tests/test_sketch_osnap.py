@@ -39,6 +39,27 @@ class TestConstruction:
         assert fam.m % 4 == 0
         assert fam.m >= 50
 
+    @pytest.mark.parametrize("variant,s,m,effective", [
+        # block: at least s, rounded up to a multiple of s
+        ("block", 4, 1, 4),
+        ("block", 4, 3, 4),
+        ("block", 4, 4, 4),
+        ("block", 4, 5, 8),
+        ("block", 4, 50, 52),
+        ("block", 3, 0, 3),
+        ("block", 3, 7, 9),
+        ("block", 1, 7, 7),
+        # uniform: at least s, otherwise unchanged
+        ("uniform", 4, 1, 4),
+        ("uniform", 4, 3, 4),
+        ("uniform", 4, 5, 5),
+        ("uniform", 3, 50, 50),
+    ])
+    def test_with_m_effective_dimension(self, variant, s, m, effective):
+        fam = OSNAP(m=4 * s, n=100, s=s, variant=variant).with_m(m)
+        assert fam.m == effective
+        assert (fam.s, fam.variant) == (s, variant)
+
 
 class TestSampleUniform:
     @pytest.mark.parametrize("s", [1, 2, 4, 7])

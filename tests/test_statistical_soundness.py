@@ -2,18 +2,20 @@
 
 These tests validate the *instruments* the experiments rely on: Wilson
 interval coverage, mixture sampling proportions, minimal-m estimator
-location, and seed-reproducibility of whole experiments.
+location, the hash-defined CountSketch/OSNAP samplers, and
+seed-reproducibility of whole experiments.
 """
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.core.collisions import birthday_collision_probability
 from repro.core.tester import failure_estimate, minimal_m
 from repro.experiments.registry import run_experiment
 from repro.hardinstances.dbeta import DBeta
 from repro.hardinstances.mixtures import MixtureInstance
-from repro.sketch.countsketch import CountSketch
+from repro.sketch import OSNAP, CountSketch
 from repro.utils.rng import as_generator, spawn
 from repro.utils.stats import wilson_interval
 
@@ -74,6 +76,85 @@ class TestFailureEstimatorCalibration:
                 break
         assert search.found
         assert 0.5 * lo <= search.m_star <= 2.0 * lo
+
+
+#: p-value floor for the fixed-seed goodness-of-fit checks below: low
+#: enough that a sound hash never trips it, high enough that a biased
+#: reduction or a correlated lane (a few percent off) always does.
+P_FLOOR = 1e-4
+
+
+def _entries(family, seed=0):
+    """Rows and signs ``(s, n)`` of one sampled sketch, hash order."""
+    kernel = family.sample(np.random.SeedSequence(seed), lazy=True).kernel
+    rows, values = kernel.entries(np.arange(family.n))
+    return rows, np.sign(values)
+
+
+class TestHashedSketchFamilies:
+    """The keyed column hash behind CountSketch/OSNAP is a sound sampler.
+
+    Theorem 8's birthday threshold (E1/E2) turns on CountSketch rows being
+    uniform, pairwise colliding at rate ``1/m``, and carrying balanced
+    signs independent of the rows; OSNAP additionally needs ``s`` distinct
+    rows per column (one per block for the block variant).
+    """
+
+    def test_countsketch_rows_uniform(self):
+        # m is not a power of two, so a modulo-biased reduction shows.
+        m, n = 100, 2**16
+        rows, _ = _entries(CountSketch(m, n))
+        counts = np.bincount(rows.ravel(), minlength=m)
+        assert stats.chisquare(counts).pvalue > P_FLOOR
+
+    def test_countsketch_signs_balanced_and_independent_of_rows(self):
+        m, n = 100, 2**16
+        rows, signs = _entries(CountSketch(m, n), seed=1)
+        assert abs(signs.mean()) < 4.0 / np.sqrt(n)
+        table = np.stack([np.bincount(rows[signs == sign], minlength=m)
+                          for sign in (-1.0, 1.0)])
+        assert stats.chi2_contingency(table).pvalue > P_FLOOR
+
+    @pytest.mark.parametrize("gap", [1, 2, 1000])
+    def test_countsketch_pairwise_collision_rate(self, gap):
+        # Independent keys, fixed column pairs (j, j + gap): the collision
+        # probability must be 1/m, with no excess for nearby columns.
+        m, pairs = 100, 200_000
+        family = CountSketch(m, 4096)
+        seeds = np.random.SeedSequence(2).spawn(pairs // 100)
+        batch = family.sample_trial_batch(seeds)
+        cols = np.arange(100)
+        hits = 0
+        for index in range(len(seeds)):
+            rows, _ = batch.trial_kernel(index).entries(
+                np.concatenate([cols, cols + gap])
+            )
+            hits += int(np.sum(rows[0, :100] == rows[0, 100:]))
+        rate = hits / pairs
+        assert rate * m == pytest.approx(1.0, abs=0.1)
+
+    @pytest.mark.parametrize("m,s", [(96, 4), (96, 16), (12, 7), (8, 8)])
+    def test_osnap_rows_distinct_and_uniform(self, m, s):
+        # (96, 4) and (96, 16) are the sparse regime, (12, 7) and (8, 8)
+        # the dense one (2s > m).
+        rows, signs = _entries(OSNAP(m, 2**14, s=s), seed=3)
+        ordered = np.sort(rows, axis=0)
+        assert np.all(np.diff(ordered, axis=0) > 0)
+        counts = np.bincount(rows.ravel(), minlength=m)
+        if s < m:
+            assert stats.chisquare(counts).pvalue > P_FLOOR
+        assert abs(signs.mean()) < 4.0 / np.sqrt(signs.size)
+
+    def test_osnap_block_one_uniform_entry_per_block(self):
+        m, s, n = 96, 4, 2**14
+        block = m // s
+        rows, signs = _entries(OSNAP(m, n, s=s, variant="block"), seed=4)
+        assert np.array_equal(rows // block,
+                              np.broadcast_to(np.arange(s)[:, None], (s, n)))
+        for b in range(s):
+            counts = np.bincount(rows[b] % block, minlength=block)
+            assert stats.chisquare(counts).pvalue > P_FLOOR
+        assert abs(signs.mean()) < 4.0 / np.sqrt(signs.size)
 
 
 class TestSeedReproducibility:
