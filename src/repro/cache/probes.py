@@ -29,7 +29,7 @@ from typing import Any, Dict, NamedTuple, Optional, Sequence, Union
 
 from ..observe.counters import add_count
 from ..observe.ledger import emit_event
-from ..sanitize.hooks import record_cache_event
+from ..utils.rng import record_cache_event
 from .keys import cache_key, canonical_json
 from .store import JsonlStore
 
@@ -72,11 +72,15 @@ class ProbeCache:
         Cache directory; the record file is ``<directory>/probes.jsonl``.
         Created on first use.
 
-    The in-memory index is loaded once at construction; records appended
-    by *this* process are indexed as they are written.  Records appended
-    concurrently by another process become visible to a fresh
-    ``ProbeCache`` over the same directory (each CLI invocation opens its
-    own).
+    The in-memory index is loaded at construction; records appended by
+    *this* process are indexed as they are written.  Records that other
+    processes append later — a CLI sweep or shard pass writing into a
+    running server's directory — are picked up on the next lookup miss:
+    the index follows ``probes.jsonl`` from the byte offset it last read
+    (:meth:`JsonlStore.read_new`), indexing only complete
+    (``\\n``-terminated) lines, so a miss costs one ``fstat`` when nothing
+    is new and a half-written record is indexed only once its newline
+    lands.
     """
 
     FILENAME = "probes.jsonl"
@@ -85,7 +89,11 @@ class ProbeCache:
         self._directory = Path(directory)
         self._store = JsonlStore(self._directory / self.FILENAME)
         self._index: Dict[str, Dict[str, Any]] = {}
-        for record in self._store.load():
+        self._follow()
+
+    def _follow(self) -> None:
+        """Index the complete records appended since the last read."""
+        for record in self._store.read_new():
             key = record.get("key")
             if isinstance(key, str):
                 self._index[key] = record
@@ -108,6 +116,9 @@ class ProbeCache:
         """
         key = cache_key(kind, spec)
         record = self._index.get(key)
+        if record is None:
+            self._follow()
+            record = self._index.get(key)
         if record is None:
             return None
         if record.get("spec") is not None and \

@@ -36,7 +36,7 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..utils.serialization import json_default
 
@@ -51,6 +51,8 @@ class JsonlStore:
         self._pid = os.getpid()
         self._fd: Optional[int] = None
         self._lock = threading.Lock()
+        #: (inode, byte offset) where :meth:`read_new` stopped.
+        self._follow_at: Tuple[Optional[int], int] = (None, 0)
 
     @property
     def path(self) -> Path:
@@ -59,25 +61,48 @@ class JsonlStore:
     def load(self) -> List[Dict[str, Any]]:
         """All records currently on disk, oldest first.
 
-        A torn trailing line (crash or concurrent writer mid-append) is
-        skipped; an unparseable *earlier* line raises, since that means
-        corruption rather than an interrupted write.
+        A torn trailing line (crash or concurrent writer mid-append, so no
+        newline yet) is skipped; an unparseable *complete* line raises,
+        since that means corruption rather than an interrupted write.
+        This is a fresh follower's first :meth:`read_new`.
         """
-        if not self._path.exists():
-            return []
-        lines = self._path.read_text(encoding="utf-8").splitlines()
+        return JsonlStore(self._path).read_new()
+
+    def read_new(self) -> List[Dict[str, Any]]:
+        """Records completed since the previous call (all, on the first).
+
+        Follows the file from the byte offset the previous call stopped
+        at and reads only ``\\n``-terminated lines: a final line still
+        missing its newline (a writer mid-append) is left for a later
+        call, so every record is returned exactly once, whole.  A file
+        replaced underneath (a merge rewrites its output store) or
+        truncated is read again from the start.
+        """
+        with self._lock:
+            try:
+                handle = open(self._path, "rb")
+            except FileNotFoundError:
+                self._follow_at = (None, 0)
+                return []
+            with handle:
+                stat = os.fstat(handle.fileno())
+                inode, offset = self._follow_at
+                if inode != stat.st_ino or stat.st_size < offset:
+                    offset = 0
+                handle.seek(offset)
+                data = handle.read(stat.st_size - offset)
+            end = data.rfind(b"\n") + 1
+            self._follow_at = (stat.st_ino, offset + end)
         records: List[Dict[str, Any]] = []
-        for number, line in enumerate(lines, start=1):
+        for number, line in enumerate(data[:end].splitlines(), start=1):
             if not line.strip():
                 continue
             try:
                 records.append(json.loads(line))
             except json.JSONDecodeError:
-                if number == len(lines):
-                    break
                 raise ValueError(
-                    f"{self._path}: unparseable cache line {number}: "
-                    f"{line[:80]!r}"
+                    f"{self._path}: unparseable cache line {number} (from "
+                    f"byte {offset}): {line[:80]!r}"
                 ) from None
         return records
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -170,30 +170,31 @@ def _shard_spec_of(spec: Dict[str, Any], shard: ShardSpec,
     return tagged
 
 
-def _slice_distortions(family: SketchFamily, instance: HardInstance,
-                       fixed: Optional[Sketch],
-                       seeds: Sequence[np.random.SeedSequence],
-                       workers: Optional[int], chunk_size: Optional[int],
-                       batch: Optional[int], batched: bool) -> List[float]:
-    """Run one shard's contiguous slice of trials over pre-derived seeds.
+def _trial_values(family: SketchFamily, instance: HardInstance,
+                  fixed: Optional[Sketch],
+                  seeds: Sequence[np.random.SeedSequence],
+                  workers: Optional[int], chunk_size: Optional[int],
+                  batch: Optional[int]) -> List[float]:
+    """The distortions of the trials behind ``seeds``, in seed order.
 
-    Empty slices (more shards than work units) run nothing; the batched
-    engine keeps ``chunk_size=batch``, and since :func:`shard_spans`
-    aligns slice boundaries to ``batch`` multiples, the chunk
-    decomposition — and hence the batched arithmetic — matches the
-    serial run's exactly.
+    ``batch > 1`` runs the batched engine with ``chunk_size=batch``; since
+    :func:`shard_spans` aligns shard slice boundaries to ``batch``
+    multiples, a slice's chunk decomposition — and hence the batched
+    arithmetic — matches the serial run's exactly.  Otherwise each trial
+    runs the per-trial path, on ``fixed`` when given.
     """
-    if not seeds:
-        return []
+    batched = batch is not None and batch > 1
+    executor = TrialExecutor(workers=workers,
+                             chunk_size=batch if batched else chunk_size)
     if batched:
-        executor = TrialExecutor(workers=workers, chunk_size=batch)
-        return [float(v) for v in executor.run_chunked(
+        values = executor.run_chunked(
             partial(_batched_trial_chunk, family, instance), seeds,
-        )]
-    executor = TrialExecutor(workers=workers, chunk_size=chunk_size)
-    return [float(v) for v in executor.run_seeded(
-        partial(_distortion_trial, family, instance, fixed), seeds,
-    )]
+        )
+    else:
+        values = executor.run_seeded(
+            partial(_distortion_trial, family, instance, fixed), seeds,
+        )
+    return [float(value) for value in values]
 
 
 def _shard_pending(probe: str, spec: Dict[str, Any], shard: ShardSpec,
@@ -216,6 +217,102 @@ def _shard_pending(probe: str, spec: Dict[str, Any], shard: ShardSpec,
     )
 
 
+def _run_probe(kind: str, family: SketchFamily, instance: HardInstance,
+               trials: int, rng: RngLike, params: Dict[str, Any],
+               reduce: Callable[[List[float]], Dict[str, Any]], *,
+               fresh_sketch: bool, workers: Optional[int],
+               chunk_size: Optional[int], cache: Optional[Any],
+               batch: Optional[int], shard: Optional[Any]) -> Dict[str, Any]:
+    """The one probe engine behind :func:`failure_estimate` and
+    :func:`distortion_samples`; returns the probe's record.
+
+    ``reduce`` turns a list of trial distortions into the record a cache
+    stores (``params`` are the extra spec fields it depends on).  The
+    engine owns every execution mode:
+
+    * **hit replay** — with ``cache`` and a seed-backed ``rng``, a cached
+      record is returned after advancing the spawn counter exactly as the
+      computation would (one child for a fixed sketch, one per trial) and
+      merging the stored counter delta;
+    * **shard slice** — with ``shard``, only this shard's contiguous slice
+      of trials runs (on the serial run's own child streams), its record
+      is stored under the shard-partial spec, and :class:`ShardPending` is
+      raised until a merge resolves the probe;
+    * **full compute** — all trials run and the record is stored.
+    """
+    trials = check_positive_int(trials, "trials")
+    batch = _check_batch(batch, fresh_sketch)
+    batched = batch is not None and batch > 1
+    shard = normalize_shard(shard)
+    gen = as_generator(rng)
+    spec = None
+    if cache is not None:
+        fingerprint = seed_fingerprint(gen)
+        if fingerprint is not None:
+            if batched:
+                # The batched engine owns a different (canonical)
+                # accumulation order, so its results must not alias the
+                # serial path's; batch=1 delegates to the serial path and
+                # shares its entries.
+                params = dict(params, batch=batch)
+            spec = _probe_spec(family, instance, fingerprint, trials,
+                               **params)
+            hit = cache.get(kind, spec)
+            if hit is not None:
+                # Replay the computation's spawn consumption and its
+                # counter delta, so the parent stream and metrics end up
+                # exactly where a cache miss would leave them.
+                spawn_seeds(gen, trials + (0 if fresh_sketch else 1))
+                counters().merge(hit.counters)
+                return hit.value
+    span, record_spec = (0, trials), spec
+    if shard is not None:
+        if spec is None:
+            raise ValueError(
+                "shard= requires cache= and a seed-backed rng: shard "
+                "partials are exchanged through the probe cache, keyed by "
+                "the seed fingerprint"
+            )
+        span = shard_spans(trials, shard.count,
+                           step=batch if batched else 1)[shard.index]
+        record_spec = _shard_spec_of(spec, shard, span)
+        if cache.peek(kind, record_spec) is not None:
+            # This shard's slice is already on disk (resume after a crash
+            # or a later round); only the merge is still outstanding.
+            raise _shard_pending(kind, spec, shard, span, computed=False)
+
+    def sample_fixed() -> Optional[Sketch]:
+        return None if fresh_sketch \
+            else sample_sketch(family, spawn(gen), lazy=True)
+
+    if shard is not None and shard.index > 0:
+        # Every shard must sample the fixed sketch (trial seeds start at
+        # child 1), but only shard 0's delta may carry its cost or the
+        # folded counters would overcount it (count - 1) times.
+        fixed = sample_fixed()
+        before = counters().snapshot()
+    else:
+        before = counters().snapshot()
+        fixed = sample_fixed()
+    if shard is None:
+        labels = {"batch": batch} if batched else {}
+        with trace(kind, m=family.m, trials=trials, **labels):
+            values = _trial_values(family, instance, fixed,
+                                   spawn_seeds(gen, trials), workers,
+                                   chunk_size, batch)
+    else:
+        seeds = spawn_slice(gen, span[0], span[1], total=trials)
+        # Empty slices (more shards than work units) run nothing.
+        values = _trial_values(family, instance, fixed, seeds, workers,
+                               chunk_size, batch) if seeds else []
+    record = reduce(values)
+    if record_spec is not None:
+        cache.put(kind, record_spec, record, counters().diff(before))
+    if shard is not None:
+        raise _shard_pending(kind, spec, shard, span, computed=True)
+    return record
+
+
 def failure_estimate(family: SketchFamily, instance: HardInstance,
                      epsilon: float, trials: int,
                      rng: RngLike = None,
@@ -224,8 +321,7 @@ def failure_estimate(family: SketchFamily, instance: HardInstance,
                      chunk_size: Optional[int] = None,
                      cache: Optional[Any] = None,
                      batch: Optional[int] = None,
-                     shard: Optional[Any] = None,
-                     sanitized: bool = False) -> BernoulliEstimate:
+                     shard: Optional[Any] = None) -> BernoulliEstimate:
     """Estimate ``P[Π is NOT an ε-embedding for U]``.
 
     Each trial draws ``U`` from ``instance`` and (by default) a fresh
@@ -272,146 +368,29 @@ def failure_estimate(family: SketchFamily, instance: HardInstance,
     call returns the full estimate bit-identically to a serial run.
     Requires ``cache=`` and a seed-backed ``rng``; see :mod:`repro.shard`
     for the driver.
-
-    ``sanitized=True`` runs the estimate under the determinism sanitizer
-    (:func:`repro.sanitize.sanitized_rerun`): the probe executes twice —
-    once as configured, once as a serial cache-off replay from the same
-    stream state — and any divergence in RNG stream traces or result
-    bytes raises :class:`repro.sanitize.DeterminismError`.  Incompatible
-    with ``shard=`` (a shard pass is deliberately partial; sanitize the
-    merged replay instead).
     """
-    if sanitized:
-        if shard is not None:
-            raise ValueError(
-                "sanitized= cannot be combined with shard=: a shard pass "
-                "is a deliberately partial execution — sanitize the "
-                "merged serial replay instead (see repro.sanitize)"
-            )
-        from ..sanitize.runtime import sanitized_rerun
-
-        return sanitized_rerun(
-            "failure_estimate",
-            lambda rng_, workers_, cache_: failure_estimate(
-                family, instance, epsilon, trials, rng_,
-                fresh_sketch=fresh_sketch, workers=workers_,
-                chunk_size=chunk_size, cache=cache_, batch=batch,
-            ),
-            rng=rng, workers=workers, cache=cache,
-        )
     epsilon = check_epsilon(epsilon)
-    trials = check_positive_int(trials, "trials")
-    batch = _check_batch(batch, fresh_sketch)
-    batched = batch is not None and batch > 1
-    shard = normalize_shard(shard)
     if family.n != instance.n:
         raise ValueError(
             f"family ambient dimension ({family.n}) must match instance "
             f"({instance.n})"
         )
-    gen = as_generator(rng)
-    spec = None
-    if cache is not None:
-        fingerprint = seed_fingerprint(gen)
-        if fingerprint is not None:
-            params: Dict[str, Any] = dict(
-                epsilon=epsilon, fresh_sketch=fresh_sketch,
-            )
-            if batched:
-                # The batched engine owns a different (canonical)
-                # accumulation order, so its results must not alias the
-                # serial path's; batch=1 delegates to the serial path and
-                # shares its entries.
-                params["batch"] = batch
-            spec = _probe_spec(family, instance, fingerprint, trials,
-                               **params)
-            hit = cache.get("failure_estimate", spec)
-            if hit is not None:
-                # Replay the computation's spawn consumption (one child
-                # for the fixed sketch, one per trial) and its counter
-                # delta, so the parent stream and metrics end up exactly
-                # where a cache miss would leave them.
-                spawn_seeds(gen, trials + (0 if fresh_sketch else 1))
-                counters().merge(hit.counters)
-                return BernoulliEstimate(
-                    int(hit.value["successes"]), int(hit.value["trials"]),
-                    float(hit.value["confidence"]),
-                )
-    if shard is not None:
-        if spec is None:
-            raise ValueError(
-                "shard= requires cache= and a seed-backed rng: shard "
-                "partials are exchanged through the probe cache, keyed by "
-                "the seed fingerprint"
-            )
-        span = shard_spans(trials, shard.count,
-                           step=batch if batched else 1)[shard.index]
-        shard_spec = _shard_spec_of(spec, shard, span)
-        if cache.peek("failure_estimate", shard_spec) is not None:
-            # This shard's slice is already on disk (resume after a crash
-            # or a later round); only the merge is still outstanding.
-            raise _shard_pending("failure_estimate", spec, shard, span,
-                                 computed=False)
-        lo, hi = span
-        if fresh_sketch:
-            fixed = None
-            before = counters().snapshot()
-        elif shard.index == 0:
-            # Every shard must sample the fixed sketch (trial seeds start
-            # at child 1), but exactly one delta may carry its cost or the
-            # folded counters would overcount it (count - 1) times.
-            before = counters().snapshot()
-            fixed = sample_sketch(family, spawn(gen), lazy=True)
-        else:
-            fixed = sample_sketch(family, spawn(gen), lazy=True)
-            before = counters().snapshot()
-        seeds = spawn_slice(gen, lo, hi, total=trials)
-        distortions = _slice_distortions(
-            family, instance, fixed, seeds, workers, chunk_size,
-            batch, batched,
-        )
-        cache.put(
-            "failure_estimate", shard_spec,
-            {
-                "successes": sum(1 for v in distortions if v > epsilon),
-                "trials": hi - lo,
-                "confidence": BernoulliEstimate(0, 1).confidence,
-            },
-            counters().diff(before),
-        )
-        raise _shard_pending("failure_estimate", spec, shard, span,
-                             computed=True)
-    before = counters().snapshot() if spec is not None else {}
-    if batched:
-        executor = TrialExecutor(workers=workers, chunk_size=batch)
-        with trace("failure_estimate", m=family.m, trials=trials,
-                   batch=batch):
-            distortions = executor.run_chunked(
-                partial(_batched_trial_chunk, family, instance),
-                spawn_seeds(gen, trials),
-            )
-    else:
-        fixed = None if fresh_sketch \
-            else sample_sketch(family, spawn(gen), lazy=True)
-        executor = TrialExecutor(workers=workers, chunk_size=chunk_size)
-        with trace("failure_estimate", m=family.m, trials=trials):
-            distortions = executor.run(
-                partial(_distortion_trial, family, instance, fixed),
-                trials, gen,
-            )
-    failures = sum(1 for value in distortions if value > epsilon)
-    estimate = BernoulliEstimate(failures, trials)
-    if spec is not None:
-        cache.put(
-            "failure_estimate", spec,
-            {
-                "successes": estimate.successes,
-                "trials": estimate.trials,
-                "confidence": estimate.confidence,
-            },
-            counters().diff(before),
-        )
-    return estimate
+
+    def reduce(values: List[float]) -> Dict[str, Any]:
+        return {
+            "successes": sum(1 for value in values if value > epsilon),
+            "trials": len(values),
+            "confidence": BernoulliEstimate(0, 1).confidence,
+        }
+
+    record = _run_probe(
+        "failure_estimate", family, instance, trials, rng,
+        dict(epsilon=epsilon, fresh_sketch=fresh_sketch), reduce,
+        fresh_sketch=fresh_sketch, workers=workers, chunk_size=chunk_size,
+        cache=cache, batch=batch, shard=shard,
+    )
+    return BernoulliEstimate(int(record["successes"]), int(record["trials"]),
+                             float(record["confidence"]))
 
 
 def distortion_samples(family: SketchFamily, instance: HardInstance,
@@ -420,8 +399,7 @@ def distortion_samples(family: SketchFamily, instance: HardInstance,
                        chunk_size: Optional[int] = None,
                        cache: Optional[Any] = None,
                        batch: Optional[int] = None,
-                       shard: Optional[Any] = None,
-                       sanitized: bool = False) -> np.ndarray:
+                       shard: Optional[Any] = None) -> np.ndarray:
     """Sampled distortions (one per trial) — the full failure CDF.
 
     Shares :func:`failure_estimate`'s trial engine and determinism
@@ -435,95 +413,15 @@ def distortion_samples(family: SketchFamily, instance: HardInstance,
     runs one slice of an N-way fan-out and raises :class:`ShardPending`
     until a merged cache resolves the probe, exactly as in
     :func:`failure_estimate` (the folded record concatenates slice
-    values in span order — the serial sample order).  ``sanitized``
-    re-executes under the determinism sanitizer exactly as in
-    :func:`failure_estimate` (incompatible with ``shard=``).
+    values in span order — the serial sample order).
     """
-    if sanitized:
-        if shard is not None:
-            raise ValueError(
-                "sanitized= cannot be combined with shard=: a shard pass "
-                "is a deliberately partial execution — sanitize the "
-                "merged serial replay instead (see repro.sanitize)"
-            )
-        from ..sanitize.runtime import sanitized_rerun
-
-        return sanitized_rerun(
-            "distortion_samples",
-            lambda rng_, workers_, cache_: distortion_samples(
-                family, instance, trials, rng_, workers=workers_,
-                chunk_size=chunk_size, cache=cache_, batch=batch,
-            ),
-            rng=rng, workers=workers, cache=cache,
-        )
-    trials = check_positive_int(trials, "trials")
-    batch = _check_batch(batch, fresh_sketch=True)
-    batched = batch is not None and batch > 1
-    shard = normalize_shard(shard)
-    gen = as_generator(rng)
-    spec = None
-    if cache is not None:
-        fingerprint = seed_fingerprint(gen)
-        if fingerprint is not None:
-            params = {"batch": batch} if batched else {}
-            spec = _probe_spec(family, instance, fingerprint, trials,
-                               **params)
-            hit = cache.get("distortion_samples", spec)
-            if hit is not None:
-                spawn_seeds(gen, trials)
-                counters().merge(hit.counters)
-                return np.asarray(hit.value["values"], dtype=float)
-    if shard is not None:
-        if spec is None:
-            raise ValueError(
-                "shard= requires cache= and a seed-backed rng: shard "
-                "partials are exchanged through the probe cache, keyed by "
-                "the seed fingerprint"
-            )
-        span = shard_spans(trials, shard.count,
-                           step=batch if batched else 1)[shard.index]
-        shard_spec = _shard_spec_of(spec, shard, span)
-        if cache.peek("distortion_samples", shard_spec) is not None:
-            raise _shard_pending("distortion_samples", spec, shard, span,
-                                 computed=False)
-        lo, hi = span
-        before = counters().snapshot()
-        seeds = spawn_slice(gen, lo, hi, total=trials)
-        values = _slice_distortions(
-            family, instance, None, seeds, workers, chunk_size,
-            batch, batched,
-        )
-        cache.put(
-            "distortion_samples", shard_spec,
-            {"values": values},
-            counters().diff(before),
-        )
-        raise _shard_pending("distortion_samples", spec, shard, span,
-                             computed=True)
-    before = counters().snapshot() if spec is not None else {}
-    if batched:
-        executor = TrialExecutor(workers=workers, chunk_size=batch)
-        with trace("distortion_samples", m=family.m, trials=trials,
-                   batch=batch):
-            values = executor.run_chunked(
-                partial(_batched_trial_chunk, family, instance),
-                spawn_seeds(gen, trials),
-            )
-    else:
-        executor = TrialExecutor(workers=workers, chunk_size=chunk_size)
-        with trace("distortion_samples", m=family.m, trials=trials):
-            values = executor.run(
-                partial(_distortion_trial, family, instance, None),
-                trials, gen,
-            )
-    samples = np.asarray(values, dtype=float)
-    if spec is not None:
-        cache.put(
-            "distortion_samples", spec,
-            {"values": [float(value) for value in samples]},
-            counters().diff(before),
-        )
-    return samples
+    record = _run_probe(
+        "distortion_samples", family, instance, trials, rng, {},
+        lambda values: {"values": values},
+        fresh_sketch=True, workers=workers, chunk_size=chunk_size,
+        cache=cache, batch=batch, shard=shard,
+    )
+    return np.asarray(record["values"], dtype=float)
 
 
 @dataclass
@@ -580,8 +478,7 @@ def minimal_m(family: SketchFamily, instance: HardInstance, epsilon: float,
               chunk_size: Optional[int] = None,
               cache: Optional[Any] = None,
               batch: Optional[int] = None,
-              shard: Optional[Any] = None,
-              sanitized: bool = False) -> MinimalMResult:
+              shard: Optional[Any] = None) -> MinimalMResult:
     """Search for the minimal ``m`` with failure rate ≤ ``δ``.
 
     Exponential search upward from ``m_min`` (factor ``growth``) until a
@@ -610,8 +507,7 @@ def minimal_m(family: SketchFamily, instance: HardInstance, epsilon: float,
     ``workers`` parallelizes each probe's trials over a process pool (see
     :func:`failure_estimate`); the probe sequence itself is adaptive and
     stays serial.  ``batch`` switches each probe onto the batched kernel
-    engine, forwarded to :func:`failure_estimate` (and into the probe
-    cache key) only when set.
+    engine (see :func:`failure_estimate`).
 
     ``decision`` selects how a probe passes:
 
@@ -644,31 +540,7 @@ def minimal_m(family: SketchFamily, instance: HardInstance, epsilon: float,
     the fully merged store reproduces the serial search bit for bit —
     requires ``cache=`` and a seed-backed ``rng``.
 
-    ``sanitized`` re-executes the whole search under the determinism
-    sanitizer exactly as in :func:`failure_estimate` (incompatible with
-    ``shard=``): the adaptive probe schedule, being a deterministic
-    function of probe outcomes, must replay identically serial and
-    cache-off.
     """
-    if sanitized:
-        if shard is not None:
-            raise ValueError(
-                "sanitized= cannot be combined with shard=: a shard pass "
-                "is a deliberately partial execution — sanitize the "
-                "merged serial replay instead (see repro.sanitize)"
-            )
-        from ..sanitize.runtime import sanitized_rerun
-
-        return sanitized_rerun(
-            "minimal_m",
-            lambda rng_, workers_, cache_: minimal_m(
-                family, instance, epsilon, delta, trials=trials,
-                m_min=m_min, m_max=m_max, growth=growth,
-                decision=decision, rng=rng_, workers=workers_,
-                chunk_size=chunk_size, cache=cache_, batch=batch,
-            ),
-            rng=rng, workers=workers, cache=cache,
-        )
     epsilon = check_epsilon(epsilon)
     delta = check_probability(delta, "delta")
     m_min = check_positive_int(m_min, "m_min")
@@ -692,11 +564,6 @@ def minimal_m(family: SketchFamily, instance: HardInstance, epsilon: float,
     result = MinimalMResult(m_star=None, delta=delta)
     probe_cache = None if cache is None \
         else cache.scoped(search="minimal_m", decision=decision)
-    # Only forward `batch`/`shard` when set: probes must keep calling any
-    # monkeypatched/stubbed failure_estimate with its historical signature.
-    probe_kwargs: Dict[str, Any] = {} if batch is None else {"batch": batch}
-    if shard is not None:
-        probe_kwargs["shard"] = shard
 
     def passes(est: BernoulliEstimate) -> bool:
         if decision == "confident_pass":
@@ -714,60 +581,32 @@ def minimal_m(family: SketchFamily, instance: HardInstance, epsilon: float,
     def probe(m: int, phase: str) -> Optional[bool]:
         started = time.perf_counter()
         fam = family.with_m(m)
-        known = probed.get(fam.m)
-        if known is not None:
-            # Aliased probe: this requested m rounds to an effective
-            # dimension already measured.  Reuse the estimate — no trials,
-            # no RNG consumption — and record only a ledger event.
-            ok = passes(known)
-            emit_event(
-                "probe", m=fam.m, requested=m, successes=known.successes,
-                trials=known.trials, decision=decision, passed=ok,
-                phase=phase, aliased=True,
-                elapsed=time.perf_counter() - started,
-            )
-            return ok
-        try:
-            est = failure_estimate(
-                fam, instance, epsilon, trials, spawn(gen),
-                workers=workers, chunk_size=chunk_size, cache=probe_cache,
-                **probe_kwargs,
-            )
-        except ShardPending:
-            # Sharded search: this probe is not resolvable yet — our
-            # slice is stored, the search stops until the next merge.
-            result.pending = True
-            return None
-        probed[fam.m] = est
-        result.evaluations.append((fam.m, est))
+        # An aliased probe (this requested m rounds to an effective
+        # dimension already measured) reuses the estimate — no trials, no
+        # RNG consumption — and records only a ledger event.
+        est = probed.get(fam.m)
+        aliased = est is not None
+        if est is None:
+            try:
+                est = failure_estimate(
+                    fam, instance, epsilon, trials, spawn(gen),
+                    workers=workers, chunk_size=chunk_size,
+                    cache=probe_cache, batch=batch, shard=shard,
+                )
+            except ShardPending:
+                # Sharded search: this probe is not resolvable yet — our
+                # slice is stored, the search stops until the next merge.
+                result.pending = True
+                return None
+            probed[fam.m] = est
+            result.evaluations.append((fam.m, est))
         ok = passes(est)
         emit_event(
             "probe", m=fam.m, requested=m, successes=est.successes,
             trials=est.trials, decision=decision, passed=ok, phase=phase,
-            aliased=False, elapsed=time.perf_counter() - started,
+            aliased=aliased, elapsed=time.perf_counter() - started,
         )
         return ok
-
-    # Clamp the schedule so rounding can never push a probe's effective
-    # dimension past m_max: m_cap is the largest requested value whose
-    # rounded dimension still fits (with_m is monotone nondecreasing).
-    if effective(m_min) > m_max:
-        emit_event(
-            "minimal_m_start", m_min=m_min, m_max=m_max, growth=growth,
-            decision=decision, epsilon=epsilon, delta=delta, trials=trials,
-        )
-        emit_event(
-            "minimal_m_end", m_star=None, found=False, probes=0, elapsed=0.0,
-        )
-        return result
-    lo_cap, hi_cap = m_min, m_max
-    while lo_cap < hi_cap:
-        mid_cap = (lo_cap + hi_cap + 1) // 2
-        if effective(mid_cap) <= m_max:
-            lo_cap = mid_cap
-        else:
-            hi_cap = mid_cap - 1
-    m_cap = lo_cap
 
     search_started = time.perf_counter()
     emit_event(
@@ -775,6 +614,21 @@ def minimal_m(family: SketchFamily, instance: HardInstance, epsilon: float,
         decision=decision, epsilon=epsilon, delta=delta, trials=trials,
     )
     try:
+        # Clamp the schedule so rounding can never push a probe's
+        # effective dimension past m_max: m_cap is the largest requested
+        # value whose rounded dimension still fits (with_m is monotone
+        # nondecreasing).
+        if effective(m_min) > m_max:
+            return result
+        lo_cap, hi_cap = m_min, m_max
+        while lo_cap < hi_cap:
+            mid_cap = (lo_cap + hi_cap + 1) // 2
+            if effective(mid_cap) <= m_max:
+                lo_cap = mid_cap
+            else:
+                hi_cap = mid_cap - 1
+        m_cap = lo_cap
+
         # Exponential phase; the final probe is clamped to m_cap so the
         # geometric schedule can never skip past it unprobed, nor round
         # past m_max.

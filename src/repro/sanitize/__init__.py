@@ -13,10 +13,10 @@ even when the final bytes happen to agree.
 
 Three entry points:
 
-* ``sanitized=True`` on :func:`repro.core.tester.failure_estimate` /
-  ``distortion_samples`` / ``minimal_m`` — the probe re-executes as a
-  serial cache-off replay and both legs must agree
-  (:func:`~repro.sanitize.runtime.sanitized_rerun`).
+* ``sanitized(failure_estimate, ...)`` — wraps
+  :func:`repro.core.tester.failure_estimate` / ``distortion_samples`` /
+  ``minimal_m``: the probe re-executes as a serial cache-off replay and
+  both legs must agree (:func:`~repro.sanitize.runtime.sanitized_rerun`).
 * ``python -m repro.sanitize run -- E1 --scale 0.05`` — the config-axis
   battery over whole experiments (:mod:`repro.sanitize.runner`), gated
   in CI as the sanitizer smoke.
@@ -39,9 +39,8 @@ from .diff import (
     format_divergence,
     stream_events,
 )
-from .hooks import cache_observer, record_cache_event, use_cache_observer
 from .recorder import StreamTraceRecorder
-from .runtime import SanitizedCall, replay_generator, sanitized_rerun
+from .runtime import SanitizedCall, replay_generator, sanitized, sanitized_rerun
 
 __all__ = [
     "DeterminismError",
@@ -49,14 +48,12 @@ __all__ = [
     "SanitizedCall",
     "StreamTraceRecorder",
     "cache_events",
-    "cache_observer",
     "canonical_event",
     "check_trace",
     "diff_traces",
     "format_divergence",
-    "record_cache_event",
     "replay_generator",
+    "sanitized",
     "sanitized_rerun",
     "stream_events",
-    "use_cache_observer",
 ]

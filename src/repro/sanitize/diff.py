@@ -52,8 +52,8 @@ _PROVENANCE_KEYS = frozenset({"stack"})
 class DeterminismError(Exception):
     """A determinism contract was violated.
 
-    Raised by the ``sanitized=`` re-execution hook
-    (:func:`repro.sanitize.runtime.sanitized_rerun`) and carried in the
+    Raised by the sanitized re-execution wrapper
+    (:func:`repro.sanitize.runtime.sanitized`) and carried in the
     sanitizer CLI's report.  ``divergence`` holds the structured
     :class:`Divergence` when one is available.
     """

@@ -1,12 +1,11 @@
 """Stream-trace recorder: captures RNG fan-out and cache-key events.
 
-A :class:`StreamTraceRecorder` is simultaneously a *stream observer*
-(installed via :func:`repro.utils.rng.use_stream_observer`, receiving
-every ``spawn``/``spawn_slice``/fallback draw with its spawn-tree
-position and draw counter) and a *cache observer*
-(:func:`repro.sanitize.hooks.use_cache_observer`, receiving every probe
-cache lookup and write with its content-addressed key).
-:meth:`StreamTraceRecorder.activate` installs both for a ``with`` block;
+A :class:`StreamTraceRecorder` is the observer installed via
+:func:`repro.utils.rng.use_stream_observer`: it receives every
+``spawn``/``spawn_slice``/fallback draw with its spawn-tree position and
+draw counter, and every probe cache lookup and write with its
+content-addressed key (:func:`repro.utils.rng.record_cache_event`).
+:meth:`StreamTraceRecorder.activate` installs it for a ``with`` block;
 outside such a block recording is off and the instrumented call sites
 pay a single ``ContextVar.get`` each — observation never consumes
 randomness or changes any computed value.
@@ -24,7 +23,6 @@ import sys
 from typing import Any, Dict, Iterator, List
 
 from ..utils.rng import use_stream_observer
-from .hooks import use_cache_observer
 
 __all__ = ["StreamTraceRecorder"]
 
@@ -77,7 +75,7 @@ class StreamTraceRecorder:
         self._record("stream", kind, fields)
 
     def record_cache_event(self, kind: str, **fields: Any) -> None:
-        """Cache-observer hook (see :func:`repro.sanitize.hooks.use_cache_observer`)."""
+        """Cache-event hook (see :func:`repro.utils.rng.record_cache_event`)."""
         self._record("cache", kind, fields)
 
     def _record(self, channel: str, kind: str,
@@ -89,8 +87,8 @@ class StreamTraceRecorder:
 
     @contextlib.contextmanager
     def activate(self) -> Iterator["StreamTraceRecorder"]:
-        """Install this recorder as both stream and cache observer."""
-        with use_stream_observer(self), use_cache_observer(self):
+        """Install this recorder as the stream and cache-event observer."""
+        with use_stream_observer(self):
             yield self
 
     def trace(self) -> List[Dict[str, Any]]:

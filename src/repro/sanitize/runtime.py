@@ -1,8 +1,8 @@
-"""``sanitized=`` re-execution: run once as configured, replay serially,
-and diff the two stream traces.
+"""Sanitized re-execution: run once as configured, replay serially, and
+diff the two stream traces.
 
-:func:`sanitized_rerun` is the engine behind the ``sanitized=`` keyword
-of :func:`repro.core.tester.failure_estimate` /
+:func:`sanitized_rerun` is the engine behind :func:`sanitized`, the
+wrapper for :func:`repro.core.tester.failure_estimate` /
 ``distortion_samples`` / ``minimal_m``: the probe runs *twice* — first
 exactly as the caller configured it (workers, cache, batch), then as a
 cache-off serial replay from the same stream state — and the two
@@ -33,7 +33,8 @@ from .diff import (
 )
 from .recorder import StreamTraceRecorder
 
-__all__ = ["SanitizedCall", "replay_generator", "sanitized_rerun"]
+__all__ = ["SanitizedCall", "replay_generator", "sanitized",
+           "sanitized_rerun"]
 
 #: The re-executable shape ``sanitized_rerun`` drives: a closure over
 #: every probe parameter except ``(rng, workers, cache)``, which the
@@ -151,3 +152,38 @@ def sanitized_rerun(label: str, call: SanitizedCall, *,
             f" (candidate={candidate!r}, reference={reference!r})"
         )
     return candidate
+
+
+def sanitized(probe: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """Run ``probe(*args, **kwargs)`` under the determinism sanitizer.
+
+    ``probe`` is :func:`~repro.core.tester.failure_estimate`,
+    ``distortion_samples`` or ``minimal_m`` (or any probe taking the same
+    ``rng``/``workers``/``cache`` keywords, which must be passed by
+    keyword here).  The call executes twice through
+    :func:`sanitized_rerun` — once as configured, once as a serial
+    cache-off replay from the same stream state — and any divergence in
+    RNG stream traces or result bytes raises
+    :class:`~repro.sanitize.diff.DeterminismError`.  Returns the
+    configured run's result, leaving the caller's generator exactly where
+    an unsanitized call would.
+
+    Incompatible with ``shard=``: a shard pass is deliberately partial;
+    sanitize the merged replay instead.
+    """
+    if kwargs.get("shard") is not None:
+        raise ValueError(
+            "sanitized= cannot be combined with shard=: a shard pass "
+            "is a deliberately partial execution — sanitize the "
+            "merged serial replay instead (see repro.sanitize)"
+        )
+    rng = kwargs.pop("rng", None)
+    workers = kwargs.pop("workers", 1)
+    cache = kwargs.pop("cache", None)
+    return sanitized_rerun(
+        probe.__name__,
+        lambda rng_, workers_, cache_: probe(
+            *args, rng=rng_, workers=workers_, cache=cache_, **kwargs,
+        ),
+        rng=rng, workers=workers, cache=cache,
+    )

@@ -26,7 +26,8 @@ import concurrent.futures
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -165,8 +166,8 @@ def shard_spans(total: int, count: int, step: int = 1) -> List[Tuple[int, int]]:
     return spans
 
 
-def _run_chunk(fn: TrialFn, seeds: Sequence[np.random.SeedSequence]) -> list:
-    """Run ``fn`` over a batch of trial seeds, preserving order."""
+def _map_trials(fn: TrialFn, seeds: Sequence[np.random.SeedSequence]) -> list:
+    """A per-trial ``fn`` as a chunk function: mapped over the chunk, in order."""
     return [fn(seed) for seed in seeds]
 
 
@@ -179,14 +180,16 @@ class _ChunkOutcome(NamedTuple):
     results: list
 
 
-def _run_chunk_call_observed(fn: ChunkFn,
-                             seeds: Sequence[np.random.SeedSequence]
-                             ) -> _ChunkOutcome:
+def _run_chunk_observed(fn: ChunkFn,
+                        seeds: Sequence[np.random.SeedSequence]
+                        ) -> _ChunkOutcome:
     """Run one chunk through a chunk-level ``fn``, with observability.
 
-    The chunk-function analogue of :func:`_run_chunk_observed`: same
-    counter-delta and timing capture, but ``fn`` sees the whole seed list
-    in one call (and must return one result per seed, in order).
+    ``fn`` sees the whole seed list in one call and must return one result
+    per seed, in order.  Runs in the worker process for parallel dispatch;
+    the counter delta (including the ``trials`` count) is snapshotted
+    there and merged back into the parent so counter totals are identical
+    for serial and parallel runs of the same workload.
     """
     before = counters().snapshot()
     started = time.perf_counter()
@@ -196,26 +199,6 @@ def _run_chunk_call_observed(fn: ChunkFn,
             f"chunk function returned {len(results)} results for "
             f"{len(seeds)} seeds"
         )
-    counters().increment("trials", len(results))
-    elapsed = time.perf_counter() - started
-    return _ChunkOutcome(
-        os.getpid(), elapsed, counters().diff(before), results
-    )
-
-
-def _run_chunk_observed(fn: TrialFn,
-                        seeds: Sequence[np.random.SeedSequence]
-                        ) -> _ChunkOutcome:
-    """Run a chunk and capture its wall-clock and counter delta.
-
-    Runs in the worker process for parallel dispatch; the counter delta
-    (including the ``trials`` count) is snapshotted there and merged back
-    into the parent so counter totals are identical for serial and
-    parallel runs of the same workload.
-    """
-    before = counters().snapshot()
-    started = time.perf_counter()
-    results = _run_chunk(fn, seeds)
     counters().increment("trials", len(results))
     elapsed = time.perf_counter() - started
     return _ChunkOutcome(
@@ -233,9 +216,9 @@ class TrialExecutor:
         Number of worker processes; ``1`` (default) runs in-process with
         zero overhead, ``None`` or ``0`` uses all CPUs.
     chunk_size:
-        Trials per dispatched batch.  Defaults to splitting the trials
-        into about four batches per worker, which balances scheduling
-        granularity against inter-process overhead.
+        Trials per dispatched batch.  Defaults to one batch when serial,
+        and to about four batches per worker when parallel, which
+        balances scheduling granularity against inter-process overhead.
 
     Determinism
     -----------
@@ -243,6 +226,10 @@ class TrialExecutor:
     element, bit for bit — for every ``workers`` and ``chunk_size``
     setting, because trial ``t`` always consumes child seed ``t`` of the
     caller's seed sequence and nothing else.
+
+    There is one dispatch path: :meth:`run_chunked` hands each chunk to a
+    chunk-level function, and :meth:`run_seeded` is the same dispatch with
+    the per-trial function mapped over each chunk.
     """
 
     workers: Optional[int] = 1
@@ -264,32 +251,7 @@ class TrialExecutor:
     def run_seeded(self, fn: TrialFn,
                    seeds: Sequence[np.random.SeedSequence]) -> list:
         """Run ``fn`` once per seed, returning results in seed order."""
-        seeds = list(seeds)
-        workers = resolve_workers(self.workers)
-        if workers <= 1 or len(seeds) <= 1:
-            emit_event("batch_dispatch", batches=1, trials=len(seeds),
-                       parallel=False)
-            outcome = _run_chunk_observed(fn, seeds)
-            self._record(outcome, batch=0, span=(0, len(seeds)))
-            return outcome.results
-        chunks = self._chunked(seeds, workers)
-        spans, start = [], 0
-        for chunk in chunks:
-            spans.append((start, start + len(chunk)))
-            start += len(chunk)
-        emit_event("batch_dispatch", batches=len(chunks),
-                   trials=len(seeds), parallel=True)
-        results: list = []
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(workers, len(chunks))
-        ) as pool:
-            batched = pool.map(
-                _run_chunk_observed, [fn] * len(chunks), chunks
-            )
-            for index, outcome in enumerate(batched):
-                self._record(outcome, batch=index, span=spans[index])
-                results.extend(outcome.results)
-        return results
+        return self._dispatch(partial(_map_trials, fn), seeds)
 
     def run_chunked(self, fn: ChunkFn,
                     seeds: Sequence[np.random.SeedSequence]) -> list:
@@ -306,56 +268,62 @@ class TrialExecutor:
         worker count, and only per-trial-independent chunk functions are
         reproducible across configurations.
         """
+        return self._dispatch(fn, seeds)
+
+    def _dispatch(self, fn: ChunkFn,
+                  seeds: Sequence[np.random.SeedSequence]) -> list:
+        """Split ``seeds`` into chunks, run ``fn`` on each, and gather.
+
+        Chunks run in-process when one worker or one chunk would do the
+        work, else on a process pool; results come back in seed order
+        either way.
+        """
         seeds = list(seeds)
         workers = resolve_workers(self.workers)
         chunks = self._chunked(seeds, workers)
-        spans, start = [], 0
-        for chunk in chunks:
-            spans.append((start, start + len(chunk)))
-            start += len(chunk)
-        if workers <= 1 or len(chunks) <= 1:
-            emit_event("batch_dispatch", batches=len(chunks),
-                       trials=len(seeds), parallel=False)
-            results: list = []
-            for index, chunk in enumerate(chunks):
-                outcome = _run_chunk_call_observed(fn, chunk)
-                self._record(outcome, batch=index, span=spans[index])
-                results.extend(outcome.results)
-            return results
+        parallel = workers > 1 and len(chunks) > 1
         emit_event("batch_dispatch", batches=len(chunks),
-                   trials=len(seeds), parallel=True)
-        gathered: list = []
+                   trials=len(seeds), parallel=parallel)
+        if not parallel:
+            return self._gather(
+                map(partial(_run_chunk_observed, fn), chunks), chunks
+            )
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(workers, len(chunks))
         ) as pool:
-            batched = pool.map(
-                _run_chunk_call_observed, [fn] * len(chunks), chunks
+            return self._gather(
+                pool.map(_run_chunk_observed, [fn] * len(chunks), chunks),
+                chunks,
             )
-            for index, outcome in enumerate(batched):
-                self._record(outcome, batch=index, span=spans[index])
-                gathered.extend(outcome.results)
-        return gathered
 
     @staticmethod
-    def _record(outcome: _ChunkOutcome, batch: int,
-                span: Tuple[int, int]) -> None:
-        """Absorb one chunk's observability: counters and a batch event.
+    def _gather(outcomes: Iterable[_ChunkOutcome],
+                chunks: List[List[np.random.SeedSequence]]) -> list:
+        """Absorb each chunk's observability and concatenate its results.
 
         Counter deltas are merged only when the chunk ran in another
         process — in-process chunks already incremented this process's
-        aggregate directly.
+        aggregate directly.  Each chunk gets one ``batch_done`` event.
         """
-        if outcome.pid != os.getpid():
-            counters().merge(outcome.counter_delta)
-        emit_event("batch_done", batch=batch, span=list(span),
-                   trials=span[1] - span[0], worker=outcome.pid,
-                   elapsed=outcome.elapsed)
+        results: list = []
+        for index, (chunk, outcome) in enumerate(zip(chunks, outcomes)):
+            if outcome.pid != os.getpid():
+                counters().merge(outcome.counter_delta)
+            start = len(results)
+            emit_event("batch_done", batch=index,
+                       span=[start, start + len(chunk)],
+                       trials=len(chunk), worker=outcome.pid,
+                       elapsed=outcome.elapsed)
+            results.extend(outcome.results)
+        return results
 
     def _chunked(self, seeds: List[np.random.SeedSequence],
                  workers: int) -> List[List[np.random.SeedSequence]]:
         size = self.chunk_size
         if size is None:
-            size = max(1, -(-len(seeds) // (4 * workers)))
+            # One chunk in-process; about four per worker on a pool.
+            per = 1 if workers <= 1 else 4 * workers
+            size = max(1, -(-len(seeds) // per))
         return [seeds[i:i + size] for i in range(0, len(seeds), size)]
 
 

@@ -31,27 +31,23 @@ import numpy as np
 __all__ = [
     "RngLike",
     "as_generator",
+    "record_cache_event",
     "seed_fingerprint",
     "spawn",
     "spawn_many",
     "spawn_seeds",
     "spawn_slice",
     "stream",
-    "stream_observer",
     "use_stream_observer",
 ]
 
 #: The installed stream observer (see :func:`use_stream_observer`), or
-#: ``None``.  With none installed — the default — every fan-out site pays
-#: exactly one ``ContextVar.get`` returning ``None``; observation never
-#: consumes randomness or changes which children are spawned.
+#: ``None``.  With none installed — the default — every fan-out site and
+#: every probe-cache event pays exactly one ``ContextVar.get`` returning
+#: ``None``; observation never consumes randomness, changes which children
+#: are spawned, or changes which cache records are read or written.
 _STREAM_OBSERVER: "contextvars.ContextVar[Optional[Any]]" = \
     contextvars.ContextVar("repro_stream_observer", default=None)
-
-
-def stream_observer() -> Optional[Any]:
-    """The installed stream observer, or ``None`` (the default)."""
-    return _STREAM_OBSERVER.get()
 
 
 @contextlib.contextmanager
@@ -62,14 +58,31 @@ def use_stream_observer(observer: Any) -> Iterator[Any]:
     is called from :func:`spawn_seeds` / :func:`spawn_slice` with the
     spawn-tree position (parent entropy + spawn key), the parent's draw
     counter (``base`` = children already spawned), and the children being
-    derived.  :mod:`repro.sanitize` uses this to reconstruct the stream
-    fan-out of a run and diff it against a reference execution.
+    derived.  It must also expose ``record_cache_event(kind, **fields)``,
+    called through :func:`record_cache_event` with every probe-cache
+    lookup and write and its content-addressed key.
+    :mod:`repro.sanitize` uses both to reconstruct the stream fan-out of a
+    run and diff it against a reference execution.
     """
     token = _STREAM_OBSERVER.set(observer)
     try:
         yield observer
     finally:
         _STREAM_OBSERVER.reset(token)
+
+
+def record_cache_event(kind: str, **fields: Any) -> None:
+    """Report one probe-cache event to the installed observer, if any.
+
+    Called from :mod:`repro.cache.probes` with every logical lookup
+    (``cache_hit``/``cache_miss``) and every record write (``cache_put``),
+    so a divergence report can say *which* probe key went wrong, not just
+    which draw.
+    """
+    observer = _STREAM_OBSERVER.get()
+    if observer is not None:
+        observer.record_cache_event(kind, **fields)
+
 
 #: Anything that can be turned into a :class:`numpy.random.Generator`.
 RngLike = Union[None, int, Sequence[int], np.random.SeedSequence, np.random.Generator]

@@ -328,12 +328,12 @@ class TestBatchedKernelValidation:
 
 def _recording_stub(threshold, trials=20):
     """Deterministic ``failure_estimate`` stand-in recording effective
-    dimensions; accepts the optional ``batch`` forwarded by ``minimal_m``."""
+    dimensions; accepts the ``batch``/``shard`` forwarded by ``minimal_m``."""
     seen = []
 
     def fake(family, instance, epsilon, probe_trials, rng=None,
              fresh_sketch=True, workers=1, chunk_size=None, cache=None,
-             batch=None):
+             **kwargs):
         seen.append(family.m)
         failures = 0 if family.m >= threshold else trials
         return BernoulliEstimate(failures, trials)
@@ -419,16 +419,17 @@ class TestMinimalMEffectiveDimension:
             assert result.m_star == family.with_m(result.m_star).m
             assert result.m_star in [m for m, _ in result.evaluations]
 
-    def test_stub_without_batch_kwarg_still_works(self, monkeypatch):
-        # minimal_m forwards batch only when set, so historical stubs
-        # (and monkeypatched estimators) keep their old signature.
-        monkeypatch.setattr(
-            "repro.core.tester.failure_estimate",
-            lambda family, instance, epsilon, trials, rng=None,
-            fresh_sketch=True, workers=1, chunk_size=None, cache=None:
-            BernoulliEstimate(0 if family.m >= 8 else trials, trials),
-        )
+    def test_minimal_m_always_forwards_batch_and_shard(self, monkeypatch):
+        # Every probe receives batch= and shard= explicitly, unset or not.
+        forwarded = []
+
+        def stub(family, instance, epsilon, trials, rng=None, **kwargs):
+            forwarded.append((kwargs["batch"], kwargs["shard"]))
+            return BernoulliEstimate(0 if family.m >= 8 else trials, trials)
+
+        monkeypatch.setattr("repro.core.tester.failure_estimate", stub)
         result = minimal_m(CountSketch(4, 64), self.inst, 0.1, 0.1,
                            trials=20, rng=np.random.SeedSequence(0),
                            m_min=1, m_max=32)
         assert result.found and result.m_star == 8
+        assert forwarded and set(forwarded) == {(None, None)}

@@ -7,6 +7,7 @@ alone with ``pytest -m cache``.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -253,6 +254,101 @@ class TestProbeCacheStore:
         assert point.get("failure_estimate", {"m": 8}).value == {"successes": 1}
         # The unscoped spec is untouched as well.
         assert cache.get("failure_estimate", {"m": 8}) is None
+
+
+class TestProbeCacheFollowsOtherWriters:
+    """A live ProbeCache sees records other processes append later."""
+
+    def test_record_put_by_another_cache_is_a_hit(self, tmp_path):
+        reader = ProbeCache(tmp_path)
+        assert reader.get("k", {"x": 1}) is None
+        writer = ProbeCache(tmp_path)
+        writer.put("k", {"x": 1}, {"v": 2}, {"trials": 5})
+        writer.close()
+        hit = reader.get("k", {"x": 1})  # same instance, not rebuilt
+        assert hit is not None
+        assert hit.value == {"v": 2} and hit.counters == {"trials": 5}
+
+    def test_half_written_line_waits_for_its_newline(self, tmp_path):
+        source = ProbeCache(tmp_path / "source")
+        source.put("k", {"x": 3}, {"v": 4})
+        source.close()
+        line = source.path.read_bytes()
+        reader = ProbeCache(tmp_path / "shared")
+        reader.put("k", {"x": 0}, {"v": 0})  # creates the shared file
+        half = len(line) // 2
+        with open(reader.path, "ab") as handle:
+            handle.write(line[:half])
+        assert reader.peek("k", {"x": 3}) is None
+        with open(reader.path, "ab") as handle:
+            handle.write(line[half:-1])
+        assert reader.peek("k", {"x": 3}) is None  # complete JSON, no newline
+        with open(reader.path, "ab") as handle:
+            handle.write(b"\n")
+        assert reader.peek("k", {"x": 3}).value == {"v": 4}
+        assert reader.peek("k", {"x": 0}).value == {"v": 0}
+        reader.close()
+
+    def test_replaced_store_is_read_from_the_start(self, tmp_path):
+        # A merge rewrites its output store through os.replace; a live
+        # cache must not resume the new file at the old file's offset.
+        reader = ProbeCache(tmp_path)
+        writer = ProbeCache(tmp_path)
+        writer.put("k", {"x": 1}, {"v": 1})
+        writer.close()
+        assert reader.get("k", {"x": 1}) is not None
+        source = ProbeCache(tmp_path / "source")
+        source.put("k", {"x": 2}, {"pad": "y" * 512})
+        source.put("k", {"x": 3}, {"v": 3})
+        source.close()
+        os.replace(source.path, reader.path)
+        assert reader.peek("k", {"x": 3}).value == {"v": 3}
+        assert reader.peek("k", {"x": 2}) is not None
+
+    def test_threads_following_one_cache_never_tear(self, tmp_path):
+        # Server threads share one ProbeCache: concurrent misses follow
+        # the file while another writer appends.  Every record must be
+        # indexed whole (an offset off a line boundary would raise) and
+        # none skipped.
+        import sys
+        import threading
+
+        reader = ProbeCache(tmp_path)
+        writer = ProbeCache(tmp_path)
+        total, readers = 200, 6
+        errors = []
+        done = threading.Event()
+
+        def write():
+            for i in range(total):
+                writer.put("k", {"i": i}, {"pad": "x" * 256})
+            done.set()
+
+        def read(worker):
+            try:
+                while not done.is_set():
+                    reader.peek("k", {"i": -1 - worker})  # always a miss
+            except Exception as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        threads = [threading.Thread(target=write)] + [
+            threading.Thread(target=read, args=(worker,))
+            for worker in range(readers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert all(reader.peek("k", {"i": i}) is not None
+                   for i in range(total))
+        writer.close()
 
 
 class TestFailureEstimateBitIdentity:

@@ -185,7 +185,7 @@ def _stub_threshold_estimate(threshold, trials=20):
 
     def fake(family, instance, epsilon, probe_trials, rng=None,
              fresh_sketch=True, workers=1, chunk_size=None,
-             cache=None):
+             cache=None, **kwargs):
         from repro.utils.stats import BernoulliEstimate
 
         failures = 0 if family.m >= threshold else trials
@@ -262,7 +262,7 @@ class TestMinimalMBracket:
     def test_each_decision_mode_searches(self, monkeypatch, decision):
         def fake(family, instance, epsilon, trials, rng=None,
                  fresh_sketch=True, workers=1, chunk_size=None,
-                 cache=None):
+                 cache=None, **kwargs):
             from repro.utils.stats import BernoulliEstimate
 
             failures = {1: 50, 2: 15, 3: 12, 4: 8, 5: 8, 6: 5, 7: 2,
@@ -285,7 +285,7 @@ class TestMinimalMBracket:
     def test_decision_modes_order_conservatively(self, monkeypatch):
         def fake(family, instance, epsilon, trials, rng=None,
                  fresh_sketch=True, workers=1, chunk_size=None,
-                 cache=None):
+                 cache=None, **kwargs):
             from repro.utils.stats import BernoulliEstimate
 
             failures = {1: 50, 2: 15, 3: 12, 4: 8, 5: 8, 6: 5, 7: 2,

@@ -1,8 +1,8 @@
 """Tests for :mod:`repro.sanitize` — the determinism race detector.
 
 Covers the recorder/diff layer (stream traces, double-consumption,
-draw-count drift), the ``sanitized=`` re-execution hook on the three
-probes, and seeded fault injection: each of the historical failure modes
+draw-count drift), the :func:`~repro.sanitize.sanitized` re-execution
+wrapper around the three probes, and seeded fault injection: each of the historical failure modes
 (double-consumed child streams, a cache spec missing a result-shaping
 field, NaN reaching a JSON emit site) must be caught with the right
 diagnostic.  Run alone with ``pytest -m sanitize``.
@@ -22,8 +22,8 @@ from repro.sanitize import (
     canonical_event,
     check_trace,
     diff_traces,
-    record_cache_event,
     replay_generator,
+    sanitized,
     sanitized_rerun,
     stream_events,
 )
@@ -32,7 +32,13 @@ from repro.sketch.countsketch import CountSketch
 from repro.sketch.gaussian import GaussianSketch
 from repro.hardinstances.dbeta import DBeta
 from repro.utils.parallel import ShardSpec
-from repro.utils.rng import seed_fingerprint, spawn, spawn_seeds, spawn_slice
+from repro.utils.rng import (
+    record_cache_event,
+    seed_fingerprint,
+    spawn,
+    spawn_seeds,
+    spawn_slice,
+)
 
 pytestmark = pytest.mark.sanitize
 
@@ -204,8 +210,8 @@ class TestSanitizedHook:
         plain_rng = np.random.default_rng(42)
         plain = failure_estimate(family, instance, 0.3, 12, rng=plain_rng)
         sanitized_rng = np.random.default_rng(42)
-        checked = failure_estimate(family, instance, 0.3, 12,
-                                   rng=sanitized_rng, sanitized=True)
+        checked = sanitized(failure_estimate, family, instance, 0.3, 12,
+                            rng=sanitized_rng)
         assert checked == plain
         # The caller's generator ends in the same state either way.
         assert seed_fingerprint(sanitized_rng) == seed_fingerprint(plain_rng)
@@ -214,17 +220,16 @@ class TestSanitizedHook:
         family, instance = _family(), _instance()
         plain = distortion_samples(family, instance, 10,
                                    rng=np.random.default_rng(9))
-        checked = distortion_samples(family, instance, 10,
-                                     rng=np.random.default_rng(9),
-                                     workers=2, sanitized=True)
+        checked = sanitized(distortion_samples, family, instance, 10,
+                            rng=np.random.default_rng(9), workers=2)
         assert np.asarray(checked).tobytes() == np.asarray(plain).tobytes()
 
     def test_minimal_m_sanitized_matches_plain(self):
         family, instance = _family(), _instance()
         plain = minimal_m(family, instance, 0.5, 0.25, trials=8, m_min=8,
                           rng=np.random.default_rng(1))
-        checked = minimal_m(family, instance, 0.5, 0.25, trials=8, m_min=8,
-                            rng=np.random.default_rng(1), sanitized=True)
+        checked = sanitized(minimal_m, family, instance, 0.5, 0.25,
+                            trials=8, m_min=8, rng=np.random.default_rng(1))
         assert checked == plain
 
     def test_sanitized_passes_on_warm_cache(self, tmp_path):
@@ -232,19 +237,18 @@ class TestSanitizedHook:
         cache = ProbeCache(tmp_path)
         failure_estimate(family, instance, 0.3, 12,
                          rng=np.random.default_rng(5), cache=cache)
-        checked = failure_estimate(family, instance, 0.3, 12,
-                                   rng=np.random.default_rng(5), cache=cache,
-                                   workers=2, sanitized=True)
+        checked = sanitized(failure_estimate, family, instance, 0.3, 12,
+                            rng=np.random.default_rng(5), cache=cache,
+                            workers=2)
         plain = failure_estimate(family, instance, 0.3, 12,
                                  rng=np.random.default_rng(5))
         assert checked == plain
 
     def test_sanitized_rejects_shard_passes(self):
         with pytest.raises(ValueError, match="sanitized= cannot be combined"):
-            failure_estimate(_family(), _instance(), 0.3, 12,
-                             rng=np.random.default_rng(0),
-                             shard=ShardSpec(index=0, count=2),
-                             sanitized=True)
+            sanitized(failure_estimate, _family(), _instance(), 0.3, 12,
+                      rng=np.random.default_rng(0),
+                      shard=ShardSpec(index=0, count=2))
 
 
 class TestFaultInjection:
@@ -287,9 +291,8 @@ class TestFaultInjection:
                                   rng=np.random.default_rng(3))
         assert polluting != honest, "fixture epsilons must disagree"
         with pytest.raises(DeterminismError, match="results differ"):
-            failure_estimate(family, instance, 0.9, 12,
-                             rng=np.random.default_rng(3), cache=cache,
-                             sanitized=True)
+            sanitized(failure_estimate, family, instance, 0.9, 12,
+                      rng=np.random.default_rng(3), cache=cache)
 
     def test_nan_metric_fails_at_the_emit_site(self, tmp_path):
         result = ExperimentResult(experiment_id="EX", title="nan probe")

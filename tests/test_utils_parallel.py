@@ -16,6 +16,7 @@ import pytest
 from scipy.sparse import SparseEfficiencyWarning
 
 from repro.core.tester import distortion_samples, failure_estimate
+from repro.observe.ledger import RunLedger
 from repro.hardinstances.dbeta import DBeta
 from repro.sketch.countsketch import CountSketch
 from repro.sketch.gaussian import GaussianSketch
@@ -33,6 +34,11 @@ from repro.utils.stats import estimate_probability
 def _first_uniform(seed):
     """Module-level trial fn so the process-pool backend can pickle it."""
     return float(np.random.default_rng(seed).random())
+
+
+def _uniform_chunk(seeds):
+    """Module-level chunk fn (picklable): one result per seed, in order."""
+    return [_first_uniform(seed) for seed in seeds]
 
 
 def _coin_flip(gen):
@@ -88,6 +94,33 @@ class TestTrialExecutor:
                             broken, raising=False)
         assert parallel_module.available_cpus() == \
             (parallel_module.os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("chunked", [False, True],
+                             ids=["per-trial", "chunk"])
+    def test_one_dispatch_path_decomposes_any_way(self, chunked):
+        # run_seeded and run_chunked share one dispatch path: every
+        # workers/chunk_size setting yields the same results, and the
+        # batch_done spans tile [0, n) in order.
+        n = 10
+        seeds = spawn_seeds(4, n)
+        expected = [_first_uniform(seed) for seed in seeds]
+        for workers in (1, 2):
+            for chunk_size in (None, 3):
+                executor = TrialExecutor(workers=workers,
+                                         chunk_size=chunk_size)
+                with RunLedger() as ledger:
+                    got = executor.run_chunked(_uniform_chunk, seeds) \
+                        if chunked \
+                        else executor.run_seeded(_first_uniform, seeds)
+                assert got == expected
+                spans = [tuple(e["span"]) for e in ledger.events
+                         if e["kind"] == "batch_done"]
+                assert spans[0][0] == 0 and spans[-1][1] == n
+                assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+                if chunk_size is not None:
+                    assert len(spans) == -(-n // chunk_size)
+                if workers == 1 and chunk_size is None:
+                    assert spans == [(0, n)]  # serial default: one chunk
 
     def test_invalid_arguments_raise(self):
         with pytest.raises(ValueError):
