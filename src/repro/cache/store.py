@@ -28,10 +28,17 @@ Within one process, a lock serializes the descriptor's lifecycle: the
 server's ``asyncio.to_thread`` workers may append through one store at
 once, and without it two first appends could both open a descriptor
 (leaking one) or a ``close`` could pull it from under a write.
+
+Across processes, an advisory ``fcntl.flock`` tells a torn line from one
+still being written: every append holds a shared lock across its write,
+and the first-append trim of a torn tail takes the exclusive lock and
+re-reads the tail under it.  A writer killed mid-append releases its lock
+as it dies, so only a dead writer's fragment is ever truncated.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import threading
@@ -121,7 +128,9 @@ class JsonlStore:
         descriptor: the kernel serializes the seek+write atomically, so
         records appended concurrently from several processes (a server
         worker plus a CLI run on the same cache directory) land as whole
-        lines in some order, never interleaved mid-line.
+        lines in some order, never interleaved mid-line.  It runs under a
+        shared ``flock``, so no other process's first-append trim can
+        take a line still being written for a torn one.
         """
         if os.getpid() != self._pid:
             return
@@ -137,11 +146,15 @@ class JsonlStore:
                     os.O_WRONLY | os.O_CREAT | os.O_APPEND,
                     0o666,
                 )
-            written = os.write(self._fd, data)
-            while written < len(data):  # pragma: no cover - short writes
-                # to regular files essentially never happen; loop for
-                # POSIX correctness.
-                written += os.write(self._fd, data[written:])
+            fcntl.flock(self._fd, fcntl.LOCK_SH)
+            try:
+                written = os.write(self._fd, data)
+                while written < len(data):  # pragma: no cover - short
+                    # writes to regular files essentially never happen;
+                    # loop for POSIX correctness.
+                    written += os.write(self._fd, data[written:])
+            finally:
+                fcntl.flock(self._fd, fcntl.LOCK_UN)
 
     def _trim_torn_tail(self) -> None:
         """Drop a torn final line before the first append of this handle.
@@ -150,17 +163,26 @@ class JsonlStore:
         newline.  ``load`` skips that fragment, but appending *after* it
         would glue the next record onto the garbage and corrupt a line in
         the middle of the file — so the fragment is truncated away first.
-        Appends from live processes are single whole-line writes, so a
-        missing trailing newline can only mean a crashed writer, never an
-        in-flight one.
+        A missing newline can also be a live writer's line that a reader
+        sees half-written, so the tail is judged under the exclusive
+        ``flock``: it waits out every append in flight (each holds the
+        shared lock across its write), and a fragment still there is a
+        dead writer's.
         """
-        if not self._path.exists():
+        try:
+            handle = open(self._path, "r+b")
+        except FileNotFoundError:
             return
-        data = self._path.read_bytes()
-        if not data or data.endswith(b"\n"):
-            return
-        with open(self._path, "r+b") as handle:
-            handle.truncate(data.rfind(b"\n") + 1)
+        with handle:
+            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+            size = handle.seek(0, os.SEEK_END)
+            if size == 0:
+                return
+            handle.seek(size - 1)
+            if handle.read(1) == b"\n":
+                return
+            handle.seek(0)
+            handle.truncate(handle.read().rfind(b"\n") + 1)
 
     def close(self) -> None:
         """Release the append descriptor (idempotent; reopened on demand)."""

@@ -138,6 +138,13 @@ def _check_batch(batch: Optional[int], fresh_sketch: bool) -> Optional[int]:
     return batch
 
 
+#: Version of the trial arithmetic behind every cached probe value; part
+#: of each probe spec, so a store written by an engine whose values differ
+#: (2: the row-compacted per-trial reduction) recomputes instead of
+#: replaying them.
+ENGINE_VERSION = 2
+
+
 def _probe_spec(family: SketchFamily, instance: HardInstance,
                 fingerprint: Dict[str, Any], trials: int,
                 **params: Any) -> Dict[str, Any]:
@@ -150,6 +157,7 @@ def _probe_spec(family: SketchFamily, instance: HardInstance,
         "m": family.m,
         "trials": trials,
         "seed": fingerprint,
+        "engine": ENGINE_VERSION,
         **params,
     }
 

@@ -27,6 +27,7 @@ __all__ = [
     "singular_interval",
     "singular_interval_of_product",
     "distortion",
+    "compact_rows",
     "distortion_of_product",
     "distortions_of_products",
     "distortion_report",
@@ -85,10 +86,45 @@ def distortion(pi: MatrixLike, u: np.ndarray) -> float:
     return max(1.0 - lo, hi - 1.0)
 
 
+def compact_rows(products: np.ndarray) -> np.ndarray:
+    """Drop all-zero rows from a ``(B, m, d)`` stack, padding to a common
+    height ``k_pad = min(m, max(d, max nonzero rows per trial))``.
+
+    A zero row of ``ΠU`` changes no singular value, so the compacted
+    stack has the spectra of the original.  Surviving rows keep their
+    relative order (stable partition), so each compacted product equals
+    its original with the zero rows deleted, zero-padded to ``k_pad``.
+    """
+    batch, m, d = products.shape
+    if m <= d:
+        return products
+    hit = (products != 0).any(axis=2)
+    counts = hit.sum(axis=1)
+    k_pad = int(min(m, max(d, counts.max() if batch else 0)))
+    if k_pad >= m:
+        return products
+    order = np.argsort(~hit, axis=1, kind="stable")[:, :k_pad]
+    return products[np.arange(batch)[:, None], order]
+
+
 def distortion_of_product(product: np.ndarray) -> float:
-    """Worst distortion from an already-computed ``ΠU``."""
-    lo, hi = singular_interval_of_product(product)
-    return max(1.0 - lo, hi - 1.0)
+    """Worst distortion from an already-computed ``ΠU``.
+
+    The per-trial reduction: ``product``'s all-zero rows are dropped
+    (:func:`compact_rows`) and the rest is reduced by
+    :func:`distortions_of_products` as a stack of one, with the true row
+    count ``m`` deciding the annihilation rule.  A column-sparse ``Π``
+    touches at most ``s·reps·d`` rows of a ``D_β`` draw's ``ΠU`` (``d``
+    for CountSketch on ``D_1``), so the SVD runs on those rows instead of
+    all ``m``.
+    """
+    product = np.asarray(product, dtype=float)
+    if product.ndim != 2:
+        raise ValueError(
+            f"product must be 2-dimensional, got ndim={product.ndim}"
+        )
+    stack = compact_rows(product[None])
+    return float(distortions_of_products(stack, rows=product.shape[0])[0])
 
 
 #: A trial's Gram spectrum is trusted only while ``σ²_min/σ²_max`` stays
@@ -103,24 +139,28 @@ def distortions_of_products(products: np.ndarray,
     """Per-draw distortions for a stack of products ``(B, k, d)``.
 
     One gufunc-batched SVD over the whole stack — the reduction step of
-    the batched trial engine (:mod:`repro.sketch.batched`).  ``products``
-    may hold *row-compacted* sketched bases: zero rows of ``ΠU`` change no
-    singular value, so the engine drops them (padding back to a common
-    ``k``) before stacking.  ``rows`` is the true row count ``m`` of the
+    both trial engines: the batched one (:mod:`repro.sketch.batched`)
+    reduces a chunk's stack, the per-trial one a stack of one (see
+    :func:`distortion_of_product`).  ``products`` may hold *row-compacted*
+    sketched bases (:func:`compact_rows`): zero rows of ``ΠU`` change no
+    singular value.  ``rows`` is the true row count ``m`` of the
     uncompacted products; it decides the annihilation rule — when
     ``m < d`` (or the compacted ``k < d``), a whole direction is lost and
     ``σ_min`` is exactly 0, mirroring
     :func:`singular_interval_of_product`.
 
-    The SVD runs on the ``d × d`` Gram matrices ``(ΠU)ᵀ(ΠU)`` rather than
-    the ``k × d`` products — for ``k ≫ d`` the BLAS Gram build plus a
-    small-matrix SVD is several times cheaper than a rectangular SVD, and
-    the singular values of the (symmetric PSD) Gram matrix are exactly
-    the squared singular values of ``ΠU``.  Squaring halves the working
-    precision near rank deficiency, so any trial whose squared spectrum
-    spans more than :data:`_GRAM_RATIO_FLOOR` is recomputed from its
-    rectangular product; in Monte-Carlo runs those are the rare
-    annihilation events, so the fallback stays off the hot path.
+    Stacks of two or more products with ``k > 2d`` take the SVD of the
+    ``d × d`` Gram matrices ``(ΠU)ᵀ(ΠU)`` rather than of the ``k × d``
+    products — for ``k ≫ d`` the BLAS Gram build plus a small-matrix SVD
+    is several times cheaper than a rectangular SVD, and the singular
+    values of the (symmetric PSD) Gram matrix are exactly the squared
+    singular values of ``ΠU``.  Squaring halves the working precision near
+    rank deficiency, so any trial whose squared spectrum spans more than
+    :data:`_GRAM_RATIO_FLOOR` is recomputed from its rectangular product;
+    in Monte-Carlo runs those are the rare annihilation events, so the
+    fallback stays off the hot path.  A stack of one always takes the
+    rectangular SVD, so the per-trial engine stays a full-precision
+    reference for the batched engine's Gram form.
     """
     products = np.asarray(products, dtype=float)
     if products.ndim != 3:
@@ -131,22 +171,21 @@ def distortions_of_products(products: np.ndarray,
     if k == 0 or d == 0:
         raise ValueError("empty product matrices")
     true_rows = k if rows is None else int(rows)
-    if k <= 2 * d:
-        # Near-square products: the Gram detour saves nothing (the SVD it
-        # avoids is already d-sized), so take the rectangular SVD directly
-        # at full precision.
+    # Fewer than d rows, true or compacted, annihilate a direction.
+    annihilated = true_rows < d or k < d
+    if k <= 2 * d or batch == 1:
+        # Near-square products gain nothing from the Gram detour (the SVD
+        # it avoids is already d-sized), and a stack of one stays the
+        # full-precision reference: rectangular SVD.
         sigma = np.linalg.svd(products, compute_uv=False)
         hi = sigma.max(axis=1)
-        if true_rows >= d and k >= d:
-            lo = sigma.min(axis=1)
-        else:
-            lo = np.zeros(batch)
+        lo = np.zeros(batch) if annihilated else sigma.min(axis=1)
         return np.maximum(1.0 - lo, hi - 1.0)
     gram = np.matmul(np.swapaxes(products, -1, -2), products)
     sigma_sq = np.linalg.svd(gram, compute_uv=False)
     hi_sq = sigma_sq.max(axis=1)
     hi = np.sqrt(hi_sq)
-    if true_rows >= d and k >= d:
+    if not annihilated:
         lo_sq = sigma_sq.min(axis=1)
         lo = np.sqrt(lo_sq)
         suspect = np.flatnonzero(lo_sq <= _GRAM_RATIO_FLOOR * hi_sq)

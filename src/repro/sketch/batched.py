@@ -19,7 +19,9 @@ therefore returns *row-compacted* stacks ``(B, k_pad, d)`` with
 ``k_pad ≤ m``, which is what makes the batched SVD cheaper than ``B``
 full-height ones.  The true row count still decides the ``m < d``
 annihilation rule; see
-:func:`repro.linalg.distortion.distortions_of_products`.
+:func:`repro.linalg.distortion.distortions_of_products`, the reducer the
+per-trial engine shares (it compacts each product with the same
+:func:`~repro.linalg.distortion.compact_rows`).
 
 Determinism contract
 --------------------
@@ -58,7 +60,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..linalg.distortion import distortion_of_product, distortions_of_products
+from ..linalg.distortion import (
+    compact_rows,
+    distortion_of_product,
+    distortions_of_products,
+)
 from ..observe.counters import add_count
 from .hashing import check_column_hash, column_hash
 from .kernels import (
@@ -99,25 +105,6 @@ def _uniform_group(draws: Sequence[Any]) -> Tuple[int, int, np.ndarray,
     dsigns = np.stack([np.asarray(draw.signs, dtype=np.float64)
                        for draw in draws])
     return reps, d, drows, dsigns
-
-
-def _compact_rows(products: np.ndarray, d: int) -> np.ndarray:
-    """Drop all-zero rows from a ``(B, m, d)`` stack, padding to a common
-    height ``k_pad = min(m, max(d, max nonzero rows per trial))``.
-
-    Surviving rows keep their relative order (stable partition), so the
-    compacted products equal the originals with zero rows deleted.
-    """
-    batch, m, _ = products.shape
-    if m <= d:
-        return products
-    hit = products.any(axis=2)
-    counts = hit.sum(axis=1)
-    k_pad = int(min(m, max(d, counts.max() if batch else 0)))
-    if k_pad >= m:
-        return products
-    order = np.argsort(~hit, axis=1, kind="stable")[:, :k_pad]
-    return np.take_along_axis(products, order[:, :, None], axis=1)
 
 
 class BatchedTrialKernel(abc.ABC):
@@ -420,7 +407,7 @@ class StackedKernelBatch(BatchedTrialKernel):
             self._kernels[int(slot)].sketched_basis(draw)
             for slot, draw in zip(idx, draws)
         ])
-        return _compact_rows(products, products.shape[2])
+        return compact_rows(products)
 
 
 def stacked_from_family(family: Any,

@@ -153,16 +153,27 @@ def column_hash(keys: np.ndarray, cols: np.ndarray, s: int, m: int,
     key_flat = keys.ravel()
     col_flat = cols.ravel().astype(np.uint64)
     base = _mix(key_flat + (col_flat + np.uint64(1)) * _PHI)
-    even = 2 * np.arange(s)
-    if variant == "block":
-        block = m // s
-        rows = even // 2 * block + _reduce(_lanes(base, even), block)
-    elif s == 1:
-        rows = _reduce(_lanes(base, even), m)
-    elif 2 * s > m:
-        words = _lanes(base, 2 * np.arange(m))
-        rows = np.argsort(words, axis=1, kind="stable")[:, :s]
+    if s == 1:
+        # One mix over both lanes of every column, H(j, t) for t = 0 (the
+        # row, in either variant: the one block is all m rows) and t = 1
+        # (the sign), lane-major so that each lane is a contiguous array.
+        row_words, sign_words = _mix(
+            base + np.array([[1], [2]], dtype=np.uint64) * _PHI
+        )
+        rows = _reduce(row_words, m)
     else:
-        rows = _distinct_rows(base, s, m)
-    signs = 1.0 - 2.0 * (_lanes(base, even + 1) >> np.uint64(63))
+        # Row and sign lanes are mixed in separate calls here: for the
+        # batched engine's thousands of columns one (K, 2s) block is no
+        # faster, and its doubled temporaries raised peak memory.
+        even = 2 * np.arange(s)
+        if variant == "block":
+            block = m // s
+            rows = even // 2 * block + _reduce(_lanes(base, even), block)
+        elif 2 * s > m:
+            words = _lanes(base, 2 * np.arange(m))
+            rows = np.argsort(words, axis=1, kind="stable")[:, :s]
+        else:
+            rows = _distinct_rows(base, s, m)
+        sign_words = _lanes(base, even + 1)
+    signs = 1.0 - 2.0 * (sign_words >> np.uint64(63))
     return rows.reshape(shape + (s,)), signs.reshape(shape + (s,))

@@ -437,6 +437,74 @@ class TestSupportOnlyHashing:
         np.testing.assert_allclose(batched, serial, rtol=1e-9, atol=1e-12)
 
 
+_U64 = (1 << 64) - 1
+_PHI = 0x9E3779B97F4A7C15
+
+
+def _mix64(z):
+    """splitmix64's finalizer on a Python int."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
+    return z ^ (z >> 31)
+
+
+def _lane(key, j, t):
+    """``H(j, t) = mix(mix(key + (j + 1)·φ) + (t + 1)·φ)``."""
+    column = _mix64((key + (j + 1) * _PHI) & _U64)
+    return _mix64((column + (t + 1) * _PHI) & _U64)
+
+
+def _reference_column(key, j, s, m, variant):
+    """Column ``j``'s rows and signs, one lane at a time, as the
+    :mod:`repro.sketch.hashing` docstring defines them."""
+    signs = [1.0 - 2.0 * (_lane(key, j, 2 * i + 1) >> 63) for i in range(s)]
+    if variant == "block":
+        block = m // s
+        rows = [b * block + (_lane(key, j, 2 * b) * block >> 64)
+                for b in range(s)]
+    elif s > 1 and 2 * s > m:
+        rows = sorted(range(m), key=lambda r: _lane(key, j, 2 * r))[:s]
+    else:
+        rows, lane = [], 0
+        while len(rows) < s:
+            row = _lane(key, j, lane) * m >> 64
+            if row not in rows:
+                rows.append(row)
+            lane += 2
+    return rows, signs
+
+
+class TestColumnHashDefinition:
+    """``column_hash`` evaluates every lane it needs in one vectorized mix;
+    each row and sign must still be the docstring's lane formula."""
+
+    @pytest.mark.parametrize("s,m,variant", [
+        pytest.param(1, 1024, "uniform", id="countsketch"),
+        pytest.param(1, 1, "uniform", id="countsketch-m1"),
+        # 2s <= m with many repeats, so columns re-evaluate extra lanes.
+        pytest.param(4, 9, "uniform", id="uniform-sparse"),
+        pytest.param(4, 96, "uniform", id="uniform-sparse-wide"),
+        pytest.param(4, 6, "uniform", id="uniform-dense"),
+        pytest.param(7, 7, "uniform", id="uniform-dense-full"),
+        pytest.param(4, 96, "block", id="block"),
+        pytest.param(4, 4, "block", id="block-unit"),
+    ])
+    def test_rows_and_signs_match_lane_formula(self, s, m, variant):
+        from repro.sketch.hashing import column_hash
+
+        keys = [0, 1, 0x0123456789ABCDEF, _U64, _U64 - _PHI + 1]
+        cols = [0, 1, 2, 191, 10**6, 2**62 + 3]
+        rows, signs = column_hash(np.array(keys, dtype=np.uint64)[:, None],
+                                  np.array(cols), s, m, variant)
+        assert rows.shape == signs.shape == (len(keys), len(cols), s)
+        for a, key in enumerate(keys):
+            for b, j in enumerate(cols):
+                want_rows, want_signs = _reference_column(key, j, s, m,
+                                                          variant)
+                assert rows[a, b].tolist() == want_rows
+                assert signs[a, b].tolist() == want_signs
+
+
 class TestKernelProperties:
     """Hypothesis sweeps over shapes and seeds."""
 

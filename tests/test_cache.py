@@ -162,6 +162,76 @@ class TestJsonlStore:
         }
 
 
+#: An appender paused mid-line: it takes the store's shared append lock,
+#: writes the first half of its record, reports "half", and writes the
+#: rest once it reads a line on stdin.
+_PAUSED_WRITER = """
+import fcntl, os, sys
+fd = os.open(sys.argv[1], os.O_WRONLY | os.O_APPEND)
+fcntl.flock(fd, fcntl.LOCK_SH)
+line = sys.argv[2].encode() + b"\\n"
+os.write(fd, line[:len(line) // 2])
+print("half", flush=True)
+sys.stdin.readline()
+os.write(fd, line[len(line) // 2:])
+fcntl.flock(fd, fcntl.LOCK_UN)
+"""
+
+
+class TestTornTailTrim:
+    """The first-append trim must tell a dead writer's fragment from a
+    line a live writer has only half written."""
+
+    def _paused_writer(self, path, record):
+        import subprocess
+        import sys
+
+        writer = subprocess.Popen(
+            [sys.executable, "-c", _PAUSED_WRITER, str(path),
+             json.dumps(record, sort_keys=True)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        )
+        assert writer.stdout.readline() == b"half\n"
+        return writer
+
+    def test_first_append_waits_for_a_live_half_written_line(self,
+                                                             tmp_path):
+        import threading
+
+        path = tmp_path / "probes.jsonl"
+        JsonlStore(path).append({"n": 1})
+        writer = self._paused_writer(path, {"n": 2})
+        try:
+            store = JsonlStore(path)
+            appender = threading.Thread(target=store.append,
+                                        args=({"n": 3},))
+            appender.start()
+            # The trim waits for the live line instead of truncating it.
+            appender.join(timeout=0.5)
+            assert appender.is_alive()
+        finally:
+            writer.communicate(b"go\n", timeout=30)
+        appender.join(timeout=30)
+        assert not appender.is_alive()
+        store.close()
+        assert writer.returncode == 0
+        records = JsonlStore(path).load()
+        assert sorted(record["n"] for record in records) == [1, 2, 3]
+
+    def test_first_append_trims_a_killed_writers_fragment(self, tmp_path):
+        path = tmp_path / "probes.jsonl"
+        JsonlStore(path).append({"n": 1})
+        intact = path.read_bytes()
+        writer = self._paused_writer(path, {"n": 2})
+        writer.kill()
+        writer.wait(timeout=30)
+        assert len(path.read_bytes()) > len(intact)  # the fragment
+        store = JsonlStore(path)
+        store.append({"n": 3})
+        store.close()
+        assert path.read_bytes() == intact + b'{"n": 3}\n'
+
+
 class TestThreadedAppends:
     def test_thread_hammer_on_one_probe_cache(self, tmp_path, monkeypatch):
         # The server's to_thread workers share one ProbeCache.  Slowing
@@ -482,6 +552,59 @@ class TestBatchCacheKeys:
         assert delta.get("cache_miss") == 1
         assert "cache_hit" not in delta
         assert len(cache) == 2  # batched entry stored beside the serial one
+
+
+class TestEngineVersionInKey:
+    """Every probe spec names the trial engine's version, so a store
+    written by an engine whose values differ recomputes each probe once
+    instead of replaying them."""
+
+    @pytest.mark.parametrize("batch", [None, 8])
+    def test_record_under_unversioned_spec_is_a_miss(self, tmp_path, batch):
+        from repro.utils.rng import seed_fingerprint
+
+        trials = 16
+        gen = np.random.default_rng(11)
+        # The spec a store written before the version field holds.
+        old_spec = {
+            "family": _family().spec(), "instance": _instance().spec(),
+            "m": _family().m, "trials": trials,
+            "seed": seed_fingerprint(gen),
+        }
+        if batch is not None:
+            old_spec["batch"] = batch
+        cache = ProbeCache(tmp_path)
+        cache.put("distortion_samples", old_spec,
+                  {"values": [0.5] * trials}, {})
+        before = counters().snapshot()
+        values = distortion_samples(_family(), _instance(), trials, gen,
+                                    cache=cache, batch=batch)
+        delta = counters().diff(before)
+        assert delta.get("cache_miss") == 1
+        assert "cache_hit" not in delta
+        np.testing.assert_array_equal(values, distortion_samples(
+            _family(), _instance(), trials, np.random.default_rng(11),
+            batch=batch,
+        ))
+        assert len(cache) == 2
+
+    def test_every_stored_spec_names_the_engine(self, tmp_path):
+        from repro.core.tester import ENGINE_VERSION
+
+        cache = ProbeCache(tmp_path)
+        for batch in (None, 1, 4):
+            distortion_samples(_family(), _instance(), 8,
+                               np.random.default_rng(5), cache=cache,
+                               batch=batch)
+        failure_estimate(_family(), _instance(), 0.5, 8,
+                         np.random.default_rng(5), cache=cache)
+        minimal_m(_family(), _instance(), 0.5, 0.3, trials=8, m_min=4,
+                  m_max=64, rng=np.random.default_rng(5), cache=cache)
+        cache.close()
+        records = JsonlStore(cache.path).load()
+        assert len(records) >= 4
+        assert all(record["spec"]["engine"] == ENGINE_VERSION
+                   for record in records)
 
 
 class TestMinimalMWarmStart:

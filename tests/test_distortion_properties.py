@@ -3,15 +3,18 @@
 :func:`repro.linalg.distortion.distortions_of_products` is the reduction
 step of the batched trial engine and owns three internal regimes:
 
-* ``k <= 2d`` — rectangular gufunc SVD over the stack directly;
+* ``k <= 2d``, or a stack of one — rectangular gufunc SVD directly;
 * ``k > 2d`` — SVD of the ``d x d`` Gram matrices (squared spectrum);
 * rank-deficient trials inside the Gram path — squared-spectrum ratio
   below ``_GRAM_RATIO_FLOOR`` — recomputed from the rectangular product.
 
 Hypothesis drives random ``(B, k, d)`` shapes straddling all three
-switches and checks the batched values against per-trial serial SVDs
-(:func:`distortion_of_product`) at the 1e-9 relative tolerance the golden
-pins use for cross-BLAS SVD agreement.
+switches and checks the batched values against the full-height
+rectangular SVD of every product (:func:`singular_interval_of_product`)
+at the 1e-9 relative tolerance the golden pins use for cross-BLAS SVD
+agreement.  The per-trial :func:`distortion_of_product` is a stack of one
+through the same reduction, so it is checked against that reference too,
+never used as one.
 """
 
 import numpy as np
@@ -23,6 +26,7 @@ from repro.linalg.distortion import (
     _GRAM_RATIO_FLOOR,
     distortion_of_product,
     distortions_of_products,
+    singular_interval_of_product,
 )
 
 pytestmark = pytest.mark.kernels
@@ -38,8 +42,15 @@ RTOL = 1e-9
 ATOL = 1e-12
 
 
-def _serial(products):
-    return np.array([distortion_of_product(p) for p in products])
+def _full_svd_distortion(product):
+    lo, hi = singular_interval_of_product(product)
+    return max(1.0 - lo, hi - 1.0)
+
+
+def _reference(products):
+    """Per-product distortions from the rectangular SVD of each
+    uncompacted product: independent of the reduction under test."""
+    return np.array([_full_svd_distortion(p) for p in products])
 
 
 def _stack(batch, k, d, seed, scale=None):
@@ -68,7 +79,7 @@ class TestShapeSweep:
         k = max(1, int(round(k_factor * d)))
         products = _stack(batch, k, d, seed)
         np.testing.assert_allclose(
-            distortions_of_products(products), _serial(products),
+            distortions_of_products(products), _reference(products),
             rtol=RTOL, atol=ATOL,
         )
 
@@ -79,11 +90,11 @@ class TestShapeSweep:
     )
     @settings(max_examples=30, **COMMON)
     def test_gram_switch_boundary_is_seamless(self, batch, d, seed):
-        """k = 2d (rectangular) and k = 2d+1 (Gram) agree with serial."""
+        """k = 2d (rectangular) and k = 2d+1 (Gram) agree with the reference."""
         for k in (2 * d, 2 * d + 1):
             products = _stack(batch, k, d, seed)
             np.testing.assert_allclose(
-                distortions_of_products(products), _serial(products),
+                distortions_of_products(products), _reference(products),
                 rtol=RTOL, atol=ATOL,
             )
 
@@ -102,7 +113,7 @@ class TestShapeSweep:
             return
         products = _stack(batch, k, d, seed)
         values = distortions_of_products(products)
-        np.testing.assert_allclose(values, _serial(products),
+        np.testing.assert_allclose(values, _reference(products),
                                    rtol=RTOL, atol=ATOL)
         assert np.all(values >= 1.0)  # 1 - sigma_min with sigma_min = 0
 
@@ -118,14 +129,14 @@ class TestRankDeficientFallback:
     def test_exact_deficiency_recomputed_exactly(self, batch, d, seed,
                                                  victim):
         """A rank-deficient trial in the Gram path falls back to the
-        rectangular SVD and still matches the serial value."""
+        rectangular SVD and still matches the reference value."""
         k = 3 * d  # force the Gram branch
         products = _stack(batch, k, d, seed)
         victim %= batch
         # Make one trial exactly rank-deficient: duplicate a column.
         products[victim, :, 0] = products[victim, :, -1]
         values = distortions_of_products(products)
-        np.testing.assert_allclose(values, _serial(products),
+        np.testing.assert_allclose(values, _reference(products),
                                    rtol=RTOL, atol=ATOL)
         assert values[victim] >= 1.0 - RTOL
 
@@ -138,13 +149,13 @@ class TestRankDeficientFallback:
     )
     @settings(max_examples=40, **COMMON)
     def test_near_deficiency_straddles_floor(self, d, seed, log_ratio):
-        """Trials on either side of ``_GRAM_RATIO_FLOOR`` match serial.
+        """Trials on either side of ``_GRAM_RATIO_FLOOR`` match the reference.
 
         Constructs a product with a controlled sigma_min/sigma_max ratio
         via an SVD recomposition.  Below the floor the fallback recomputes
         the rectangular SVD; above it the Gram value is used — the
         *distortion* (max(1-lo, hi-1), dominated by 1-lo ~ 1 here) stays
-        within 1e-9 of serial either way, which is exactly why the floor
+        within 1e-9 of the reference either way, which is exactly why the floor
         is a safe switch point.
         """
         k = 3 * d
@@ -159,7 +170,7 @@ class TestRankDeficientFallback:
         assert 1e-18 < _GRAM_RATIO_FLOOR < 1e-6
         stack = np.stack([product, gen.normal(size=(k, d)) / np.sqrt(k)])
         np.testing.assert_allclose(
-            distortions_of_products(stack), _serial(stack),
+            distortions_of_products(stack), _reference(stack),
             rtol=RTOL, atol=ATOL,
         )
 
@@ -183,7 +194,7 @@ class TestRowCompaction:
         )
         np.testing.assert_allclose(
             distortions_of_products(padded, rows=k + pad),
-            _serial(padded),
+            _reference(padded),
             rtol=RTOL, atol=ATOL,
         )
 
@@ -194,3 +205,68 @@ class TestRowCompaction:
         products = gen.normal(size=(3, 4, 3)) / 2.0
         values = distortions_of_products(products, rows=2)
         assert np.all(values >= 1.0)
+
+
+#: Row layouts of the zero-row insertion property: ``k`` nonzero rows
+#: among ``m`` in total, for a product with ``d`` columns.
+_LAYOUTS = ("fewer-nonzero-rows-than-d", "m-below-d", "exactly-d-nonzero",
+            "single-nonzero-row", "tall")
+
+
+def _layout(layout, d, extra):
+    """``(k, m)`` for one layout; ``None`` where ``d`` cannot realize it."""
+    if layout == "fewer-nonzero-rows-than-d":
+        if d < 2:
+            return None
+        k = 1 + extra % (d - 1)
+        return k, d + extra
+    if layout == "m-below-d":
+        if d < 2:
+            return None
+        m = 1 + extra % (d - 1)
+        return 1 + extra % m, m
+    if layout == "exactly-d-nonzero":
+        return d, d + extra
+    if layout == "single-nonzero-row":
+        return 1, 1 + extra
+    return d + 1 + extra, d + 1 + 2 * extra
+
+
+class TestZeroRowInsertion:
+    @given(
+        layout=st.sampled_from(_LAYOUTS),
+        d=st.integers(min_value=1, max_value=6),
+        extra=st.integers(min_value=0, max_value=12),
+        cancel=st.booleans(),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=80, **COMMON)
+    def test_zero_rows_anywhere_keep_the_full_svd_distortion(
+            self, layout, d, extra, cancel, seed):
+        """``distortion_of_product`` drops zero rows before its SVD; with
+        zero rows inserted anywhere it must still match the rectangular
+        SVD of the full-height product."""
+        shape = _layout(layout, d, extra)
+        if shape is None:
+            return
+        k, m = shape
+        gen = np.random.default_rng(seed)
+        # Built the way a sketch scatters ΠU: entries summed into bins.
+        touched = np.sort(gen.choice(m, size=k, replace=False))
+        rows = np.repeat(touched, d)
+        cols = np.tile(np.arange(d), k)
+        weights = gen.normal(size=k * d) / np.sqrt(k)
+        if cancel and k < m:
+            # A row two opposite entries touch: it sums to an exact 0.
+            row = gen.choice(np.setdiff1d(np.arange(m), touched))
+            pair = gen.normal(size=d)
+            rows = np.concatenate([rows, np.full(2 * d, row)])
+            cols = np.concatenate([cols, np.arange(d), np.arange(d)])
+            weights = np.concatenate([weights, pair, -pair])
+        product = np.bincount(rows * d + cols, weights=weights,
+                              minlength=m * d).reshape(m, d)
+        assert np.count_nonzero(product.any(axis=1)) == k
+        np.testing.assert_allclose(
+            distortion_of_product(product), _full_svd_distortion(product),
+            rtol=RTOL, atol=ATOL,
+        )

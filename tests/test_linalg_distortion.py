@@ -12,6 +12,7 @@ from repro.linalg.distortion import (
     distortion_report,
     distortions_of_products,
     is_subspace_embedding_for,
+    singular_interval_of_product,
     sketched_basis,
     vector_distortion,
     worst_vector,
@@ -139,8 +140,15 @@ class TestVectorDistortion:
         assert vector_distortion(pi, u, x) <= distortion(pi, u) + 1e-9
 
 
+def _full_svd_distortion(product):
+    """The reference: the rectangular SVD of the uncompacted product."""
+    lo, hi = singular_interval_of_product(product)
+    return max(1.0 - lo, hi - 1.0)
+
+
 class TestDistortionsOfProducts:
-    """The batched reduction must agree with the per-product scalar path."""
+    """The batched reduction must agree with the full-height rectangular
+    SVD of every product."""
 
     def _stack(self, batch, k, d, seed):
         rng = np.random.default_rng(seed)
@@ -150,14 +158,14 @@ class TestDistortionsOfProducts:
         # k > 2d exercises the Gram-reduced branch.
         products = self._stack(6, 40, 5, seed=0)
         batched = distortions_of_products(products)
-        serial = [distortion_of_product(p) for p in products]
+        serial = [_full_svd_distortion(p) for p in products]
         np.testing.assert_allclose(batched, serial, rtol=1e-9, atol=1e-12)
 
     def test_matches_scalar_path_near_square(self):
         # k <= 2d takes the direct rectangular-SVD branch.
         products = self._stack(6, 8, 5, seed=1)
         batched = distortions_of_products(products)
-        serial = [distortion_of_product(p) for p in products]
+        serial = [_full_svd_distortion(p) for p in products]
         np.testing.assert_allclose(batched, serial, rtol=1e-12, atol=0.0)
 
     def test_rows_below_d_forces_annihilation(self):
@@ -176,9 +184,19 @@ class TestDistortionsOfProducts:
         basis = np.linalg.qr(rng.standard_normal((40, 3)))[0]
         products[2] = basis @ rng.standard_normal((3, 4))
         batched = distortions_of_products(products)
-        serial = [distortion_of_product(p) for p in products]
+        serial = [_full_svd_distortion(p) for p in products]
         np.testing.assert_allclose(batched, serial, rtol=1e-9, atol=1e-12)
         assert batched[2] >= 1.0
+
+    def test_stack_of_one_takes_the_rectangular_svd(self):
+        # k > 2d takes the Gram form in a larger stack; a stack of one
+        # (the per-trial engine) stays on the rectangular SVD, so a
+        # product without zero rows reduces to exactly the full SVD.
+        product = self._stack(1, 40, 5, seed=0)[0]
+        assert distortions_of_products(product[None])[0] \
+            == _full_svd_distortion(product)
+        assert distortion_of_product(product) \
+            == _full_svd_distortion(product)
 
     def test_validation(self):
         with pytest.raises(ValueError):
