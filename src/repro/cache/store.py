@@ -14,37 +14,30 @@ pool comes from two properties:
   refuses appends from any process other than the one that opened it —
   a forked worker inheriting the handle cannot write duplicate or torn
   lines;
-* each record is written as **one ``os.write`` of a whole
-  ``\\n``-terminated line to an ``O_APPEND`` file descriptor**, so
-  concurrent *separate* processes sharing one cache directory — a server
-  worker and a CLI run, or N shard passes — append atomically and can
-  never tear each other's lines (POSIX serializes the implicit
-  seek+write of ``O_APPEND`` writes; buffered handles, by contrast, may
-  flush a line in several syscalls and interleave fragments).  Duplicate
-  keys are harmless — both lines hold the same value by construction and
-  the loader keeps the last.
+* each record is written as one whole line by
+  :class:`~repro.utils.appendfile.AppendOnlyFile` — a single ``os.write``
+  to an ``O_APPEND`` descriptor under a shared ``flock``, with the first
+  append trimming a dead writer's torn tail under the exclusive lock — so
+  concurrent *separate* processes sharing one cache directory (a server
+  worker and a CLI run, or N shard passes) append atomically and can
+  never tear or glue each other's lines.  The run ledger appends through
+  the same helper.  Duplicate keys are harmless — both lines hold the
+  same value by construction and the loader keeps the last.
 
-Within one process, a lock serializes the descriptor's lifecycle: the
-server's ``asyncio.to_thread`` workers may append through one store at
-once, and without it two first appends could both open a descriptor
-(leaking one) or a ``close`` could pull it from under a write.
-
-Across processes, an advisory ``fcntl.flock`` tells a torn line from one
-still being written: every append holds a shared lock across its write,
-and the first-append trim of a torn tail takes the exclusive lock and
-re-reads the tail under it.  A writer killed mid-append releases its lock
-as it dies, so only a dead writer's fragment is ever truncated.
+Within one process, the helper serializes the descriptor's lifecycle for
+the server's ``asyncio.to_thread`` workers appending through one store,
+and a lock here serializes :meth:`JsonlStore.read_new`'s follow offset.
 """
 
 from __future__ import annotations
 
-import fcntl
 import json
 import os
 import threading
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
+from ..utils.appendfile import AppendOnlyFile
 from ..utils.serialization import json_default
 
 __all__ = ["JsonlStore"]
@@ -56,7 +49,7 @@ class JsonlStore:
     def __init__(self, path: Union[str, Path]) -> None:
         self._path = Path(path)
         self._pid = os.getpid()
-        self._fd: Optional[int] = None
+        self._file = AppendOnlyFile(self._path)
         self._lock = threading.Lock()
         #: (inode, byte offset) where :meth:`read_new` stopped.
         self._follow_at: Tuple[Optional[int], int] = (None, 0)
@@ -124,13 +117,12 @@ class JsonlStore:
         them on the key side).  The line is serialized *before* touching
         the file, so a rejected record leaves the store unchanged.
 
-        The write itself is a single ``os.write`` on an ``O_APPEND``
-        descriptor: the kernel serializes the seek+write atomically, so
-        records appended concurrently from several processes (a server
-        worker plus a CLI run on the same cache directory) land as whole
-        lines in some order, never interleaved mid-line.  It runs under a
-        shared ``flock``, so no other process's first-append trim can
-        take a line still being written for a torn one.
+        The line is appended whole by
+        :class:`~repro.utils.appendfile.AppendOnlyFile` (one ``os.write``
+        on an ``O_APPEND`` descriptor under a shared ``flock``), so
+        records appended concurrently from several processes land as
+        whole lines in some order, never interleaved mid-line or glued
+        onto a dead writer's torn tail.
         """
         if os.getpid() != self._pid:
             return
@@ -138,58 +130,11 @@ class JsonlStore:
                           default=json_default)
         data = (line + "\n").encode("utf-8")
         self._path.parent.mkdir(parents=True, exist_ok=True)
-        with self._lock:
-            if self._fd is None:
-                self._trim_torn_tail()
-                self._fd = os.open(
-                    str(self._path),
-                    os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                    0o666,
-                )
-            fcntl.flock(self._fd, fcntl.LOCK_SH)
-            try:
-                written = os.write(self._fd, data)
-                while written < len(data):  # pragma: no cover - short
-                    # writes to regular files essentially never happen;
-                    # loop for POSIX correctness.
-                    written += os.write(self._fd, data[written:])
-            finally:
-                fcntl.flock(self._fd, fcntl.LOCK_UN)
-
-    def _trim_torn_tail(self) -> None:
-        """Drop a torn final line before the first append of this handle.
-
-        A writer killed mid-append can leave a final line without its
-        newline.  ``load`` skips that fragment, but appending *after* it
-        would glue the next record onto the garbage and corrupt a line in
-        the middle of the file — so the fragment is truncated away first.
-        A missing newline can also be a live writer's line that a reader
-        sees half-written, so the tail is judged under the exclusive
-        ``flock``: it waits out every append in flight (each holds the
-        shared lock across its write), and a fragment still there is a
-        dead writer's.
-        """
-        try:
-            handle = open(self._path, "r+b")
-        except FileNotFoundError:
-            return
-        with handle:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            size = handle.seek(0, os.SEEK_END)
-            if size == 0:
-                return
-            handle.seek(size - 1)
-            if handle.read(1) == b"\n":
-                return
-            handle.seek(0)
-            handle.truncate(handle.read().rfind(b"\n") + 1)
+        self._file.append(data)
 
     def close(self) -> None:
         """Release the append descriptor (idempotent; reopened on demand)."""
-        with self._lock:
-            if self._fd is not None:
-                os.close(self._fd)
-                self._fd = None
+        self._file.close()
 
     def __iter__(self) -> Iterator[Dict[str, Any]]:
         return iter(self.load())

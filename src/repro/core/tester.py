@@ -140,9 +140,10 @@ def _check_batch(batch: Optional[int], fresh_sketch: bool) -> Optional[int]:
 
 #: Version of the trial arithmetic behind every cached probe value; part
 #: of each probe spec, so a store written by an engine whose values differ
-#: (2: the row-compacted per-trial reduction) recomputes instead of
+#: (2: the row-compacted per-trial reduction; 3: the batched reducer's
+#: isolated-column and Gram-eigenvalue routes) recomputes instead of
 #: replaying them.
-ENGINE_VERSION = 2
+ENGINE_VERSION = 3
 
 
 def _probe_spec(family: SketchFamily, instance: HardInstance,

@@ -138,29 +138,34 @@ def distortions_of_products(products: np.ndarray,
                             rows: Optional[int] = None) -> np.ndarray:
     """Per-draw distortions for a stack of products ``(B, k, d)``.
 
-    One gufunc-batched SVD over the whole stack — the reduction step of
-    both trial engines: the batched one (:mod:`repro.sketch.batched`)
-    reduces a chunk's stack, the per-trial one a stack of one (see
-    :func:`distortion_of_product`).  ``products`` may hold *row-compacted*
-    sketched bases (:func:`compact_rows`): zero rows of ``ΠU`` change no
-    singular value.  ``rows`` is the true row count ``m`` of the
-    uncompacted products; it decides the annihilation rule — when
-    ``m < d`` (or the compacted ``k < d``), a whole direction is lost and
-    ``σ_min`` is exactly 0, mirroring
+    The reduction step of both trial engines: the batched one
+    (:mod:`repro.sketch.batched`) reduces a chunk's stack, the per-trial
+    one a stack of one (see :func:`distortion_of_product`).  ``products``
+    may hold *row-compacted* sketched bases (:func:`compact_rows`): zero
+    rows of ``ΠU`` change no singular value.  ``rows`` is the true row
+    count ``m`` of the uncompacted products; it decides the annihilation
+    rule — when ``m < d`` (or the compacted ``k < d``), a whole direction
+    is lost and ``σ_min`` is exactly 0, mirroring
     :func:`singular_interval_of_product`.
 
-    Stacks of two or more products with ``k > 2d`` take the SVD of the
-    ``d × d`` Gram matrices ``(ΠU)ᵀ(ΠU)`` rather than of the ``k × d``
-    products — for ``k ≫ d`` the BLAS Gram build plus a small-matrix SVD
-    is several times cheaper than a rectangular SVD, and the singular
-    values of the (symmetric PSD) Gram matrix are exactly the squared
-    singular values of ``ΠU``.  Squaring halves the working precision near
-    rank deficiency, so any trial whose squared spectrum spans more than
-    :data:`_GRAM_RATIO_FLOOR` is recomputed from its rectangular product;
-    in Monte-Carlo runs those are the rare annihilation events, so the
-    fallback stays off the hot path.  A stack of one always takes the
-    rectangular SVD, so the per-trial engine stays a full-precision
-    reference for the batched engine's Gram form.
+    Each trial's extreme singular values come from one of three routes,
+    each gufunc-batched over the stack:
+
+    * a stack of one, or ``k < d``: the rectangular SVD of each product,
+      so the per-trial engine stays a full-precision reference;
+    * ``d ≤ k ≤ 2d`` (near-square, the CountSketch shape): *isolated*
+      columns by their norms, and one rectangular SVD of the *coupled*
+      columns only (:func:`_isolated_extremes`);
+    * ``k > 2d`` (tall, the OSNAP shape): the symmetric eigenvalues of the
+      ``d × d`` Gram matrices ``(ΠU)ᵀ(ΠU)`` — for ``k ≫ d`` the BLAS Gram
+      build plus a small symmetric eigensolve is several times cheaper
+      than a rectangular SVD, and the Gram eigenvalues are exactly the
+      squared singular values of ``ΠU``.  Squaring halves the working
+      precision near rank deficiency, so any trial whose squared spectrum
+      spans more than :data:`_GRAM_RATIO_FLOOR` (a rounded ``λ_min ≤ 0``
+      included) is recomputed from its rectangular product; in
+      Monte-Carlo runs those are the rare annihilation events, so the
+      fallback stays off the hot path.
     """
     products = np.asarray(products, dtype=float)
     if products.ndim != 3:
@@ -171,31 +176,81 @@ def distortions_of_products(products: np.ndarray,
     if k == 0 or d == 0:
         raise ValueError("empty product matrices")
     true_rows = k if rows is None else int(rows)
-    # Fewer than d rows, true or compacted, annihilate a direction.
-    annihilated = true_rows < d or k < d
-    if k <= 2 * d or batch == 1:
-        # Near-square products gain nothing from the Gram detour (the SVD
-        # it avoids is already d-sized), and a stack of one stays the
-        # full-precision reference: rectangular SVD.
-        sigma = np.linalg.svd(products, compute_uv=False)
-        hi = sigma.max(axis=1)
-        lo = np.zeros(batch) if annihilated else sigma.min(axis=1)
-        return np.maximum(1.0 - lo, hi - 1.0)
-    gram = np.matmul(np.swapaxes(products, -1, -2), products)
-    sigma_sq = np.linalg.svd(gram, compute_uv=False)
-    hi_sq = sigma_sq.max(axis=1)
-    hi = np.sqrt(hi_sq)
-    if not annihilated:
-        lo_sq = sigma_sq.min(axis=1)
-        lo = np.sqrt(lo_sq)
-        suspect = np.flatnonzero(lo_sq <= _GRAM_RATIO_FLOOR * hi_sq)
-        for index in suspect:
-            exact = np.linalg.svd(products[index], compute_uv=False)
-            lo[index] = exact.min()
-            hi[index] = exact.max()
+    if batch == 1 or k < d:
+        lo, hi = _rectangular_extremes(products)
+    elif k <= 2 * d:
+        lo, hi = _isolated_extremes(products)
     else:
+        lo, hi = _gram_extremes(products)
+    # Fewer than d rows, true or compacted, annihilate a direction.
+    if true_rows < d or k < d:
         lo = np.zeros(batch)
     return np.maximum(1.0 - lo, hi - 1.0)
+
+
+def _rectangular_extremes(products: np.ndarray
+                          ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(σ_min, σ_max)`` per product from its rectangular SVD."""
+    sigma = np.linalg.svd(products, compute_uv=False)
+    return sigma.min(axis=1), sigma.max(axis=1)
+
+
+def _isolated_extremes(products: np.ndarray
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(σ_min, σ_max)`` per product of a ``(B, k, d)`` stack, ``k ≥ d``.
+
+    A column whose nonzero rows no other column touches is *isolated*:
+    it is orthogonal to every other column, so ``(ΠU)ᵀ(ΠU)`` is block
+    diagonal and the column's norm is a singular value of ``ΠU`` (an
+    all-zero column is isolated, with singular value 0).  The *coupled*
+    columns are gathered, zero-padded to the stack's widest coupled set,
+    row-compacted and reduced by one rectangular SVD.  Zero padding only
+    appends zero singular values, so a trial's ``σ_min`` is read at its
+    own coupled-column count, never at the padded width.  When some trial
+    has every column coupled, the stack is reduced as it is.
+    """
+    batch, k, d = products.shape
+    coupled = _coupled_columns(products)
+    counts = np.count_nonzero(coupled, axis=1)
+    width = int(counts.max(initial=0))
+    if width == d:
+        return _rectangular_extremes(products)
+    norms = np.sqrt(np.einsum("bkd,bkd->bd", products, products))
+    lo = np.where(coupled, np.inf, norms).min(axis=1)
+    hi = np.where(coupled, 0.0, norms).max(axis=1)
+    if width == 0:
+        return lo, hi
+    # Stable: each trial's coupled columns first, in their original order;
+    # the columns past its own count are zeroed into padding.
+    cols = np.argsort(~coupled, axis=1, kind="stable")[:, :width]
+    block = np.swapaxes(products[np.arange(batch)[:, None], :, cols], 1, 2)
+    block *= (np.arange(width) < counts[:, None])[:, None, :]
+    sigma = np.linalg.svd(compact_rows(block), compute_uv=False)
+    own = sigma[np.arange(batch), np.maximum(counts - 1, 0)]
+    lo = np.minimum(lo, np.where(counts > 0, own, np.inf))
+    return lo, np.maximum(hi, sigma[:, 0])
+
+
+def _coupled_columns(products: np.ndarray) -> np.ndarray:
+    """``(B, d)`` mask of the columns sharing a nonzero row with another."""
+    nonzero = products != 0
+    nonzero &= (np.count_nonzero(nonzero, axis=2) > 1)[:, :, None]
+    return nonzero.any(axis=1)
+
+
+def _gram_extremes(products: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(σ_min, σ_max)`` per product from its Gram eigenvalues, and from
+    the rectangular SVD for trials below :data:`_GRAM_RATIO_FLOOR`."""
+    gram = np.matmul(np.swapaxes(products, -1, -2), products)
+    eig = np.linalg.eigvalsh(gram)
+    lo_sq, hi_sq = eig[:, 0], eig[:, -1]
+    suspect = np.flatnonzero(lo_sq <= _GRAM_RATIO_FLOOR * hi_sq)
+    # Rounding can leave a PSD eigenvalue below 0; such a trial is
+    # suspect, and the clip only keeps sqrt from returning NaN first.
+    lo = np.sqrt(np.maximum(lo_sq, 0.0))
+    hi = np.sqrt(np.maximum(hi_sq, 0.0))
+    lo[suspect], hi[suspect] = _rectangular_extremes(products[suspect])
+    return lo, hi
 
 
 @dataclass(frozen=True)

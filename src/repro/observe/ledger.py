@@ -17,7 +17,12 @@ Design constraints, in order:
   serial and parallel runs of the same seed;
 * **fork-safe** — a ledger only accepts events from the process that
   created it, so pool workers inheriting the context variable can never
-  write duplicate or torn lines.
+  write duplicate or torn lines;
+* **shareable** — each flush is one whole-lines write through
+  :class:`~repro.utils.appendfile.AppendOnlyFile`, the probe store's
+  append discipline: concurrent processes on one ledger never interleave
+  lines, and a writer restarted after a crash trims the dead writer's
+  torn final line instead of gluing its first event onto it.
 
 Usage::
 
@@ -38,9 +43,11 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, IO, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 import numpy as np
+
+from ..utils.appendfile import AppendOnlyFile
 
 __all__ = [
     "EXECUTION_KINDS",
@@ -128,7 +135,7 @@ class RunLedger:
         self._events: List[Dict[str, Any]] = []
         self._shard = shard
         self._pid = os.getpid()
-        self._handle: Optional[IO[str]] = None
+        self._file = AppendOnlyFile(self._path) if path is not None else None
         self._closed = False
         self._token: Optional[contextvars.Token] = None
         # Reentrant because ``emit`` flushes inline once the buffer fills.
@@ -185,14 +192,13 @@ class RunLedger:
                 print(line, file=sys.stderr)
 
     def flush(self) -> None:
-        """Write buffered lines through to disk."""
+        """Write buffered lines through to disk, as one append."""
         with self._lock:
-            if not self._buffer or self._path is None:
+            if not self._buffer or self._file is None:
                 return
-            if self._handle is None:
-                self._handle = open(self._path, "a", encoding="utf-8")
-            self._handle.write("\n".join(self._buffer) + "\n")
-            self._handle.flush()
+            self._file.append(
+                ("\n".join(self._buffer) + "\n").encode("utf-8")
+            )
             self._buffer.clear()
 
     def close(self) -> None:
@@ -201,9 +207,8 @@ class RunLedger:
             if self._closed:
                 return
             self.flush()
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+            if self._file is not None:
+                self._file.close()
             self._closed = True
 
     def __enter__(self) -> "RunLedger":

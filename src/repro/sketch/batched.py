@@ -7,8 +7,11 @@ stacked representations of ``B`` independently sampled sketches (``B``
 hash keys for the column-scatter families, ``(B, m)`` gather indices for
 the row-sampling ones), applies all of them to structured hard-instance
 draws with a single batch-axis ``np.bincount`` scatter (or mask gather),
-and reduces the distortions with one gufunc-batched
-:func:`np.linalg.svd` over the stacked products.
+and reduces the stacked products with
+:func:`repro.linalg.distortion.distortions_of_products`: near-square
+stacks (the CountSketch shape) take each isolated column by its norm and
+one gufunc-batched SVD of the coupled columns only, tall stacks (the
+OSNAP shape) the symmetric eigenvalues of their ``d × d`` Gram matrices.
 
 Row compaction
 --------------
@@ -16,8 +19,8 @@ Row compaction
 nonzero rows — typically far fewer than ``m`` — and removing zero rows
 changes no singular value.  Every ``sketched_bases`` implementation
 therefore returns *row-compacted* stacks ``(B, k_pad, d)`` with
-``k_pad ≤ m``, which is what makes the batched SVD cheaper than ``B``
-full-height ones.  The true row count still decides the ``m < d``
+``k_pad ≤ m``, which is what makes the batched reduction cheaper than
+``B`` full-height SVDs.  The true row count still decides the ``m < d``
 annihilation rule; see
 :func:`repro.linalg.distortion.distortions_of_products`, the reducer the
 per-trial engine shares (it compacts each product with the same
@@ -30,8 +33,10 @@ kernels at the ULP level, e.g. for ``reps > SCATTER_MAX_REPS`` where the
 serial path switches to the gather arithmetic), but it is *canonical*:
 a fixed seed gives bit-identical results across serial/parallel execution
 and cold/warm cache, because chunk decomposition is pinned to the batch
-size and every data-dependent choice (``k_pad``, group order) is a pure
-function of the chunk's draws.  For the column-scatter families the
+size and every data-dependent choice (``k_pad``, group order, and the
+reducer's coupled-block width — the stack's largest count of columns
+that share a row with another column) is a pure function of the chunk's
+draws.  For the column-scatter families the
 per-trial accumulation order actually coincides with the serial scatter
 (entries are inserted selected-column-major with the ``s`` axis inner, and
 distinct within-column rows mean no bin ever receives two entries from
@@ -161,10 +166,10 @@ MixtureInstance` — must go through :meth:`distortions`, which groups them.
         """Per-trial distortions for one draw per batch slot.
 
         Groups the draws by ``(reps, d)`` (mixture components differ),
-        runs one vectorized ``sketched_bases`` + batched SVD per group in
-        deterministic (sorted-key) order, and scatters the results back
-        into trial order.  Unstructured draws fall back to the per-trial
-        kernel apply, bit-identical to the serial path.
+        runs one vectorized ``sketched_bases`` + batched reduction per
+        group in deterministic (sorted-key) order, and scatters the
+        results back into trial order.  Unstructured draws fall back to
+        the per-trial kernel apply, bit-identical to the serial path.
         """
         if len(draws) != self._batch:
             raise ValueError(
@@ -382,7 +387,7 @@ class StackedKernelBatch(BatchedTrialKernel):
     The fallback batched engine for families without a specialized
     vectorized sampler (sparse-JL's Bernoulli pattern has a variable nnz
     per draw): each product is computed by the trial's own kernel — the
-    exact serial arithmetic — and only the row compaction and the SVD
+    exact serial arithmetic — and only the row compaction and the
     reduction are batched.
     """
 

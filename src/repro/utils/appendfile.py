@@ -1,0 +1,97 @@
+"""Whole-line appends to a file shared by processes and threads.
+
+The probe store (:class:`repro.cache.store.JsonlStore`) and the run ledger
+(:class:`repro.observe.ledger.RunLedger`) are JSON-lines files that
+several writers may extend at once — a server's compute threads, a CLI
+run or N shard passes on the same directory — and whose readers skip
+only a torn *final* line.  :class:`AppendOnlyFile` is the discipline
+both follow:
+
+* each append is **one ``os.write`` of whole ``\\n``-terminated lines to
+  an ``O_APPEND`` descriptor**, so concurrent appenders land as whole
+  lines in some order, never interleaved mid-line (POSIX serializes the
+  implicit seek+write of ``O_APPEND`` writes; buffered handles, by
+  contrast, may flush a line in several syscalls);
+* every append holds a shared ``fcntl.flock`` across its write, and the
+  first append of a handle trims a torn tail under the exclusive lock
+  after re-reading it.  A writer killed mid-append releases its lock as
+  it dies, so the trim waits out live writers and only ever truncates a
+  dead one's fragment — the next line is never glued onto it;
+* within one process, a lock serializes the descriptor's lifecycle, so
+  two first appends cannot both open a descriptor (leaking one) and a
+  ``close`` cannot pull it from under a write.
+"""
+
+from __future__ import annotations
+
+import fcntl
+import os
+import threading
+from pathlib import Path
+from typing import Optional, Union
+
+__all__ = ["AppendOnlyFile"]
+
+
+class AppendOnlyFile:
+    """Append-only writer of whole lines; the descriptor opens on demand."""
+
+    def __init__(self, path: Union[str, Path]) -> None:
+        self._path = Path(path)
+        self._fd: Optional[int] = None
+        self._lock = threading.Lock()
+
+    def append(self, data: bytes) -> None:
+        """Append ``data`` — whole ``\\n``-terminated lines — in one write."""
+        with self._lock:
+            if self._fd is None:
+                self._trim_torn_tail()
+                self._fd = os.open(
+                    str(self._path),
+                    os.O_WRONLY | os.O_CREAT | os.O_APPEND,
+                    0o666,
+                )
+            fcntl.flock(self._fd, fcntl.LOCK_SH)
+            try:
+                written = os.write(self._fd, data)
+                while written < len(data):  # pragma: no cover - short
+                    # writes to regular files essentially never happen;
+                    # loop for POSIX correctness.
+                    written += os.write(self._fd, data[written:])
+            finally:
+                fcntl.flock(self._fd, fcntl.LOCK_UN)
+
+    def _trim_torn_tail(self) -> None:
+        """Drop a torn final line before the first append of this handle.
+
+        A writer killed mid-append can leave a final line without its
+        newline.  Readers skip that fragment, but appending *after* it
+        would glue the next line onto the garbage and corrupt a line in
+        the middle of the file — so the fragment is truncated away first.
+        A missing newline can also be a live writer's line that a reader
+        sees half-written, so the tail is judged under the exclusive
+        ``flock``: it waits out every append in flight (each holds the
+        shared lock across its write), and a fragment still there is a
+        dead writer's.
+        """
+        try:
+            handle = open(self._path, "r+b")
+        except FileNotFoundError:
+            return
+        with handle:
+            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+            size = handle.seek(0, os.SEEK_END)
+            if size == 0:
+                return
+            handle.seek(size - 1)
+            if handle.read(1) == b"\n":
+                return
+            handle.seek(0)
+            handle.truncate(handle.read().rfind(b"\n") + 1)
+
+    def close(self) -> None:
+        """Release the descriptor (idempotent; reopened on demand)."""
+        with self._lock:
+            if self._fd is not None:
+                os.close(self._fd)
+                self._fd = None

@@ -236,23 +236,25 @@ class TestThreadedAppends:
     def test_thread_hammer_on_one_probe_cache(self, tmp_path, monkeypatch):
         # The server's to_thread workers share one ProbeCache.  Slowing
         # the first-append trim widens the check-then-open window, so
-        # without the store's lock several threads would each open (and
-        # all but one leak) an append descriptor.
+        # without the append helper's lock several threads would each
+        # open (and all but one leak) an append descriptor.
         import os
         import sys
         import threading
         import time
 
+        from repro.utils.appendfile import AppendOnlyFile
+
         fd_dir = "/proc/self/fd"
         if not os.path.isdir(fd_dir):
             pytest.skip("needs /proc/self/fd to count descriptors")
-        trim = JsonlStore._trim_torn_tail
+        trim = AppendOnlyFile._trim_torn_tail
 
-        def slow_trim(store):
+        def slow_trim(appender):
             time.sleep(0.05)
-            trim(store)
+            trim(appender)
 
-        monkeypatch.setattr(JsonlStore, "_trim_torn_tail", slow_trim)
+        monkeypatch.setattr(AppendOnlyFile, "_trim_torn_tail", slow_trim)
         before = len(os.listdir(fd_dir))
         cache = ProbeCache(tmp_path)
         threads, per_thread = 8, 25
@@ -559,18 +561,19 @@ class TestEngineVersionInKey:
     written by an engine whose values differ recomputes each probe once
     instead of replaying them."""
 
-    @pytest.mark.parametrize("batch", [None, 8])
-    def test_record_under_unversioned_spec_is_a_miss(self, tmp_path, batch):
+    @staticmethod
+    def _assert_stale_record_misses(tmp_path, batch, engine):
         from repro.utils.rng import seed_fingerprint
 
         trials = 16
         gen = np.random.default_rng(11)
-        # The spec a store written before the version field holds.
         old_spec = {
             "family": _family().spec(), "instance": _instance().spec(),
             "m": _family().m, "trials": trials,
             "seed": seed_fingerprint(gen),
         }
+        if engine is not None:
+            old_spec["engine"] = engine
         if batch is not None:
             old_spec["batch"] = batch
         cache = ProbeCache(tmp_path)
@@ -587,6 +590,16 @@ class TestEngineVersionInKey:
             batch=batch,
         ))
         assert len(cache) == 2
+
+    @pytest.mark.parametrize("batch", [None, 8])
+    def test_record_under_unversioned_spec_is_a_miss(self, tmp_path, batch):
+        # The spec a store written before the version field holds.
+        self._assert_stale_record_misses(tmp_path, batch, engine=None)
+
+    def test_record_under_engine_2_is_a_miss_batched(self, tmp_path):
+        # Engine 3 moved batched values (isolated-column and Gram
+        # eigenvalue routes), so an engine-2 batched record is stale.
+        self._assert_stale_record_misses(tmp_path, 8, engine=2)
 
     def test_every_stored_spec_names_the_engine(self, tmp_path):
         from repro.core.tester import ENGINE_VERSION

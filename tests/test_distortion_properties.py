@@ -1,20 +1,27 @@
 """Property-based tests for the batched distortion reduction.
 
 :func:`repro.linalg.distortion.distortions_of_products` is the reduction
-step of the batched trial engine and owns three internal regimes:
+step of the batched trial engine and owns four internal regimes:
 
-* ``k <= 2d``, or a stack of one — rectangular gufunc SVD directly;
-* ``k > 2d`` — SVD of the ``d x d`` Gram matrices (squared spectrum);
+* a stack of one, or ``k < d`` — rectangular gufunc SVD directly;
+* ``d <= k <= 2d`` — isolated columns by their norms, one rectangular SVD
+  of the zero-padded coupled columns (the whole stack when some trial
+  has every column coupled);
+* ``k > 2d`` — symmetric eigenvalues of the ``d x d`` Gram matrices
+  (squared spectrum);
 * rank-deficient trials inside the Gram path — squared-spectrum ratio
-  below ``_GRAM_RATIO_FLOOR`` — recomputed from the rectangular product.
+  below ``_GRAM_RATIO_FLOOR``, or a rounded eigenvalue ``<= 0`` —
+  recomputed from the rectangular product.
 
-Hypothesis drives random ``(B, k, d)`` shapes straddling all three
-switches and checks the batched values against the full-height
-rectangular SVD of every product (:func:`singular_interval_of_product`)
-at the 1e-9 relative tolerance the golden pins use for cross-BLAS SVD
-agreement.  The per-trial :func:`distortion_of_product` is a stack of one
-through the same reduction, so it is checked against that reference too,
-never used as one.
+Hypothesis drives random ``(B, k, d)`` shapes straddling every switch,
+and sketch-like sparse stacks (disjoint supports, CountSketch buckets,
+chains of coupled columns) through the isolated-column route, and checks
+the batched values against the full-height rectangular SVD of every
+product (:func:`singular_interval_of_product`) at the 1e-9 relative
+tolerance the golden pins use for cross-BLAS SVD agreement.  The
+per-trial :func:`distortion_of_product` is a stack of one through the
+same reduction, so it is checked against that reference too, never used
+as one.
 """
 
 import numpy as np
@@ -205,6 +212,191 @@ class TestRowCompaction:
         products = gen.normal(size=(3, 4, 3)) / 2.0
         values = distortions_of_products(products, rows=2)
         assert np.all(values >= 1.0)
+
+
+def _signs(gen, size):
+    return gen.choice([-1.0, 1.0], size=size)
+
+
+def _disjoint_product(gen, k, d):
+    """A ``k x d`` product whose columns have pairwise disjoint, nonempty
+    row supports (``k >= d``): every column is isolated."""
+    rows = gen.permutation(k)
+    used = int(gen.integers(d, k + 1))
+    cuts = np.sort(gen.choice(np.arange(1, used), size=d - 1,
+                              replace=False))
+    product = np.zeros((k, d))
+    for col, support in enumerate(np.split(rows[:used], cuts)):
+        product[support, col] = gen.normal(size=support.size)
+    return product
+
+
+def _bucket_product(gen, k, d):
+    """A CountSketch-like ``k x d`` product on ``D_1``: every column is
+    ``±e_r``, and the columns of a bucket of 2-5 share their row, so a
+    bucket is exactly rank deficient (``k >= d``)."""
+    sizes = []
+    while sum(sizes) < d:
+        sizes.append(min(d - sum(sizes), int(gen.choice([1, 1, 2, 3, 4, 5]))))
+    rows = gen.permutation(k)[:len(sizes)]
+    cols = np.split(gen.permutation(d), np.cumsum(sizes)[:-1])
+    product = np.zeros((k, d))
+    for row, bucket in zip(rows, cols):
+        product[row, bucket] = _signs(gen, bucket.size)
+    return product
+
+
+def _chain_product(gen, k, d, coupled):
+    """A ``k x d`` product (``k > d``) with exactly ``coupled`` coupled
+    columns (0 or 2..d): they form a chain in which neighbours share one
+    row, so the coupled block has full column rank; the other columns
+    are isolated unit-scale columns on rows of their own."""
+    rows = gen.permutation(k)
+    cols = gen.permutation(d)
+    product = np.zeros((k, d))
+    scale = 1.0 / np.sqrt(2.0)
+    for i, col in enumerate(cols[:coupled]):
+        product[rows[i:i + 2], col] = scale * (1.0 + 0.3 * gen.normal(size=2))
+    free = rows[coupled + 1:] if coupled else rows
+    for row, col in zip(free, cols[coupled:]):
+        product[row, col] = _signs(gen, 1)[0] * (1.0 + 0.3 * gen.normal())
+    return product
+
+
+class TestIsolatedColumns:
+    """The near-square route (``d <= k <= 2d``) on sketch-like stacks."""
+
+    @given(
+        batch=st.integers(min_value=2, max_value=5),
+        d=st.integers(min_value=1, max_value=8),
+        extra=st.integers(min_value=0, max_value=8),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=40, **COMMON)
+    def test_disjoint_supports_reduce_to_column_norms(self, batch, d, extra,
+                                                      seed):
+        gen = np.random.default_rng(seed)
+        k = d + extra % (d + 1)
+        products = np.stack([_disjoint_product(gen, k, d)
+                             for _ in range(batch)])
+        np.testing.assert_allclose(
+            distortions_of_products(products), _reference(products),
+            rtol=RTOL, atol=ATOL,
+        )
+
+    @given(
+        batch=st.integers(min_value=2, max_value=6),
+        d=st.integers(min_value=2, max_value=12),
+        extra=st.integers(min_value=0, max_value=12),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=40, **COMMON)
+    def test_countsketch_buckets_of_parallel_columns(self, batch, d, extra,
+                                                     seed):
+        """Buckets of 2-5 parallel ``±e_r`` columns: exact rank
+        deficiency inside the coupled block, widths differing by trial."""
+        gen = np.random.default_rng(seed)
+        k = d + extra % (d + 1)
+        products = np.stack([_bucket_product(gen, k, d)
+                             for _ in range(batch)])
+        np.testing.assert_allclose(
+            distortions_of_products(products, rows=4 * d),
+            _reference(products), rtol=RTOL, atol=ATOL,
+        )
+
+    @given(
+        batch=st.integers(min_value=2, max_value=5),
+        d=st.integers(min_value=2, max_value=8),
+        victim=st.integers(min_value=0, max_value=4),
+        buckets=st.booleans(),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=30, **COMMON)
+    def test_all_zero_column_is_a_zero_singular_value(self, batch, d, victim,
+                                                      buckets, seed):
+        gen = np.random.default_rng(seed)
+        build = _bucket_product if buckets else _disjoint_product
+        products = np.stack([build(gen, 2 * d, d) for _ in range(batch)])
+        victim %= batch
+        products[victim, :, int(gen.integers(d))] = 0.0
+        values = distortions_of_products(products)
+        np.testing.assert_allclose(values, _reference(products),
+                                   rtol=RTOL, atol=ATOL)
+        assert values[victim] >= 1.0
+
+    @given(
+        d=st.integers(min_value=3, max_value=8),
+        counts=st.lists(st.integers(min_value=0, max_value=8), min_size=2,
+                        max_size=6),
+        full=st.booleans(),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=60, **COMMON)
+    def test_mixed_coupled_widths_keep_each_trials_extremes(self, d, counts,
+                                                            full, seed):
+        """Trials with no coupled column next to partly coupled ones pad
+        to different widths; with ``full`` one trial has every column
+        coupled and the stack is reduced as it is."""
+        gen = np.random.default_rng(seed)
+        # 1 coupled column is impossible (it needs a partner).
+        coupled = [min(c, d - 1) if c != 1 else 0 for c in counts]
+        coupled[0] = 0
+        if full:
+            coupled[-1] = d
+        products = np.stack([_chain_product(gen, d + 1 + d // 2, d, c)
+                             for c in coupled])
+        np.testing.assert_allclose(
+            distortions_of_products(products), _reference(products),
+            rtol=RTOL, atol=ATOL,
+        )
+
+    @given(
+        batch=st.integers(min_value=2, max_value=5),
+        d=st.integers(min_value=2, max_value=8),
+        short=st.integers(min_value=1, max_value=7),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=30, **COMMON)
+    def test_fewer_rows_than_columns_in_a_stack_annihilates(
+            self, batch, d, short, seed):
+        """``k < d`` in a stack of several sparse trials: ``σ_min`` is 0
+        and ``σ_max`` still matches the reference."""
+        gen = np.random.default_rng(seed)
+        k = max(1, d - short)
+        products = np.stack([_bucket_product(gen, d, d)[:k]
+                             for _ in range(batch)])
+        values = distortions_of_products(products)
+        np.testing.assert_allclose(values, _reference(products),
+                                   rtol=RTOL, atol=ATOL)
+        assert np.all(values >= 1.0)
+
+
+class TestGramEigenvalues:
+    @given(
+        batch=st.integers(min_value=2, max_value=5),
+        d=st.integers(min_value=2, max_value=8),
+        victim=st.integers(min_value=0, max_value=4),
+        sparse=st.booleans(),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=60, **COMMON)
+    def test_duplicated_column_in_a_tall_trial(self, batch, d, victim,
+                                               sparse, seed):
+        """A duplicated column makes the Gram matrix exactly singular, so
+        its rounded ``λ_min`` may come out negative: it must count as
+        suspect and be recomputed, never reach ``sqrt`` as a NaN."""
+        gen = np.random.default_rng(seed)
+        k = 3 * d
+        products = _stack(batch, k, d, seed)
+        if sparse:
+            products *= gen.random(size=products.shape) < 0.3
+        victim %= batch
+        products[victim, :, 0] = products[victim, :, -1]
+        with np.errstate(invalid="raise"):
+            values = distortions_of_products(products)
+        np.testing.assert_allclose(values, _reference(products),
+                                   rtol=RTOL, atol=ATOL)
+        assert values[victim] >= 1.0 - RTOL
 
 
 #: Row layouts of the zero-row insertion property: ``k`` nonzero rows

@@ -198,6 +198,12 @@ class TestDistortionsOfProducts:
         assert distortion_of_product(product) \
             == _full_svd_distortion(product)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 9])
+    def test_empty_stack_reduces_to_no_values(self, k):
+        # Every route (k < d, near-square, tall) accepts a stack of zero
+        # trials, as compact_rows does.
+        assert distortions_of_products(np.zeros((0, k, 3))).shape == (0,)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             distortions_of_products(np.ones((3, 4)))

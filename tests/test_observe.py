@@ -136,6 +136,21 @@ class TestRunLedger:
         path.write_text('{"kind": "a"}\n{"kind": "b"')
         assert [e["kind"] for e in read_events(path)] == ["a"]
 
+    def test_reopen_after_torn_tail_keeps_every_event(self, tmp_path):
+        # A writer killed mid-line leaves a fragment; the next writer's
+        # first event must not be glued onto it.
+        path = tmp_path / "run.jsonl"
+        with RunLedger(path) as ledger:
+            ledger.emit("a")
+            ledger.emit("b")
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"t": 2, "kind": "tor')
+        with RunLedger(path) as ledger:
+            ledger.emit("c")
+            ledger.emit("d")
+        assert [e["kind"] for e in read_events(path)] == ["a", "b", "c", "d"]
+        assert path.read_text(encoding="utf-8").endswith("\n")
+
     def test_corrupt_middle_line_raises(self, tmp_path):
         path = tmp_path / "run.jsonl"
         path.write_text('{"kind": "a"}\nnot json\n{"kind": "b"}\n')

@@ -507,3 +507,125 @@ class TestHTTP:
 
         report = summarize_path(ledger)
         assert "Probe cache: 1/2 hits" in report
+
+
+#: A cold request that computes for about a second at the reference
+#: grid, long enough to kill the server while it is in flight.
+SLOW_REQUEST = {
+    "family": {"type": "CountSketch", "params": {"m": 1024, "n": 16384}},
+    "instance": {"type": "DBeta", "n": 16384, "d": 64, "reps": 1},
+    "epsilon": 0.5,
+    "trials": 2000,
+    "seed": 5,
+}
+
+
+class TestKilledServerRestart:
+    """``kill -9`` of ``python -m repro.serve`` mid-request, then a restart
+    on the same ``--cache-dir``: the store and the request ledger both
+    carry on past the dead writer's torn lines."""
+
+    @staticmethod
+    def _env():
+        import os
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(repro.__file__).resolve().parents[1])]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        return env
+
+    def _start(self, cache_dir):
+        import subprocess
+        import sys
+
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "--port", "0",
+             "--cache-dir", str(cache_dir)],
+            stdout=subprocess.PIPE, env=self._env(), text=True,
+        )
+        line = server.stdout.readline()
+        if not line.startswith("serving on "):
+            server.kill()
+            server.wait(timeout=30)
+            server.stdout.close()
+            pytest.fail(f"repro.serve did not start: {line!r}")
+        return server, ServeClient(line.split()[-1])
+
+    def test_kill_9_mid_request_then_restart_on_the_same_store(
+            self, tmp_path):
+        import http.client
+        import subprocess
+        import sys
+        import time
+
+        from repro.cache.store import JsonlStore
+
+        cache_dir = tmp_path / "cache"
+        store_path = cache_dir / ProbeCache.FILENAME
+        ledger_path = cache_dir / "serve-ledger.jsonl"
+        server, client = self._start(cache_dir)
+        try:
+            before = client.call("failure_estimate", ESTIMATE_REQUEST)
+            stored = len(JsonlStore(store_path).load())
+            interrupted = []
+
+            def cold():
+                try:
+                    client.call("failure_estimate", SLOW_REQUEST)
+                except (ConnectionError, http.client.HTTPException) as exc:
+                    interrupted.append(exc)  # the connection dies with it
+
+            caller = threading.Thread(target=cold)
+            caller.start()
+            deadline = time.monotonic() + 60
+            while client.healthz()["inflight"] == 0:
+                assert time.monotonic() < deadline, "request never started"
+                time.sleep(0.01)
+            server.kill()
+            server.wait(timeout=30)
+            caller.join(timeout=60)
+            assert interrupted
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait(timeout=30)
+            server.stdout.close()
+        # The killed request stored nothing; then both files get a dead
+        # writer's torn final line, independent of when the kill landed.
+        assert len(JsonlStore(store_path).load()) == stored
+        with open(store_path, "ab") as handle:
+            handle.write(b'{"key": "tor')
+        with open(ledger_path, "ab") as handle:
+            handle.write(b'{"t": 2, "kind": "tor')
+
+        server, client = self._start(cache_dir)
+        try:
+            answer = client.call("failure_estimate", SLOW_REQUEST)
+            again = client.call("failure_estimate", ESTIMATE_REQUEST)
+        finally:
+            server.terminate()
+            server.wait(timeout=60)
+            server.stdout.close()
+        offline = failure_estimate(
+            CountSketch(1024, 16384), DBeta(16384, 64, reps=1), 0.5, 2000,
+            rng=5,
+        )
+        assert answer["result"]["successes"] == offline.successes
+        assert answer["result"]["trials"] == offline.trials
+        assert again["cache"] == {"hits": 1, "misses": 0}
+        assert again["result"] == before["result"]
+        assert len(JsonlStore(store_path).load()) == stored + 1
+        summary = subprocess.run(
+            [sys.executable, "-m", "repro.observe", "summarize",
+             str(ledger_path)],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=self._env(),
+        )
+        assert summary.returncode == 0, summary.stdout
+        kinds = [event["kind"] for event in read_events(ledger_path)]
+        assert kinds.count("request_done") == 3
