@@ -2,7 +2,10 @@
 
 A checkpoint is the byte-exact ``ExperimentResult.save_json`` payload of a
 *completed* experiment plus a small ``.meta.json`` sidecar recording the
-run configuration it is valid for (seed, scale).  On ``--resume`` the CLI
+run configuration it is valid for: seed, scale, the ``--batch`` setting
+(the batched engine's values differ from the serial one's) and the trial
+engine's version (:data:`repro.core.tester.ENGINE_VERSION`, passed in by
+the CLI so this package never imports the engine).  On ``--resume`` the CLI
 skips any experiment with a matching checkpoint and copies the stored
 bytes straight into ``--json-dir``, so a killed-midway run restarted with
 ``--resume`` produces JSON artifacts bit-identical to an uninterrupted
@@ -11,7 +14,8 @@ run (result JSON deliberately excludes wall-clock — see
 
 Both files are written atomically (temp file + ``os.replace``) so a crash
 mid-save can never leave a checkpoint that parses but lies.  Any mismatch
-— different seed or scale, unreadable JSON, missing sidecar — makes
+— different seed, scale, batch or engine, unreadable JSON, missing
+sidecar — makes
 :meth:`ExperimentCheckpoint.load` return ``None`` and the experiment
 simply re-runs; a stale checkpoint is never an error.
 """
@@ -57,7 +61,8 @@ class ExperimentCheckpoint:
         return self._directory / f"{experiment_id}.meta.json"
 
     def save(self, result: "ExperimentResult", *, seed: Optional[int],
-             scale: float) -> Path:
+             scale: float, batch: Optional[int] = None,
+             engine: Optional[int] = None) -> Path:
         """Checkpoint a completed result for the given run configuration."""
         self._directory.mkdir(parents=True, exist_ok=True)
         path = self.path_for(result.experiment_id)
@@ -69,8 +74,7 @@ class ExperimentCheckpoint:
         _atomic_write_text(path, payload)
         meta: Dict[str, Any] = {
             "experiment_id": result.experiment_id,
-            "seed": seed,
-            "scale": scale,
+            **self._config(seed, scale, batch, engine),
         }
         _atomic_write_text(
             self._meta_path(result.experiment_id),
@@ -79,12 +83,21 @@ class ExperimentCheckpoint:
         )
         add_count("checkpoint_save")
         emit_event("checkpoint_save", experiment=result.experiment_id,
-                   seed=seed, scale=scale)
+                   seed=seed, scale=scale, batch=batch, engine=engine)
         return path
 
+    @staticmethod
+    def _config(seed: Optional[int], scale: float, batch: Optional[int],
+                engine: Optional[int]) -> Dict[str, Any]:
+        """The sidecar fields a checkpoint must match to be replayed."""
+        return {"seed": seed, "scale": scale, "batch": batch,
+                "engine": engine}
+
     def load(self, experiment_id: str, *, seed: Optional[int],
-             scale: float) -> Optional["ExperimentResult"]:
-        """Completed result for this exact (seed, scale), else ``None``."""
+             scale: float, batch: Optional[int] = None,
+             engine: Optional[int] = None) -> Optional["ExperimentResult"]:
+        """Completed result for this exact (seed, scale, batch, engine),
+        else ``None``."""
         from ..experiments.harness import ExperimentResult
 
         path = self.path_for(experiment_id)
@@ -95,7 +108,8 @@ class ExperimentCheckpoint:
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
         except (json.JSONDecodeError, OSError):
             return None
-        if meta.get("seed") != seed or meta.get("scale") != scale:
+        config = self._config(seed, scale, batch, engine)
+        if any(meta.get(name) != value for name, value in config.items()):
             return None
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))

@@ -16,7 +16,7 @@ from typing import Any, Dict
 
 from ..utils.serialization import to_builtin
 
-__all__ = ["canonical_json", "cache_key"]
+__all__ = ["canonical_json", "cache_key", "canonical_key"]
 
 
 def canonical_json(spec: Dict[str, Any]) -> str:
@@ -36,8 +36,13 @@ def canonical_json(spec: Dict[str, Any]) -> str:
 
 def cache_key(kind: str, spec: Dict[str, Any]) -> str:
     """Content address of a probe: SHA-256 over kind + canonical spec."""
+    return canonical_key(kind, canonical_json(spec))
+
+
+def canonical_key(kind: str, canonical: str) -> str:
+    """:func:`cache_key` of a spec already in :func:`canonical_json` form."""
     digest = hashlib.sha256()
     digest.update(kind.encode("utf-8"))
     digest.update(b"\n")
-    digest.update(canonical_json(spec).encode("utf-8"))
+    digest.update(canonical.encode("utf-8"))
     return digest.hexdigest()

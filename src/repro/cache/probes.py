@@ -25,12 +25,12 @@ tests certify that a warm re-run executed zero new trials.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, NamedTuple, Optional, Sequence, Union
+from typing import Any, Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..observe.counters import add_count
 from ..observe.ledger import emit_event
 from ..utils.rng import record_cache_event
-from .keys import cache_key, canonical_json
+from .keys import canonical_json, canonical_key
 from .store import JsonlStore
 
 __all__ = [
@@ -52,15 +52,26 @@ class CachedProbe(NamedTuple):
     counters: Dict[str, int]
 
 
-def _observe_lookup(kind: str, spec: Dict[str, Any],
-                    hit: Optional[CachedProbe]) -> None:
-    """Report one logical lookup as a ``cache_hit``/``cache_miss``."""
-    key = cache_key(kind, spec)
+#: One indexed record: its spec (the parsed JSON as read, replaced by its
+#: canonical JSON string on first lookup; ``None`` when the record holds
+#: none), its value and its counter delta.
+_Entry = Tuple[Any, Dict[str, Any], Dict[str, int]]
+
+
+def _observed_get(cache: Any, kind: str,
+                  spec: Dict[str, Any]) -> Optional[CachedProbe]:
+    """One logical lookup, reported as a ``cache_hit``/``cache_miss``.
+
+    ``spec`` is canonicalized once; the key, every tier's lookup and the
+    corruption check all reuse that string.
+    """
+    key, hit = cache._lookup(kind, canonical_json(spec))
     name = "cache_hit" if hit is not None else "cache_miss"
     add_count(name)
     emit_event(name, cache_kind=kind, key=key[:16],
                m=spec.get("m"), trials=spec.get("trials"))
     record_cache_event(name, cache_kind=kind, key=key)
+    return hit
 
 
 class ProbeCache:
@@ -73,7 +84,10 @@ class ProbeCache:
         Created on first use.
 
     The in-memory index is loaded at construction; records appended by
-    *this* process are indexed as they are written.  Records that other
+    *this* process are indexed as they are written.  It keeps only each
+    record's spec, value and counters, and a spec only as its canonical
+    JSON string once a lookup has compared it (records written here are
+    indexed that way from the start).  Records that other
     processes append later — a CLI sweep or shard pass writing into a
     running server's directory — are picked up on the next lookup miss:
     the index follows ``probes.jsonl`` from the byte offset it last read
@@ -88,15 +102,25 @@ class ProbeCache:
     def __init__(self, directory: Union[str, Path]) -> None:
         self._directory = Path(directory)
         self._store = JsonlStore(self._directory / self.FILENAME)
-        self._index: Dict[str, Dict[str, Any]] = {}
+        self._index: Dict[str, _Entry] = {}
         self._follow()
 
     def _follow(self) -> None:
-        """Index the complete records appended since the last read."""
+        """Index the complete records appended since the last read.
+
+        A key already indexed keeps its entry: a content address names
+        one record, and this process's own appends come back here on the
+        next miss, where re-indexing them would replace each slim entry
+        with the parsed record.
+        """
         for record in self._store.read_new():
             key = record.get("key")
-            if isinstance(key, str):
-                self._index[key] = record
+            if isinstance(key, str) and key not in self._index:
+                self._index[key] = (
+                    record.get("spec"), record.get("value", {}),
+                    {str(name): int(count) for name, count
+                     in record.get("counters", {}).items()},
+                )
 
     @property
     def directory(self) -> Path:
@@ -107,57 +131,61 @@ class ProbeCache:
         """The JSONL record file."""
         return self._store.path
 
-    def peek(self, kind: str, spec: Dict[str, Any]) -> Optional[CachedProbe]:
-        """Silent lookup: no ``cache_hit``/``cache_miss`` observability.
+    def _lookup(self, kind: str,
+                canonical: str) -> Tuple[str, Optional[CachedProbe]]:
+        """The key of the canonical spec ``canonical`` and its record.
 
-        The building block for tiered lookups (:class:`TieredProbeCache`
-        consults several stores but must report exactly one hit or miss);
-        direct callers almost always want :meth:`get`.
+        Raises when the record's stored spec disagrees with the request:
+        a key can only hold its own spec unless the store was corrupted.
         """
-        key = cache_key(kind, spec)
-        record = self._index.get(key)
-        if record is None:
+        key = canonical_key(kind, canonical)
+        entry = self._index.get(key)
+        if entry is None:
             self._follow()
-            record = self._index.get(key)
-        if record is None:
-            return None
-        if record.get("spec") is not None and \
-                canonical_json(record["spec"]) != canonical_json(spec):
+            entry = self._index.get(key)
+        if entry is None:
+            return key, None
+        stored, value, counters = entry
+        if stored is not None and not isinstance(stored, str):
+            stored = canonical_json(stored)
+            self._index[key] = (stored, value, counters)
+        if stored is not None and stored != canonical:
             raise ValueError(
                 f"probe cache corruption: key {key[:16]} holds a record "
                 f"whose stored spec disagrees with the request"
             )
-        return CachedProbe(
-            value=dict(record.get("value", {})),
-            counters={
-                str(name): int(count)
-                for name, count in record.get("counters", {}).items()
-            },
-        )
+        return key, CachedProbe(value=dict(value), counters=dict(counters))
+
+    def peek(self, kind: str, spec: Dict[str, Any]) -> Optional[CachedProbe]:
+        """Silent lookup: no ``cache_hit``/``cache_miss`` observability.
+
+        For checks that are not a probe's own lookup, such as whether a
+        shard's slice is already on disk; direct callers almost always
+        want :meth:`get`.
+        """
+        return self._lookup(kind, canonical_json(spec))[1]
 
     def get(self, kind: str, spec: Dict[str, Any]) -> Optional[CachedProbe]:
         """Look up a probe; emits ``cache_hit``/``cache_miss`` either way."""
-        hit = self.peek(kind, spec)
-        _observe_lookup(kind, spec, hit)
-        return hit
+        return _observed_get(self, kind, spec)
 
     def put(self, kind: str, spec: Dict[str, Any], value: Dict[str, Any],
             counters: Optional[Dict[str, int]] = None) -> None:
         """Record a computed probe (bookkeeping counters are stripped)."""
-        key = cache_key(kind, spec)
+        canonical = canonical_json(spec)
+        key = canonical_key(kind, canonical)
         stored_counters = {
             name: int(count) for name, count in (counters or {}).items()
             if not name.startswith(_BOOKKEEPING_PREFIXES)
         }
-        record = {
+        self._index[key] = (canonical, value, stored_counters)
+        self._store.append({
             "key": key,
             "kind": kind,
             "spec": spec,
             "value": value,
             "counters": stored_counters,
-        }
-        self._index[key] = record
-        self._store.append(record)
+        })
         record_cache_event("cache_put", cache_kind=kind, key=key)
 
     def scoped(self, **extra: Any) -> "ScopedProbeCache":
@@ -239,19 +267,22 @@ class TieredProbeCache:
         """The tier that receives :meth:`put` records."""
         return self._write
 
+    def _lookup(self, kind: str,
+                canonical: str) -> Tuple[str, Optional[CachedProbe]]:
+        """Lookup across all tiers, write tier first."""
+        for tier in [self._write, *self._read_only]:
+            key, hit = tier._lookup(kind, canonical)
+            if hit is not None:
+                return key, hit
+        return key, None
+
     def peek(self, kind: str, spec: Dict[str, Any]) -> Optional[CachedProbe]:
         """Silent lookup across all tiers, write tier first."""
-        for tier in [self._write, *self._read_only]:
-            hit = tier.peek(kind, spec)
-            if hit is not None:
-                return hit
-        return None
+        return self._lookup(kind, canonical_json(spec))[1]
 
     def get(self, kind: str, spec: Dict[str, Any]) -> Optional[CachedProbe]:
         """Tiered lookup reporting one ``cache_hit``/``cache_miss``."""
-        hit = self.peek(kind, spec)
-        _observe_lookup(kind, spec, hit)
-        return hit
+        return _observed_get(self, kind, spec)
 
     def put(self, kind: str, spec: Dict[str, Any], value: Dict[str, Any],
             counters: Optional[Dict[str, int]] = None) -> None:

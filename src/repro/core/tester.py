@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,12 +30,14 @@ from ..utils.parallel import (
     shard_spans,
 )
 from ..utils.rng import (
+    KeyedStream,
     RngLike,
     as_generator,
+    draw_key,
     seed_fingerprint,
     spawn,
     spawn_seeds,
-    spawn_slice,
+    trial_keys,
 )
 from ..utils.stats import BernoulliEstimate
 from ..utils.validation import check_epsilon, check_positive_int, check_probability
@@ -62,67 +64,62 @@ class ShardPending(Exception):
     """
 
 
-def _distortion_trial(family: SketchFamily, instance: HardInstance,
-                      fixed: Optional[Sketch],
-                      seed: np.random.SeedSequence) -> float:
-    """One Monte-Carlo trial: the distortion of ``ΠU`` for fresh draws.
+#: Trials whose keys and supports one derivation call computes at most.
+#: The per-trial engine derives a chunk block by block, so its temporaries
+#: stay bounded however many trials one chunk holds; block edges sit at
+#: multiples of this size, and a trial's streams never depend on them.
+_DERIVE_BLOCK = 128
+
+
+def _trial_chunk(family: SketchFamily, instance: HardInstance,
+                 fixed: Optional[Sketch], batched: bool, key: np.uint64,
+                 trials: range) -> List[float]:
+    """The distortions of trials ``trials`` of the probe keyed by ``key``.
 
     Module-level (not a closure) so :class:`TrialExecutor` can pickle it
-    for process-pool workers.  All randomness comes from ``seed``, making
-    the trial independent of execution order.
+    for process-pool workers.  Trial ``t``'s sketch and instance keys are
+    lanes of its counter-based word (:func:`~repro.utils.rng.trial_keys`),
+    so its value depends only on ``(key, t)`` — never on the chunk, the
+    worker or the shard that runs it.  The instance draws of a block come
+    from one vectorized :meth:`~repro.hardinstances.dbeta.HardInstance.\
+sample_supports` call.
 
-    Seed-stream contract (pinned by ``tests/test_core_tester.py``): the
-    trial *always* splits its seed into exactly two children,
-    ``(sketch_seed, draw_seed) = seed.spawn(2)``, and draws the subspace
-    from ``draw_seed`` — also when ``fixed`` is given and ``sketch_seed``
-    goes unused.  The fixed-sketch path therefore consumes the same
-    per-trial child-seed layout as the fresh path, so toggling
-    ``fresh_sketch`` never shifts which stream feeds the instance draws.
-
-    Fresh sketches are drawn ``lazy=True`` so kernel-backed families skip
-    scipy matrix assembly entirely; ``basis_image`` then runs on the
-    matrix-free kernel (bit-identical to the materialized path).  The
-    subspace is drawn with ``sample_support`` (stream-identical to
-    ``sample_draw``), so a structured trial never allocates the dense
-    ``n × d`` matrix and its cost does not grow with ``n``.
+    The batched engine (``batched``) samples the chunk's sketches with
+    ``sample_trial_batch`` and reduces them as one stack; families
+    without a batched sampler (it returns ``None``) fall back to the
+    per-trial arithmetic on the same streams.  The per-trial engine
+    derives the chunk in blocks of ``_DERIVE_BLOCK`` trials and reduces
+    each trial on its own: fresh sketches are drawn ``lazy=True`` (no
+    scipy assembly), ``fixed`` when given; the subspace stays a support
+    draw, so a structured trial never allocates the dense ``n × d``
+    matrix.  A fixed sketch leaves the instance keys untouched, so both
+    paths draw the same subspaces.
     """
-    sketch_seed, draw_seed = seed.spawn(2)
-    sketch = fixed if fixed is not None \
-        else sample_sketch(family, sketch_seed, lazy=True)
-    draw = instance.sample_support(draw_seed)
-    return distortion_of_product(sketch.basis_image(draw))
-
-
-def _batched_trial_chunk(family: SketchFamily, instance: HardInstance,
-                         seeds: Sequence[np.random.SeedSequence]
-                         ) -> List[float]:
-    """One batched chunk: ``len(seeds)`` Monte-Carlo trials in one
-    vectorized call (see :mod:`repro.sketch.batched`).
-
-    Module-level so :class:`TrialExecutor` can pickle it for process-pool
-    workers.  The per-trial seed-stream contract is identical to
-    :func:`_distortion_trial` — each trial's seed splits into exactly
-    ``(sketch_seed, draw_seed) = seed.spawn(2)`` — so the batch engine
-    consumes the same sub-streams the serial loop would.  Families without
-    a batched sampler (``sample_trial_batch`` returns ``None``) fall back
-    to the serial per-trial arithmetic *inside the chunk*, bit-identical
-    to the unbatched path; re-using the already-spawned child seeds is
-    safe because a ``SeedSequence`` yields the same stream every time a
-    generator is built from it.
-    """
-    pairs = [seed.spawn(2) for seed in seeds]
-    batch_kernel = family.sample_trial_batch([pair[0] for pair in pairs])
-    if batch_kernel is None:
-        return [
-            float(distortion_of_product(
-                sample_sketch(family, sketch_seed, lazy=True).basis_image(
-                    instance.sample_support(draw_seed)
-                )
-            ))
-            for sketch_seed, draw_seed in pairs
-        ]
-    draws = [instance.sample_support(pair[1]) for pair in pairs]
-    return [float(value) for value in batch_kernel.distortions(draws)]
+    if batched:
+        blocks = [(trials.start, trials.stop)]
+    else:
+        edges = range(trials.start - trials.start % _DERIVE_BLOCK
+                      + _DERIVE_BLOCK, trials.stop, _DERIVE_BLOCK)
+        bounds = [trials.start, *edges, trials.stop]
+        blocks = list(zip(bounds[:-1], bounds[1:]))
+    values: List[float] = []
+    for start, stop in blocks:
+        keys = trial_keys(key, start, stop)
+        draws = instance.sample_supports(keys[:, 1])
+        streams = [KeyedStream(sketch_key) for sketch_key in keys[:, 0]]
+        if batched:
+            kernel = family.sample_trial_batch(streams)
+            if kernel is not None:
+                values.extend(float(value)
+                              for value in kernel.distortions(draws))
+                continue
+        for stream, draw in zip(streams, draws):
+            sketch = fixed if fixed is not None \
+                else sample_sketch(family, stream, lazy=True)
+            values.append(float(distortion_of_product(
+                sketch.basis_image(draw)
+            )))
+    return values
 
 
 def _check_batch(batch: Optional[int], fresh_sketch: bool) -> Optional[int]:
@@ -141,9 +138,9 @@ def _check_batch(batch: Optional[int], fresh_sketch: bool) -> Optional[int]:
 #: Version of the trial arithmetic behind every cached probe value; part
 #: of each probe spec, so a store written by an engine whose values differ
 #: (2: the row-compacted per-trial reduction; 3: the batched reducer's
-#: isolated-column and Gram-eigenvalue routes) recomputes instead of
-#: replaying them.
-ENGINE_VERSION = 3
+#: isolated-column and Gram-eigenvalue routes; 4: counter-based trial
+#: streams keyed by one probe key) recomputes instead of replaying them.
+ENGINE_VERSION = 4
 
 
 def _probe_spec(family: SketchFamily, instance: HardInstance,
@@ -179,33 +176,6 @@ def _shard_spec_of(spec: Dict[str, Any], shard: ShardSpec,
     return tagged
 
 
-def _trial_values(family: SketchFamily, instance: HardInstance,
-                  fixed: Optional[Sketch],
-                  seeds: Sequence[np.random.SeedSequence],
-                  workers: Optional[int], chunk_size: Optional[int],
-                  batch: Optional[int]) -> List[float]:
-    """The distortions of the trials behind ``seeds``, in seed order.
-
-    ``batch > 1`` runs the batched engine with ``chunk_size=batch``; since
-    :func:`shard_spans` aligns shard slice boundaries to ``batch``
-    multiples, a slice's chunk decomposition — and hence the batched
-    arithmetic — matches the serial run's exactly.  Otherwise each trial
-    runs the per-trial path, on ``fixed`` when given.
-    """
-    batched = batch is not None and batch > 1
-    executor = TrialExecutor(workers=workers,
-                             chunk_size=batch if batched else chunk_size)
-    if batched:
-        values = executor.run_chunked(
-            partial(_batched_trial_chunk, family, instance), seeds,
-        )
-    else:
-        values = executor.run_seeded(
-            partial(_distortion_trial, family, instance, fixed), seeds,
-        )
-    return [float(value) for value in values]
-
-
 def _shard_pending(probe: str, spec: Dict[str, Any], shard: ShardSpec,
                    span: Tuple[int, int], computed: bool) -> ShardPending:
     """Mark one probe as awaiting a merge round; returns the exception.
@@ -236,17 +206,18 @@ def _run_probe(kind: str, family: SketchFamily, instance: HardInstance,
     :func:`distortion_samples`; returns the probe's record.
 
     ``reduce`` turns a list of trial distortions into the record a cache
-    stores (``params`` are the extra spec fields it depends on).  The
-    engine owns every execution mode:
+    stores (``params`` are the extra spec fields it depends on).  Every
+    execution mode spawns exactly one child of the caller's stream; a
+    computing mode draws the probe key from it, and trial ``t`` runs on
+    the counter-based streams of ``(key, t)`` (see :func:`_trial_chunk`):
 
     * **hit replay** — with ``cache`` and a seed-backed ``rng``, a cached
-      record is returned after advancing the spawn counter exactly as the
-      computation would (one child for a fixed sketch, one per trial) and
-      merging the stored counter delta;
+      record is returned after the one spawn and merging the stored
+      counter delta, leaving the caller's stream where a miss would;
     * **shard slice** — with ``shard``, only this shard's contiguous slice
-      of trials runs (on the serial run's own child streams), its record
-      is stored under the shard-partial spec, and :class:`ShardPending` is
-      raised until a merge resolves the probe;
+      of trial indices runs, its record is stored under the shard-partial
+      spec, and :class:`ShardPending` is raised until a merge resolves
+      the probe;
     * **full compute** — all trials run and the record is stored.
     """
     trials = check_positive_int(trials, "trials")
@@ -266,14 +237,15 @@ def _run_probe(kind: str, family: SketchFamily, instance: HardInstance,
                 params = dict(params, batch=batch)
             spec = _probe_spec(family, instance, fingerprint, trials,
                                **params)
-            hit = cache.get(kind, spec)
-            if hit is not None:
-                # Replay the computation's spawn consumption and its
-                # counter delta, so the parent stream and metrics end up
-                # exactly where a cache miss would leave them.
-                spawn_seeds(gen, trials + (0 if fresh_sketch else 1))
-                counters().merge(hit.counters)
-                return hit.value
+    # The probe's one spawn, taken after the fingerprint (which names the
+    # stream state before it) and before the lookup, so a hit and a miss
+    # leave the caller's stream in the same state.
+    child = spawn_seeds(gen, 1)[0]
+    if spec is not None:
+        hit = cache.get(kind, spec)
+        if hit is not None:
+            counters().merge(hit.counters)
+            return hit.value
     span, record_spec = (0, trials), spec
     if shard is not None:
         if spec is None:
@@ -289,31 +261,36 @@ def _run_probe(kind: str, family: SketchFamily, instance: HardInstance,
             # This shard's slice is already on disk (resume after a crash
             # or a later round); only the merge is still outstanding.
             raise _shard_pending(kind, spec, shard, span, computed=False)
+    key = draw_key(child)
 
     def sample_fixed() -> Optional[Sketch]:
-        return None if fresh_sketch \
-            else sample_sketch(family, spawn(gen), lazy=True)
+        # The fixed sketch is keyed by the probe's word 0 (trial "-1").
+        return None if fresh_sketch else sample_sketch(
+            family, KeyedStream(trial_keys(key, -1, 0)[0, 0]), lazy=True,
+        )
 
     if shard is not None and shard.index > 0:
-        # Every shard must sample the fixed sketch (trial seeds start at
-        # child 1), but only shard 0's delta may carry its cost or the
-        # folded counters would overcount it (count - 1) times.
+        # Every shard must sample the fixed sketch, but only shard 0's
+        # delta may carry its cost or the folded counters would overcount
+        # it (count - 1) times.
         fixed = sample_fixed()
         before = counters().snapshot()
     else:
         before = counters().snapshot()
         fixed = sample_fixed()
+    executor = TrialExecutor(workers=workers,
+                             chunk_size=batch if batched else chunk_size)
+    run = partial(executor.run_chunked,
+                  partial(_trial_chunk, family, instance, fixed, batched,
+                          key),
+                  range(*span))
     if shard is None:
         labels = {"batch": batch} if batched else {}
         with trace(kind, m=family.m, trials=trials, **labels):
-            values = _trial_values(family, instance, fixed,
-                                   spawn_seeds(gen, trials), workers,
-                                   chunk_size, batch)
+            values = run()
     else:
-        seeds = spawn_slice(gen, span[0], span[1], total=trials)
         # Empty slices (more shards than work units) run nothing.
-        values = _trial_values(family, instance, fixed, seeds, workers,
-                               chunk_size, batch) if seeds else []
+        values = run() if span[0] < span[1] else []
     record = reduce(values)
     if record_spec is not None:
         cache.put(kind, record_spec, record, counters().diff(before))
@@ -339,17 +316,24 @@ def failure_estimate(family: SketchFamily, instance: HardInstance,
     sketch is drawn up front and reused — the deterministic-Π view of
     Yao's principle, appropriate when certifying one concrete matrix.
 
+    Randomness: the call spawns one child of ``rng`` and draws a 64-bit
+    probe key from it; trial ``t``'s sketch and subspace are keyed by
+    splitmix64 lanes of ``(probe key, t)`` (see
+    :func:`~repro.utils.rng.trial_keys`), and a fixed sketch by the probe
+    key's word 0, so toggling ``fresh_sketch`` never changes the
+    subspaces drawn.
+
     ``workers`` distributes the trials over a process pool (``None``/``0``
     = all CPUs).  Results are bit-identical across ``workers`` settings at
-    a fixed seed: each trial consumes only its own pre-derived child seed.
+    a fixed seed: each trial's streams depend only on its index.
 
     ``cache`` (a :class:`repro.cache.ProbeCache` or scoped view, duck-typed
     so this module never imports the cache package) reuses results across
     runs: the probe is keyed by family/instance spec, parameters, and the
     RNG's :func:`~repro.utils.rng.seed_fingerprint`, so a hit is by
     construction the value this call would compute.  On a hit the call
-    still advances ``rng``'s spawn counter exactly as the computation
-    would and merges the stored operation-counter delta, keeping warm
+    still spawns its one child of ``rng``, exactly as the computation
+    does, and merges the stored operation-counter delta, keeping warm
     runs bit-identical to cold and cache-off runs — downstream draws and
     ``count_*`` metrics included.  RNGs without a recorded seed sequence
     are uncacheable and silently bypass the cache.
@@ -368,9 +352,10 @@ def failure_estimate(family: SketchFamily, instance: HardInstance,
     ``shard`` (a :class:`~repro.utils.parallel.ShardSpec` or an
     ``(index, count)`` pair) runs this call as one worker of an N-way
     fan-out: when the probe cannot be resolved from ``cache``, only this
-    shard's contiguous trial slice is executed — on the **same** child
-    seed streams the serial run hands those trials, via
-    :func:`~repro.utils.rng.spawn_slice` — and the outcome is stored as a
+    shard's contiguous slice of trial indices is executed — on the
+    **same** streams the serial run hands those trials, since a trial's
+    streams depend only on the probe key and its index — and the outcome
+    is stored as a
     shard-partial cache record for ``python -m repro.cache merge`` to
     fold.  The call then raises :class:`ShardPending` (counted as
     ``shard_pending``); once a merged store resolves the probe, the same
@@ -414,8 +399,8 @@ def distortion_samples(family: SketchFamily, instance: HardInstance,
     Shares :func:`failure_estimate`'s trial engine and determinism
     guarantee: the returned array is bit-identical for any ``workers``
     setting at a fixed seed — and, with ``cache`` given, for cold, warm,
-    and cache-off runs (the cached array is stored exactly and the RNG
-    spawn counter replayed on hits; see :func:`failure_estimate`).
+    and cache-off runs (the cached array is stored exactly and a hit
+    spawns the same one child a miss does; see :func:`failure_estimate`).
     ``batch`` selects the batched kernel engine exactly as in
     :func:`failure_estimate` (``None``/``1`` = serial path, ``> 1`` =
     vectorized chunks with the batch size in the cache key).  ``shard``

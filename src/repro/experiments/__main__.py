@@ -12,7 +12,8 @@ Usage::
 ``--cache-dir`` enables the content-addressed probe cache and per-
 experiment checkpoints (see :mod:`repro.cache` and docs/caching.md);
 ``--resume`` additionally skips experiments whose checkpoint matches the
-requested seed and scale, reusing the checkpointed JSON byte-for-byte.
+requested seed, scale and ``--batch`` under the current trial engine,
+reusing the checkpointed JSON byte-for-byte.
 Results are bit-identical with the cache on, off, cold, or warm.
 
 ``--shards N`` splits every Monte-Carlo trial budget across N shards and
@@ -36,6 +37,7 @@ from contextlib import ExitStack
 from pathlib import Path
 from typing import Optional
 
+from ..core.tester import ENGINE_VERSION
 from ..observe.counters import add_count
 from ..observe.ledger import RunLedger, emit_event
 from .registry import EXPERIMENTS, experiment_ids, run_experiment
@@ -113,7 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--resume", action="store_true",
         help="skip experiments already checkpointed in --cache-dir for "
-             "this seed and scale, reusing their JSON byte-for-byte",
+             "this seed, scale and --batch, reusing their JSON "
+             "byte-for-byte",
     )
     parser.add_argument(
         "--shards", type=int, default=None, metavar="N",
@@ -183,6 +186,9 @@ def main(argv=None) -> int:
     cache = None
     checkpoints = None
     cache_dir = None
+    # A checkpoint replays only under the configuration that wrote it.
+    checkpoint_config = dict(seed=args.seed, scale=args.scale,
+                             batch=args.batch, engine=ENGINE_VERSION)
     if args.cache_dir is not None:
         from ..cache import ExperimentCheckpoint, ProbeCache
 
@@ -213,9 +219,7 @@ def main(argv=None) -> int:
         for eid in targets:
             resumed = False
             if args.resume and checkpoints is not None:
-                result = checkpoints.load(
-                    eid, seed=args.seed, scale=args.scale
-                )
+                result = checkpoints.load(eid, **checkpoint_config)
                 resumed = result is not None
             if not resumed:
                 if args.shards is not None:
@@ -257,9 +261,7 @@ def main(argv=None) -> int:
                         batch=args.batch,
                     )
                 if checkpoints is not None:
-                    checkpoints.save(
-                        result, seed=args.seed, scale=args.scale
-                    )
+                    checkpoints.save(result, **checkpoint_config)
             else:
                 add_count("checkpoint_hit")
                 emit_event(

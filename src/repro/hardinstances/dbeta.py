@@ -12,25 +12,29 @@ We parameterize by the integer ``reps = 1/β`` (copies of the identity), so
 (the paper's event ``B̄``), ``U`` is an isometry.  The sampler can enforce
 distinctness directly (default, matching the conditioning) or sample
 i.i.d. columns like the raw definition.
+
+A draw is a keyed hash, like the sketches it is tested against: one
+uint64 key (:func:`repro.utils.rng.draw_key`) fixes the support through
+:func:`repro.utils.rng.keyed_sample` — rows from the key's even lanes
+reduced to ``[0, n)`` (the first ``reps·d`` distinct ones under
+``distinct_rows``), signs from its odd lanes.  :meth:`DBeta.sample_supports`
+derives the supports of many keys in one vectorized call, which is how
+the trial engine draws a whole chunk of trials at once.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
-from ..utils.rng import RngLike, as_generator
+from ..utils.rng import KeyedStream, RngLike, draw_key, keyed_sample
 from ..utils.validation import check_positive_int
 
 __all__ = ["HardInstance", "HardDraw", "SupportDraw", "DBeta",
            "assemble_basis"]
-
-
-#: Rademacher values, indexed by a uniform draw from ``{0, 1}``.
-_SIGNS = np.array([-1.0, 1.0])
 
 
 def assemble_basis(n: int, d: int, rows: np.ndarray,
@@ -247,6 +251,17 @@ class HardInstance(abc.ABC):
         """
         return self.sample_draw(rng)
 
+    def sample_supports(self, keys: Sequence[Any]) -> List[Any]:
+        """One :meth:`sample_support` draw per uint64 key, in key order.
+
+        Draw ``i`` is ``sample_support(KeyedStream(keys[i]))``.  The trial
+        engine hands each chunk's instance keys (see
+        :func:`repro.utils.rng.trial_keys`) here in one call; keyed
+        instances override with one vectorized derivation, and this
+        default loops.
+        """
+        return [self.sample_support(KeyedStream(key)) for key in keys]
+
     def sample(self, rng: RngLike = None) -> np.ndarray:
         """Draw just the ``n × d`` matrix ``U``."""
         return self.sample_draw(rng).u
@@ -317,34 +332,31 @@ class DBeta(HardInstance):
         return cls(n=n, d=d, reps=reps, distinct_rows=distinct_rows)
 
     def sample_draw(self, rng: RngLike = None) -> HardDraw:
-        gen = as_generator(rng)
-        rows, signs = self._sample_support_arrays(gen)
-        u = self._assemble(rows, signs)
-        return HardDraw(u=u, rows=rows, signs=signs, reps=self._reps,
-                        component=self.name)
+        support = self.sample_support(rng)
+        return HardDraw(u=support.u, rows=support.rows, signs=support.signs,
+                        reps=self._reps, component=self.name)
 
     def sample_support(self, rng: RngLike = None) -> SupportDraw:
         """Structured draw without the dense ``U`` (see :class:`SupportDraw`).
 
-        Identical RNG consumption to :meth:`sample_draw`; only the eager
-        matrix assembly (which consumes no randomness) is skipped.
+        Draws one key from ``rng`` and derives the support from it exactly
+        as :meth:`sample_supports` does; :meth:`sample_draw` is this draw
+        plus the eager matrix assembly (which consumes no randomness).
         """
-        gen = as_generator(rng)
-        rows, signs = self._sample_support_arrays(gen)
-        return SupportDraw(n=self._n, d=self._d, rows=rows, signs=signs,
-                           reps=self._reps, component=self.name)
+        return self.sample_supports([draw_key(rng)])[0]
 
-    def _sample_support_arrays(self, gen: np.random.Generator):
-        count = self._reps * self._d
-        if self._distinct_rows:
-            rows = gen.choice(self._n, size=count, replace=False)
-        else:
-            rows = gen.integers(0, self._n, size=count)
-        # Stream-identical to ``gen.choice((-1.0, 1.0), size=count)``
-        # (same variates, same values) without choice's per-call overhead.
-        signs = _SIGNS[gen.integers(0, 2, size=count)]
-        return rows, signs
+    def sample_supports(self, keys: Sequence[Any]) -> List[SupportDraw]:
+        """The supports of all ``keys`` in one vectorized derivation.
 
-    def _assemble(self, rows: np.ndarray, signs: np.ndarray) -> np.ndarray:
-        """Build ``U`` from the support (see :func:`assemble_basis`)."""
-        return assemble_basis(self._n, self._d, rows, signs, self._reps)
+        Key ``k`` gives the ``reps·d`` rows and signs of
+        :func:`repro.utils.rng.keyed_sample` with ``m = n``: uniform
+        without replacement under ``distinct_rows`` (from ``n`` lane words
+        when ``2·reps·d > n``, as in OSNAP's dense regime), i.i.d. uniform
+        otherwise.
+        """
+        rows, signs = keyed_sample(np.asarray(keys, dtype=np.uint64),
+                                   self._reps * self._d, self._n,
+                                   self._distinct_rows)
+        return [SupportDraw(n=self._n, d=self._d, rows=row, signs=sign,
+                            reps=self._reps, component=self.name)
+                for row, sign in zip(rows, signs)]

@@ -86,7 +86,7 @@ _TRIAL_PARTS = frozenset({"core", "experiments", "utils"})
 _RESULT_IO_PARTS = frozenset({"cache", "observe", "experiments", "core"})
 
 #: Library files allowed to hand-roll shard/span arithmetic: these *are*
-#: the sanctioned primitives (``shard_spans``, ``spawn_slice``) RPL103
+#: the sanctioned primitives (``shard_spans``, ``trial_keys``) RPL103
 #: tells everyone else to call.
 _SHARD_PRIMITIVE_SUFFIXES = (
     "utils/parallel.py",
@@ -243,14 +243,14 @@ _RULE_LIST: Tuple[Rule, ...] = (
     Rule(
         code="RPL103",
         name="hand-rolled-shard-arithmetic",
-        summary="shard/span index arithmetic outside shard_spans/spawn_slice",
+        summary="shard/span index arithmetic outside shard_spans",
         rationale=(
             "PR 7's shard-span overlap: ad-hoc `shard_index * per_shard` "
             "arithmetic produced overlapping seed slices under uneven "
             "division.  All shard partitioning goes through "
-            "repro.utils.parallel.shard_spans and repro.utils.rng."
-            "spawn_slice, which are batch-aligned and tested for exact "
-            "tiling."
+            "repro.utils.parallel.shard_spans, which is batch-aligned and "
+            "tested for exact tiling; a span's trials draw their streams "
+            "from their indices alone (repro.utils.rng.trial_keys)."
         ),
         scope="library code except the primitives themselves "
               "(utils/parallel.py, utils/rng.py)",

@@ -634,8 +634,8 @@ class LintVisitor(ast.NodeVisitor):
                 self._report(
                     node, "RPL103",
                     f"arithmetic on `{dotted}` hand-rolls shard/span "
-                    f"partitioning; use shard_spans (repro.utils.parallel) "
-                    f"/ spawn_slice (repro.utils.rng), which tile exactly",
+                    f"partitioning; use shard_spans (repro.utils.parallel), "
+                    f"which tiles exactly",
                 )
                 return
 

@@ -3,7 +3,7 @@
 The comparison layer of :mod:`repro.sanitize`.  A *trace* is the plain
 list of event dicts a :class:`~repro.sanitize.recorder.StreamTraceRecorder`
 captured: ``channel="stream"`` events from the RNG fan-out primitives
-(:func:`repro.utils.rng.spawn_seeds` / ``spawn_slice``) and
+(:func:`repro.utils.rng.spawn_seeds`) and
 ``channel="cache"`` events from the probe cache.  Two executions of the
 same workload at the same seed must produce **identical** stream traces
 — same events, same order, same spawn-tree positions — regardless of
@@ -128,19 +128,14 @@ def _parent_label(event: Dict[str, Any]) -> str:
 def _handed_range(event: Dict[str, Any]) -> Optional[Tuple[int, int]]:
     """Child-index range ``event`` handed to its caller, or ``None``.
 
-    ``spawn`` hands out every derived child; ``spawn_slice`` reserves
-    ``total`` spawn slots but hands out only ``[start, stop)`` — shards
-    of one parent legitimately reserve overlapping totals, so only the
-    handed-out slice participates in double-consumption checks.
+    ``spawn`` hands out every derived child.  Trials never spawn (their
+    streams are counter-based lanes of one probe key), so only
+    probe-level spawns appear here.
     """
+    if event.get("kind") != "spawn":
+        return None
     base = int(event.get("base", 0))
-    kind = event.get("kind")
-    if kind == "spawn":
-        return (base, base + int(event.get("count", 0)))
-    if kind == "spawn_slice":
-        return (base + int(event.get("start", 0)),
-                base + int(event.get("stop", 0)))
-    return None
+    return (base, base + int(event.get("count", 0)))
 
 
 def check_trace(trace: List[Dict[str, Any]], *,

@@ -2,7 +2,7 @@
 
 A :class:`StreamTraceRecorder` is the observer installed via
 :func:`repro.utils.rng.use_stream_observer`: it receives every
-``spawn``/``spawn_slice``/fallback draw with its spawn-tree position and
+``spawn``/fallback draw with its spawn-tree position and
 draw counter, and every probe cache lookup and write with its
 content-addressed key (:func:`repro.utils.rng.record_cache_event`).
 :meth:`StreamTraceRecorder.activate` installs it for a ``with`` block;

@@ -5,9 +5,11 @@ run in its own process (or machine), and the merged outcome is **byte
 identical** to a serial run at the same seed.  The pieces:
 
 * :func:`repro.utils.parallel.shard_spans` assigns shard ``k`` a
-  contiguous slice of the trial budget; :func:`repro.utils.rng.spawn_slice`
-  hands that slice the very child seed streams the serial loop would use,
-  so shard boundaries never change which stream a trial consumes.
+  contiguous slice of the trial budget.  Trial ``t``'s streams are
+  counter-based lanes of the probe key and ``t``
+  (:func:`repro.utils.rng.trial_keys`), so a shard running its slice of
+  indices consumes the very streams the serial loop would, and shard
+  boundaries never change which stream a trial consumes.
 * ``failure_estimate`` / ``distortion_samples`` / ``minimal_m`` accept
   ``shard=`` (see :mod:`repro.core.tester`): resolved probes replay from
   the merged cache; the first unresolved probe computes only this shard's

@@ -236,21 +236,23 @@ class SketchFamily(abc.ABC):
         """
 
     def sample_trial_batch(
-        self, seeds: Sequence[np.random.SeedSequence],
+        self, streams: Sequence[RngLike],
     ) -> Optional["BatchedTrialKernel"]:
-        """Sample ``len(seeds)`` sketches as one batched trial kernel.
+        """Sample ``len(streams)`` sketches as one batched trial kernel.
 
-        ``seeds[i]`` is trial ``i``'s spawned ``SeedSequence``; the batch
-        consumes each sub-stream exactly as ``sample(seeds[i], lazy=True)``
-        would, so ``trial_kernel(i)`` matches the serial draw.  The default
-        stacks per-trial kernels (vectorizing only the reduction);
-        structured families override with fully vectorized samplers.
-        Returns ``None`` when the family has no kernel path — callers then
-        fall back to the serial per-trial loop, re-using the same seeds.
+        ``streams[i]`` is trial ``i``'s sketch stream — in the trial
+        engine a :class:`~repro.utils.rng.KeyedStream` holding the trial's
+        sketch key; the batch consumes each stream exactly as
+        ``sample(streams[i], lazy=True)`` would, so ``trial_kernel(i)``
+        matches the serial draw.  The default stacks per-trial kernels
+        (vectorizing only the reduction); structured families override
+        with fully vectorized samplers.  Returns ``None`` when the family
+        has no kernel path — callers then fall back to the serial
+        per-trial loop on the same streams.
         """
         from .batched import stacked_from_family
 
-        return stacked_from_family(self, list(seeds))
+        return stacked_from_family(self, list(streams))
 
     def spec(self) -> Dict[str, Any]:
         """Canonical JSON-able description of this family.
@@ -288,17 +290,11 @@ class SketchFamily(abc.ABC):
 
 def sample_sketch(family: SketchFamily, rng: RngLike = None,
                   lazy: bool = False) -> Sketch:
-    """Sample from ``family``, requesting lazy materialization if supported.
+    """Sample from ``family``, counted as one ``sketch_samples``.
 
-    Pre-``lazy`` families (external subclasses with a ``sample(rng)``
-    signature) fall back to an eager draw; the signature mismatch raises
-    before any randomness is consumed, so the fallback re-samples from the
-    same stream deterministically.
+    ``lazy=True`` asks kernel-backed families to skip assembling the
+    explicit matrix (see :meth:`SketchFamily.sample`); every family takes
+    the flag, and families without a kernel ignore it.
     """
     add_count("sketch_samples")
-    if not lazy:
-        return family.sample(rng)
-    try:
-        return family.sample(rng, lazy=True)
-    except TypeError:
-        return family.sample(rng)
+    return family.sample(rng, lazy=lazy)

@@ -47,15 +47,19 @@ this.
 Samplers
 --------
 Families override :meth:`repro.sketch.base.SketchFamily.sample_trial_batch`
-to build these kernels with *stream-faithful* sampling: the per-trial
-sub-streams (one spawned ``SeedSequence`` per trial) consume exactly the
-same variates as the serial samplers, so ``trial_kernel(i)`` reconstructs
-the very kernel ``sample(seeds[i], lazy=True)`` would have produced.  For
-CountSketch/OSNAP that is one hash key per trial; the columns a trial
-reads are hashed only when :meth:`BatchedColumnScatter.sketched_bases`
-needs them.  Families whose draws are kernel-less (dense Gaussian, SRHT,
-dense-regime sparse-JL) fall back to :class:`StackedKernelBatch` or to the
-serial path entirely.
+to build these kernels with *stream-faithful* sampling: it receives one
+stream per trial and consumes each exactly as the serial sampler would, so
+``trial_kernel(i)`` reconstructs the very kernel
+``sample(streams[i], lazy=True)`` would have produced.  In the trial
+engine a trial's stream is a :class:`~repro.utils.rng.KeyedStream`
+holding its sketch key (lane 0 of the trial's counter-based word, see
+:func:`repro.utils.rng.trial_keys`), so CountSketch/OSNAP take the keys
+as they are — no generator is built — and hash the columns a trial reads
+only when :meth:`BatchedColumnScatter.sketched_bases` needs them.  Row
+and leverage sampling build a generator per trial from its key.
+Families whose draws are kernel-less (dense Gaussian, SRHT, dense-regime
+sparse-JL) fall back to :class:`StackedKernelBatch` or to the serial path
+entirely.
 """
 
 from __future__ import annotations
@@ -415,25 +419,24 @@ class StackedKernelBatch(BatchedTrialKernel):
         return compact_rows(products)
 
 
-def stacked_from_family(family: Any,
-                        seeds: Sequence[np.random.SeedSequence]
+def stacked_from_family(family: Any, streams: Sequence[Any]
                         ) -> Optional[StackedKernelBatch]:
     """Build the generic kernel batch by sampling ``family`` per trial.
 
     Returns ``None`` when the family yields any kernel-less sketch (dense
     Gaussian, SRHT, dense-regime sparse-JL) — the caller then falls back
-    to the serial per-trial path.  Sampling consumes each ``SeedSequence``
-    identically to the serial path, and seeds are re-usable (a fresh
-    generator is created per draw), so the fallback replays the same
-    streams.
+    to the serial per-trial path.  Sampling consumes each stream
+    identically to the serial path, and streams are re-usable (a
+    :class:`~repro.utils.rng.KeyedStream` or ``SeedSequence`` builds a
+    fresh generator per draw), so the fallback replays the same streams.
     """
     from .base import sample_sketch
 
-    if not seeds:
+    if not streams:
         return None
     kernels = []
-    for seed in seeds:
-        kernel = sample_sketch(family, seed, lazy=True).kernel
+    for stream in streams:
+        kernel = sample_sketch(family, stream, lazy=True).kernel
         if kernel is None:
             return None
         kernels.append(kernel)

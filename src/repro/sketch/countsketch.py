@@ -12,14 +12,12 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Optional, Sequence
 
-import numpy as np
-
 from ..observe.counters import add_count
-from ..utils.rng import RngLike
+from ..utils.rng import RngLike, draw_key
 from ..utils.validation import check_epsilon, check_probability
 from .base import Sketch, SketchFamily
 from .batched import BatchedColumnScatter
-from .hashing import STREAM_VERSION, draw_key
+from .hashing import STREAM_VERSION
 from .kernels import ColumnScatterKernel
 
 __all__ = ["CountSketch"]
@@ -55,15 +53,17 @@ class CountSketch(SketchFamily):
         return Sketch(matrix, family=self, kernel=kernel)
 
     def sample_trial_batch(
-        self, seeds: Sequence[np.random.SeedSequence],
+        self, streams: Sequence[RngLike],
     ) -> Optional[BatchedColumnScatter]:
-        """One hash key per trial, each drawn from its seed exactly like
-        :meth:`sample` — so slot ``i`` is the sketch ``sample(seeds[i])``."""
-        if not seeds:
+        """One hash key per trial, each drawn from its stream exactly like
+        :meth:`sample` — so slot ``i`` is the sketch
+        ``sample(streams[i])``; a trial's
+        :class:`~repro.utils.rng.KeyedStream` hands its key over as is."""
+        if not streams:
             return None
-        add_count("sketch_samples", len(seeds))
-        return BatchedColumnScatter([draw_key(seed) for seed in seeds], 1,
-                                    (self.m, self.n))
+        add_count("sketch_samples", len(streams))
+        keys = [draw_key(stream) for stream in streams]
+        return BatchedColumnScatter(keys, 1, (self.m, self.n))
 
     @staticmethod
     def recommended_m(d: int, epsilon: float, delta: float,

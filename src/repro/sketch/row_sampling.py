@@ -48,15 +48,15 @@ class RowSampling(SketchFamily):
         return Sketch(matrix, family=self, kernel=kernel)
 
     def sample_trial_batch(
-        self, seeds: Sequence[np.random.SeedSequence],
+        self, streams: Sequence[RngLike],
     ) -> Optional[BatchedRowGather]:
         """Stacked ``(B, m)`` selected rows, one sub-stream per trial."""
-        if not seeds:
+        if not streams:
             return None
-        batch = len(seeds)
+        batch = len(streams)
         cols = np.empty((batch, self.m), dtype=np.int64)
-        for index, seed in enumerate(seeds):
-            gen = as_generator(seed)
+        for index, stream in enumerate(streams):
+            gen = as_generator(stream)
             cols[index] = gen.choice(self.n, size=self.m, replace=False)
         scale = math.sqrt(self.n / self.m)
         values = np.full((batch, self.m), scale)

@@ -6,14 +6,18 @@ independent experiments, each consuming its own random stream, and combine
 the per-trial results.  :class:`TrialExecutor` factors that shape out and
 makes it parallel-safe:
 
-* per-trial randomness is derived **up front** as child
-  :class:`~numpy.random.SeedSequence`\\ s of the caller's RNG (see
-  :func:`repro.utils.rng.spawn_seeds`), so trial ``t`` sees the same
-  stream no matter which worker runs it, in what order, or in which chunk;
+* trial ``t``'s randomness is a pure function of ``t`` and the caller's
+  RNG — a counter-based stream of one probe key (see
+  :func:`repro.utils.rng.trial_keys`) for the probe engine, a child
+  :class:`~numpy.random.SeedSequence` derived up front (see
+  :func:`repro.utils.rng.spawn_seeds`) for :meth:`TrialExecutor.run` —
+  so trial ``t`` sees the same stream no matter which worker runs it, in
+  what order, or in which chunk;
 * results are reassembled in trial order, so serial (``workers=1``) and
   parallel (``workers>1``) runs of the same seed are **bit-identical**;
-* the process-pool backend ships chunked batches of seed sequences (cheap
-  and picklable) rather than generators, keeping dispatch overhead small.
+* the process-pool backend ships chunks of trial indices (a ``range``)
+  or of seed sequences — cheap and picklable — rather than generators,
+  keeping dispatch overhead small.
 
 The trial function must be picklable for ``workers > 1`` — a module-level
 function, or a :func:`functools.partial` of one over picklable arguments.
@@ -50,11 +54,12 @@ __all__ = [
 #: returns any picklable result.
 TrialFn = Callable[[np.random.SeedSequence], Any]
 
-#: A chunk-level computation: receives a whole chunk of per-trial seed
-#: sequences at once and returns one result per seed, in order.  Used by
-#: the batched trial engine, where a chunk is processed in one vectorized
-#: call instead of a per-seed loop.
-ChunkFn = Callable[[Sequence[np.random.SeedSequence]], list]
+#: A chunk-level computation: receives a whole chunk of work units at
+#: once — trial indices (a ``range``) for the probe engine, seed
+#: sequences for :meth:`TrialExecutor.run_seeded` — and returns one
+#: result per unit, in order.  The probe engine derives a chunk's streams
+#: and draws in one vectorized call instead of a per-trial loop.
+ChunkFn = Callable[[Sequence[Any]], list]
 
 
 def available_cpus() -> int:
@@ -180,24 +185,22 @@ class _ChunkOutcome(NamedTuple):
     results: list
 
 
-def _run_chunk_observed(fn: ChunkFn,
-                        seeds: Sequence[np.random.SeedSequence]
-                        ) -> _ChunkOutcome:
+def _run_chunk_observed(fn: ChunkFn, units: Sequence[Any]) -> _ChunkOutcome:
     """Run one chunk through a chunk-level ``fn``, with observability.
 
-    ``fn`` sees the whole seed list in one call and must return one result
-    per seed, in order.  Runs in the worker process for parallel dispatch;
+    ``fn`` sees the whole chunk in one call and must return one result
+    per unit, in order.  Runs in the worker process for parallel dispatch;
     the counter delta (including the ``trials`` count) is snapshotted
     there and merged back into the parent so counter totals are identical
     for serial and parallel runs of the same workload.
     """
     before = counters().snapshot()
     started = time.perf_counter()
-    results = list(fn(seeds))
-    if len(results) != len(seeds):
+    results = list(fn(units))
+    if len(results) != len(units):
         raise ValueError(
             f"chunk function returned {len(results)} results for "
-            f"{len(seeds)} seeds"
+            f"{len(units)} units"
         )
     counters().increment("trials", len(results))
     elapsed = time.perf_counter() - started
@@ -225,7 +228,9 @@ class TrialExecutor:
     For a fixed ``rng``, :meth:`run` returns the same list — element for
     element, bit for bit — for every ``workers`` and ``chunk_size``
     setting, because trial ``t`` always consumes child seed ``t`` of the
-    caller's seed sequence and nothing else.
+    caller's seed sequence and nothing else.  The probe engine's chunk
+    function (:meth:`run_chunked` over trial indices) gives the same
+    guarantee, because trial ``t``'s streams are a pure function of ``t``.
 
     There is one dispatch path: :meth:`run_chunked` hands each chunk to a
     chunk-level function, and :meth:`run_seeded` is the same dispatch with
@@ -251,39 +256,39 @@ class TrialExecutor:
     def run_seeded(self, fn: TrialFn,
                    seeds: Sequence[np.random.SeedSequence]) -> list:
         """Run ``fn`` once per seed, returning results in seed order."""
-        return self._dispatch(partial(_map_trials, fn), seeds)
+        return self._dispatch(partial(_map_trials, fn), list(seeds))
 
-    def run_chunked(self, fn: ChunkFn,
-                    seeds: Sequence[np.random.SeedSequence]) -> list:
-        """Run a chunk-level ``fn`` over the seeds, in seed order.
+    def run_chunked(self, fn: ChunkFn, units: Sequence[Any]) -> list:
+        """Run a chunk-level ``fn`` over ``units``, in unit order.
 
-        Splits the seeds into the same chunks :meth:`run_seeded` would
-        dispatch, but hands each chunk to ``fn`` *whole* — the batched
-        trial engine processes it in one vectorized call.  Serial and
-        parallel execution use the identical chunk decomposition, so a
-        chunk function whose output depends on chunk composition (batched
-        kernels pad data-dependently within a chunk) is still bit-identical
-        across ``workers`` settings **provided ``chunk_size`` is pinned**;
-        with ``chunk_size=None`` the heuristic chunking depends on the
-        worker count, and only per-trial-independent chunk functions are
-        reproducible across configurations.
+        ``units`` is any sliceable sequence — the probe engine passes the
+        trial indices ``range(start, stop)``, so a chunk ships to a worker
+        as a ``range`` whatever its size.  Splits the units into the same
+        chunks :meth:`run_seeded` would dispatch, but hands each chunk to
+        ``fn`` *whole* — the probe engine derives and reduces it in
+        vectorized calls.  Serial and parallel execution use the identical
+        chunk decomposition, so a chunk function whose output depends on
+        chunk composition (batched kernels pad data-dependently within a
+        chunk) is still bit-identical across ``workers`` settings
+        **provided ``chunk_size`` is pinned**; with ``chunk_size=None``
+        the heuristic chunking depends on the worker count, and only
+        per-trial-independent chunk functions are reproducible across
+        configurations.
         """
-        return self._dispatch(fn, seeds)
+        return self._dispatch(fn, units)
 
-    def _dispatch(self, fn: ChunkFn,
-                  seeds: Sequence[np.random.SeedSequence]) -> list:
-        """Split ``seeds`` into chunks, run ``fn`` on each, and gather.
+    def _dispatch(self, fn: ChunkFn, units: Sequence[Any]) -> list:
+        """Split ``units`` into chunks, run ``fn`` on each, and gather.
 
         Chunks run in-process when one worker or one chunk would do the
-        work, else on a process pool; results come back in seed order
+        work, else on a process pool; results come back in unit order
         either way.
         """
-        seeds = list(seeds)
         workers = resolve_workers(self.workers)
-        chunks = self._chunked(seeds, workers)
+        chunks = self._chunked(units, workers)
         parallel = workers > 1 and len(chunks) > 1
         emit_event("batch_dispatch", batches=len(chunks),
-                   trials=len(seeds), parallel=parallel)
+                   trials=len(units), parallel=parallel)
         if not parallel:
             return self._gather(
                 map(partial(_run_chunk_observed, fn), chunks), chunks
@@ -298,7 +303,7 @@ class TrialExecutor:
 
     @staticmethod
     def _gather(outcomes: Iterable[_ChunkOutcome],
-                chunks: List[List[np.random.SeedSequence]]) -> list:
+                chunks: List[Sequence[Any]]) -> list:
         """Absorb each chunk's observability and concatenate its results.
 
         Counter deltas are merged only when the chunk ran in another
@@ -317,14 +322,14 @@ class TrialExecutor:
             results.extend(outcome.results)
         return results
 
-    def _chunked(self, seeds: List[np.random.SeedSequence],
-                 workers: int) -> List[List[np.random.SeedSequence]]:
+    def _chunked(self, units: Sequence[Any],
+                 workers: int) -> List[Sequence[Any]]:
         size = self.chunk_size
         if size is None:
             # One chunk in-process; about four per worker on a pool.
             per = 1 if workers <= 1 else 4 * workers
-            size = max(1, -(-len(seeds) // per))
-        return [seeds[i:i + size] for i in range(0, len(seeds), size)]
+            size = max(1, -(-len(units) // per))
+        return [units[i:i + size] for i in range(0, len(units), size)]
 
 
 def run_trials(fn: TrialFn, trials: int, rng: RngLike = None,

@@ -18,26 +18,52 @@ parent generator.  Consequences callers can rely on:
 * the :class:`~numpy.random.SeedSequence` objects from :func:`spawn_seeds`
   are cheap, picklable descriptions of streams, suitable for shipping to
   worker processes (see :mod:`repro.utils.parallel`).
+
+Counter-based streams
+---------------------
+Monte-Carlo trials do not spawn.  A probe spawns one child, draws one
+uint64 probe key ``K`` from it (:func:`draw_key`), and trial ``t``'s
+randomness is a pure function of ``(K, t)`` built from splitmix64's
+output finalizer ``mix``::
+
+    w_t           = mix(K + (t + 1)·φ)          (trial t's word)
+    (k_Π, k_U)    = (mix(w_t + φ), mix(w_t + 2φ))
+
+with ``φ = 0x9E3779B97F4A7C15`` (:func:`trial_keys`).  ``k_Π`` keys the
+trial's sketch and ``k_U`` its hard-instance draw; both travel as a
+:class:`KeyedStream`, which :func:`draw_key` reads back without drawing
+and :func:`as_generator` expands into a full generator only for the
+families and instances that ask for one.  Word ``mix(K)`` (index 0) keys
+a probe's fixed sketch.  This is the same keyed hash that defines
+CountSketch/OSNAP (:mod:`repro.sketch.hashing`): a word's lane ``l`` is
+``mix(word + (l + 1)·φ)``, and :func:`keyed_sample` turns lanes into
+uniform rows and Rademacher signs.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 __all__ = [
+    "KeyedStream",
     "RngLike",
     "as_generator",
+    "draw_key",
+    "keyed_sample",
+    "keyed_words",
+    "lane_words",
     "record_cache_event",
+    "reduce_words",
     "seed_fingerprint",
     "spawn",
     "spawn_many",
     "spawn_seeds",
-    "spawn_slice",
     "stream",
+    "trial_keys",
     "use_stream_observer",
 ]
 
@@ -55,12 +81,12 @@ def use_stream_observer(observer: Any) -> Iterator[Any]:
     """Install ``observer`` as the current stream observer.
 
     The observer must expose ``record_stream_event(kind, **fields)``; it
-    is called from :func:`spawn_seeds` / :func:`spawn_slice` with the
-    spawn-tree position (parent entropy + spawn key), the parent's draw
-    counter (``base`` = children already spawned), and the children being
-    derived.  It must also expose ``record_cache_event(kind, **fields)``,
-    called through :func:`record_cache_event` with every probe-cache
-    lookup and write and its content-addressed key.
+    is called from :func:`spawn_seeds` with the spawn-tree position
+    (parent entropy + spawn key), the parent's draw counter (``base`` =
+    children already spawned), and the children being derived.  It must
+    also expose ``record_cache_event(kind, **fields)``, called through
+    :func:`record_cache_event` with every probe-cache lookup and write and
+    its content-addressed key.
     :mod:`repro.sanitize` uses both to reconstruct the stream fan-out of a
     run and diff it against a reference execution.
     """
@@ -84,23 +110,47 @@ def record_cache_event(kind: str, **fields: Any) -> None:
         observer.record_cache_event(kind, **fields)
 
 
+class KeyedStream:
+    """A counter-based stream: one uint64 key, nothing drawn yet.
+
+    The stream of one Monte-Carlo trial's sketch or instance (see
+    :func:`trial_keys`).  Keyed samplers (CountSketch, OSNAP, ``D_β``)
+    read the key back with :func:`draw_key`; everything else gets a
+    generator seeded by the key from :func:`as_generator`.  Immutable and
+    picklable; handing one stream to two consumers gives both the same
+    randomness, exactly like a :class:`~numpy.random.SeedSequence`.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: Any) -> None:
+        self.key = np.uint64(key)
+
+    def __repr__(self) -> str:
+        return f"KeyedStream({int(self.key):#018x})"
+
+
 #: Anything that can be turned into a :class:`numpy.random.Generator`.
-RngLike = Union[None, int, Sequence[int], np.random.SeedSequence, np.random.Generator]
+RngLike = Union[None, int, Sequence[int], np.random.SeedSequence,
+                np.random.Generator, KeyedStream]
 
 
 def as_generator(rng: RngLike = None) -> np.random.Generator:
     """Normalize ``rng`` into a :class:`numpy.random.Generator`.
 
     Accepts ``None`` (fresh OS entropy), an integer or sequence of integers
-    (used as a seed), a :class:`numpy.random.SeedSequence`, or an existing
-    generator (returned unchanged, *not* copied — a shared generator means a
-    shared stream, which is what callers threading one generator through a
+    (used as a seed), a :class:`numpy.random.SeedSequence`, a
+    :class:`KeyedStream` (its key is the seed), or an existing generator
+    (returned unchanged, *not* copied — a shared generator means a shared
+    stream, which is what callers threading one generator through a
     pipeline want).
     """
     if isinstance(rng, np.random.Generator):
         return rng
     if isinstance(rng, np.random.SeedSequence):
         return np.random.default_rng(rng)
+    if isinstance(rng, KeyedStream):
+        return np.random.default_rng(int(rng.key))
     return np.random.default_rng(rng)
 
 
@@ -120,6 +170,8 @@ def _seed_sequence_of(rng: RngLike) -> Optional[np.random.SeedSequence]:
         if seq is None:
             seq = getattr(rng.bit_generator, "_seed_seq", None)
         return seq if isinstance(seq, np.random.SeedSequence) else None
+    if isinstance(rng, KeyedStream):
+        return np.random.SeedSequence(int(rng.key))
     return np.random.SeedSequence(rng)
 
 
@@ -179,50 +231,6 @@ def _canonical_entropy(seq: np.random.SeedSequence) -> Any:
     return None
 
 
-def spawn_slice(rng: RngLike, start: int, stop: int,
-                total: Optional[int] = None) -> List[np.random.SeedSequence]:
-    """Children ``[start, stop)`` of the next ``total`` spawn slots.
-
-    The shard-slice primitive behind :mod:`repro.shard`: a serial trial
-    loop consumes child streams ``0 .. total-1`` of the caller's seed
-    sequence (via :func:`spawn_seeds`); a shard that owns the contiguous
-    slice ``[start, stop)`` of those trials calls
-    ``spawn_slice(rng, start, stop, total=total)`` and receives **the very
-    same child sequences** the serial run would have handed to trials
-    ``start .. stop-1`` — shard boundaries can never change which stream
-    a trial consumes, because children depend only on the parent's seed
-    material and the child's index.
-
-    The parent's spawn counter is advanced by ``total`` (default
-    ``stop``), exactly as if all ``total`` children had been spawned, so
-    every shard leaves the parent stream in the serial run's end state
-    and downstream draws stay aligned.
-    """
-    if not 0 <= start <= stop:
-        raise ValueError(
-            f"need 0 <= start <= stop, got start={start}, stop={stop}"
-        )
-    total = stop if total is None else total
-    if total < stop:
-        raise ValueError(
-            f"total ({total}) must cover the slice end ({stop})"
-        )
-    observer = _STREAM_OBSERVER.get()
-    seq = _resolve_seed_sequence(rng, observer)
-    if observer is not None:
-        observer.record_stream_event(
-            "spawn_slice",
-            entropy=_canonical_entropy(seq),
-            spawn_key=[int(key) for key in seq.spawn_key],
-            base=int(seq.n_children_spawned),
-            start=int(start), stop=int(stop), total=int(total),
-        )
-    # SeedSequence.spawn is the only sanctioned way to advance the spawn
-    # counter, so all `total` children are derived and the slice is cut
-    # out; construction is cheap (entropy mixing only, no bit-generator).
-    return seq.spawn(total)[start:stop]
-
-
 def seed_fingerprint(rng: RngLike = None) -> Optional[Dict[str, Any]]:
     """A canonical, JSON-able description of the stream state behind ``rng``.
 
@@ -272,3 +280,132 @@ def stream(rng: RngLike = None) -> Iterator[np.random.Generator]:
     parent = as_generator(rng)
     while True:
         yield spawn(parent)
+
+
+_PHI = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+# Every function below does uint64 arithmetic on arrays only: numpy-scalar
+# uint64 arithmetic warns on wraparound and is slower.
+
+
+def draw_key(rng: RngLike = None) -> np.uint64:
+    """One uniform uint64 key from ``rng``.
+
+    A :class:`KeyedStream` hands back its key; any other ``rng`` yields
+    the next 64-bit output of its bit generator (the value
+    ``integers(2**64, dtype=np.uint64)`` would draw, without its bounds
+    handling).
+    """
+    if isinstance(rng, KeyedStream):
+        return rng.key
+    return np.uint64(as_generator(rng).bit_generator.random_raw())
+
+
+def keyed_words(keys: Any, index: Any) -> np.ndarray:
+    """``mix(keys + index·φ)``, broadcasting the two uint64 arrays, where
+    ``mix`` is splitmix64's output finalizer."""
+    z = np.asarray(keys, dtype=np.uint64) \
+        + np.asarray(index, dtype=np.uint64) * _PHI
+    # In place on the fresh sum: one temporary per step instead of two
+    # keeps the batched engine's heap from fragmenting around its large
+    # per-chunk products (it raised probe_batched's peak memory).
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def lane_words(base: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+    """Lane words ``mix(base + (lane + 1)·φ)``, shape ``(K, L)`` for
+    words ``base`` ``(K,)`` and lane indices ``lanes`` ``(L,)``."""
+    return keyed_words(base[:, None], lanes[None, :] + 1)
+
+
+def reduce_words(words: np.ndarray, m: int) -> np.ndarray:
+    """``⌊words·m / 2⁶⁴⌋`` exactly, for ``m < 2³²`` (int64 result)."""
+    m64 = np.uint64(m)
+    high = (words >> np.uint64(32)) * m64
+    low = ((words & _LOW32) * m64) >> np.uint64(32)
+    return ((high + low) >> np.uint64(32)).astype(np.int64)
+
+
+def _first_occurrences(values: np.ndarray, m: int) -> np.ndarray:
+    """Mask of the entries of ``values`` ``(K, T)`` (each in ``[0, m)``)
+    that do not repeat an earlier entry of their row."""
+    tagged = (values + m * np.arange(values.shape[0])[:, None]).ravel()
+    order = np.argsort(tagged, kind="stable")
+    ordered = tagged[order]
+    fresh = np.ones(tagged.size, dtype=bool)
+    fresh[1:] = ordered[1:] != ordered[:-1]
+    first = np.empty(tagged.size, dtype=bool)
+    first[order] = fresh
+    return first.reshape(values.shape)
+
+
+def _distinct_rows(base: np.ndarray, s: int, m: int) -> np.ndarray:
+    """The first ``s`` distinct reduced even-lane words of every word.
+
+    Lanes ``0, 2, …, 2s-2`` settle every word whose first ``s`` rows are
+    already distinct; the rest are re-evaluated with twice the lanes until
+    they show ``s`` distinct rows.  A lane's value never depends on how
+    many lanes are evaluated, so the result is the sequence definition
+    exactly.
+    """
+    rows = reduce_words(lane_words(base, 2 * np.arange(s)), m)
+    todo = np.flatnonzero(~_first_occurrences(rows, m).all(axis=1))
+    lanes = s
+    while todo.size:
+        lanes *= 2
+        values = reduce_words(lane_words(base[todo], 2 * np.arange(lanes)),
+                              m)
+        first = _first_occurrences(values, m)
+        rank = np.cumsum(first, axis=1)
+        done = rank[:, -1] >= s
+        keep = first[done] & (rank[done] <= s)
+        rows[todo[done]] = values[done][keep].reshape(-1, s)
+        todo = todo[~done]
+    return rows
+
+
+def keyed_sample(base: np.ndarray, s: int, m: int,
+                 distinct: bool = True) -> Tuple[np.ndarray, np.ndarray]:
+    """``s`` rows in ``[0, m)`` and ``s`` Rademacher signs per word.
+
+    Word ``base[k]``'s even lanes ``0, 2, 4, …`` reduced to ``[0, m)``
+    give its rows: the first ``s`` of them (``distinct=False``), or the
+    first ``s`` distinct ones (:func:`_distinct_rows`) — a uniform ordered
+    sample without replacement.  In the dense regime ``2s > m`` that
+    sequence would need a coupon-collector's number of lanes, so the word
+    instead keeps the ``s`` rows whose lane words ``lane 2r``, ``r < m``,
+    are smallest — a uniform ``s``-subset in uniform order.  The top bit
+    of odd lane ``2i + 1`` is the sign of entry ``i``.  Returns ``rows``
+    (int64) and ``signs`` (float64 ±1), each ``(K, s)``.
+    """
+    even = 2 * np.arange(s)
+    if not distinct:
+        rows = reduce_words(lane_words(base, even), m)
+    elif 2 * s > m:
+        words = lane_words(base, 2 * np.arange(m))
+        rows = np.argsort(words, axis=1, kind="stable")[:, :s]
+    else:
+        rows = _distinct_rows(base, s, m)
+    signs = 1.0 - 2.0 * (lane_words(base, even + 1) >> np.uint64(63))
+    return rows, signs
+
+
+def trial_keys(key: Any, start: int, stop: int) -> np.ndarray:
+    """Sketch and instance sub-keys of trials ``[start, stop)`` of probe
+    key ``key``: a ``(stop - start, 2)`` uint64 array whose row ``i`` is
+    lanes 0 and 1 of trial ``start + i``'s word ``mix(key + (t + 1)·φ)``.
+
+    Index ``-1`` (word ``mix(key)``) is the probe's fixed-sketch word.
+    Every row is a pure function of ``(key, t)``, so any split of the
+    trial range derives the same keys.
+    """
+    words = keyed_words([key], np.arange(start + 1, stop + 1))
+    return lane_words(words, np.arange(2))

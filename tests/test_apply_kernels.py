@@ -25,7 +25,6 @@ from repro.sketch import (
     SparseJL,
     sample_sketch,
 )
-from repro.sketch.hashing import draw_key
 from repro.sketch.kernels import (
     SCATTER_MAX_COLUMNS,
     SCATTER_MAX_REPS,
@@ -33,6 +32,7 @@ from repro.sketch.kernels import (
     CooScatterKernel,
     RowGatherKernel,
 )
+from repro.utils.rng import draw_key
 
 pytestmark = pytest.mark.kernels
 
@@ -348,19 +348,19 @@ class TestKernelConstruction:
         expected[1, 1], expected[0, 1], expected[2, 0] = 2.0, 3.0, 4.0
         assert np.array_equal(dense, expected)
 
-    def test_sample_sketch_falls_back_for_pre_lazy_families(self):
-        class OldStyle:
-            def __init__(self):
-                self.calls = []
+    def test_type_error_inside_lazy_sample_propagates(self):
+        # sample_sketch no longer retries an eager draw on TypeError: an
+        # error raised inside a family's sampler surfaces, instead of the
+        # family being re-sampled from an already-advanced stream.
+        class Broken(CountSketch):
+            def sample(self, rng=None, lazy=False):
+                sketch = super().sample(rng, lazy=lazy)
+                if lazy:
+                    raise TypeError("broken lazy sampler")
+                return sketch
 
-            def sample(self, rng=None):
-                self.calls.append(rng)
-                return Sketch(np.eye(3))
-
-        family = OldStyle()
-        sketch = sample_sketch(family, np.random.SeedSequence(0), lazy=True)
-        assert isinstance(sketch, Sketch)
-        assert len(family.calls) == 1
+        with pytest.raises(TypeError, match="broken lazy sampler"):
+            sample_sketch(Broken(M, N), np.random.default_rng(0), lazy=True)
 
 
 HASHED_FAMILIES = [

@@ -327,6 +327,25 @@ class TestProbeCacheStore:
         # The unscoped spec is untouched as well.
         assert cache.get("failure_estimate", {"m": 8}) is None
 
+    @pytest.mark.parametrize("reload", [False, True])
+    def test_record_whose_spec_disagrees_with_its_key_raises(self, tmp_path,
+                                                             reload):
+        # A tampered or corrupted store: the line keyed by spec A holds
+        # spec B.  Looking up A must raise, not return B's value — from a
+        # freshly loaded store and from a live one following the file.
+        asked, stored = {"m": 8, "trials": 10}, {"m": 9, "trials": 10}
+        live = ProbeCache(tmp_path)
+        JsonlStore(live.path).append({
+            "key": cache_key("failure_estimate", asked),
+            "kind": "failure_estimate", "spec": stored,
+            "value": {"successes": 1}, "counters": {},
+        })
+        cache = ProbeCache(tmp_path) if reload else live
+        with pytest.raises(ValueError, match="corruption"):
+            cache.get("failure_estimate", asked)
+        with pytest.raises(ValueError, match="corruption"):
+            cache.peek("failure_estimate", asked)
+
 
 class TestProbeCacheFollowsOtherWriters:
     """A live ProbeCache sees records other processes append later."""
@@ -601,6 +620,12 @@ class TestEngineVersionInKey:
         # eigenvalue routes), so an engine-2 batched record is stale.
         self._assert_stale_record_misses(tmp_path, 8, engine=2)
 
+    @pytest.mark.parametrize("batch", [None, 8])
+    def test_record_under_engine_3_is_a_miss(self, tmp_path, batch):
+        # Engine 4 moved every value (counter-based trial streams), so an
+        # engine-3 record of either engine is stale.
+        self._assert_stale_record_misses(tmp_path, batch, engine=3)
+
     def test_every_stored_spec_names_the_engine(self, tmp_path):
         from repro.core.tester import ENGINE_VERSION
 
@@ -684,6 +709,15 @@ class TestExperimentCheckpoint:
         ckpt.save(self._result(), seed=0, scale=0.1)
         assert ckpt.load("ET", seed=seed, scale=scale) is None
 
+    @pytest.mark.parametrize("batch,engine", [(8, 4), (None, 3), (None, None)])
+    def test_batch_or_engine_mismatch_reruns(self, tmp_path, batch, engine):
+        ckpt = ExperimentCheckpoint(tmp_path)
+        ckpt.save(self._result(), seed=0, scale=0.1, batch=None, engine=4)
+        assert ckpt.load("ET", seed=0, scale=0.1, batch=None,
+                         engine=4) is not None
+        assert ckpt.load("ET", seed=0, scale=0.1, batch=batch,
+                         engine=engine) is None
+
     def test_corrupt_checkpoint_reruns_not_raises(self, tmp_path):
         ckpt = ExperimentCheckpoint(tmp_path)
         ckpt.save(self._result(), seed=0, scale=0.1)
@@ -752,6 +786,49 @@ class TestCliCacheAndResume:
             tmp_path, ["--cache-dir", str(cache_dir), "--resume"], "rest"
         )
         assert restarted == baseline
+
+    def _resumed(self, tmp_path, extra):
+        """Run E1 with ``extra`` and ``--resume``; whether it resumed."""
+        from repro.experiments.__main__ import main
+
+        ledger = tmp_path / "resume.jsonl"
+        if ledger.exists():
+            ledger.unlink()
+        assert main(self.ARGS + ["--cache-dir", str(tmp_path / "cache"),
+                                 "--json-dir", str(tmp_path / "resumed"),
+                                 "--resume", "--ledger", str(ledger)]
+                    + extra) == 0
+        kinds = [json.loads(line)["kind"]
+                 for line in ledger.read_text().splitlines()]
+        return "experiment_resumed" in kinds
+
+    def test_resume_under_another_batch_reruns(self, tmp_path, capsys):
+        # A checkpoint written with --batch 8 must not stand in for a
+        # serial run (its metrics name the batched kernel), nor the
+        # reverse; each resume recomputes and writes its own bytes.
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        serial = self._run(tmp_path, [], "serial")
+        batched = self._run(tmp_path, ["--batch", "8"], "batched")
+        self._run(tmp_path, cache + ["--batch", "8"], "cold")
+        assert not self._resumed(tmp_path, [])
+        assert (tmp_path / "resumed" / "E1.json").read_bytes() == serial
+        assert not self._resumed(tmp_path, ["--batch", "8"])
+        assert (tmp_path / "resumed" / "E1.json").read_bytes() == batched
+        # Same configuration again: now it replays the stored bytes.
+        assert self._resumed(tmp_path, ["--batch", "8"])
+        assert (tmp_path / "resumed" / "E1.json").read_bytes() == batched
+
+    def test_resume_of_checkpoint_from_another_engine_reruns(self, tmp_path,
+                                                             capsys):
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        baseline = self._run(tmp_path, cache, "cold")
+        meta_path = tmp_path / "cache" / "checkpoints" / "E1.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["engine"] = 3
+        meta_path.write_text(json.dumps(meta))
+        assert not self._resumed(tmp_path, [])
+        assert (tmp_path / "resumed" / "E1.json").read_bytes() == baseline
+        assert self._resumed(tmp_path, [])
 
     def test_resume_without_cache_dir_is_usage_error(self, tmp_path, capsys):
         from repro.experiments.__main__ import main

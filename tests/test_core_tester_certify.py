@@ -14,6 +14,7 @@ from repro.hardinstances.mixtures import section3_mixture
 from repro.sketch.countsketch import CountSketch
 from repro.sketch.gaussian import GaussianSketch
 from repro.sketch.hadamard_block import HadamardBlockSketch
+from repro.sketch.osnap import OSNAP
 
 
 class TestFailureEstimate:
@@ -51,69 +52,131 @@ class TestFailureEstimate:
         assert a == b
 
 
-class _DrawRecordingInstance(DBeta):
-    """DBeta that records the seed handed to each ``sample_support`` call
-    (the stream-identical draw the trial loop uses)."""
+_U64 = (1 << 64) - 1
+_PHI = 0x9E3779B97F4A7C15
+
+
+def _mix64(z):
+    """splitmix64's finalizer on a Python int."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
+    return z ^ (z >> 31)
+
+
+class _KeyRecordingInstance(DBeta):
+    """DBeta that records the instance keys of each derivation call."""
 
     def __init__(self, n, d):
         super().__init__(n=n, d=d, reps=1)
-        self.seen = []
+        self.calls = []
 
-    def sample_support(self, rng=None):
-        self.seen.append(rng)
-        return super().sample_support(rng)
+    def sample_supports(self, keys):
+        self.calls.append([int(key) for key in keys])
+        return super().sample_supports(keys)
 
 
-class TestDistortionTrialSeedContract:
-    """Pin ``_distortion_trial``'s per-trial child-seed layout.
+class TestTrialStreamContract:
+    """Pin the counter-based trial streams.
 
-    The trial always splits its seed into exactly two children and draws
-    the subspace from the second — also with a fixed sketch, where the
-    first child goes unused.  The probe cache's hit-path replay and the
-    fresh/fixed comparability of estimates both rest on this layout, so
-    a refactor that makes the fixed path spawn only one child must fail
-    here rather than silently shift every downstream draw.
+    A probe spawns one child of the caller's stream and draws its probe
+    key ``K`` from it; trial ``t``'s sketch and instance keys are lanes 0
+    and 1 of ``mix(K + (t + 1)·φ)``.  Every execution strategy, the
+    probe cache's hit replay and the fresh/fixed comparability of
+    estimates rest on this, so a change to it must fail here rather than
+    silently move every downstream value.
     """
 
-    def _trial(self, fixed):
-        from repro.core.tester import _distortion_trial
+    # OSNAP on D_{1/2}: distortions are continuous, so a changed stream
+    # cannot go unnoticed by landing on a common value.
+    FAM = OSNAP(m=64, n=128, s=4)
+    INST = DBeta(n=128, d=3, reps=2)
 
-        fam = CountSketch(m=64, n=128)
-        inst = _DrawRecordingInstance(n=128, d=3)
-        _distortion_trial(fam, inst, fixed, np.random.SeedSequence(7))
-        assert len(inst.seen) == 1
-        return inst.seen[0]
+    def _samples(self, trials=24, **kwargs):
+        return distortion_samples(self.FAM, self.INST, trials,
+                                  rng=np.random.default_rng(17), **kwargs)
 
-    def test_fresh_path_draws_from_second_child(self):
-        seed = self._trial(fixed=None)
-        assert seed.spawn_key == (1,)
+    def test_trials_are_lanes_of_the_probe_key(self):
+        from repro.core.tester import distortion_of_product
+        from repro.utils.rng import KeyedStream
 
-    def test_fixed_path_consumes_same_seed_layout(self):
-        from repro.sketch.base import sample_sketch
+        child = np.random.SeedSequence(17).spawn(1)[0]
+        key = int(np.random.default_rng(child).bit_generator.random_raw())
+        values = self._samples(trials=5)
+        assert len(set(values.tolist())) == 5
+        for t, value in enumerate(values):
+            word = _mix64((key + (t + 1) * _PHI) & _U64)
+            sketch_key = _mix64((word + _PHI) & _U64)
+            instance_key = _mix64((word + 2 * _PHI) & _U64)
+            sketch = self.FAM.sample(KeyedStream(sketch_key), lazy=True)
+            draw = self.INST.sample_support(KeyedStream(instance_key))
+            assert value == distortion_of_product(sketch.basis_image(draw))
 
-        fixed = sample_sketch(CountSketch(m=64, n=128),
-                              np.random.SeedSequence(0))
-        fresh_seed = self._trial(fixed=None)
-        fixed_seed = self._trial(fixed=fixed)
-        # Same spawn position → same stream: toggling fresh_sketch never
-        # shifts which child feeds the instance draw.
-        assert fixed_seed.spawn_key == fresh_seed.spawn_key == (1,)
-        assert fixed_seed.entropy == fresh_seed.entropy
+    @pytest.mark.parametrize("workers,chunk_size", [
+        (1, 1), (1, 5), (2, None), (2, 7),
+    ])
+    def test_value_independent_of_chunking_and_workers(self, workers,
+                                                       chunk_size):
+        np.testing.assert_array_equal(
+            self._samples(workers=workers, chunk_size=chunk_size),
+            self._samples(),
+        )
 
-    def test_fresh_and_fixed_sample_identical_subspaces(self):
-        from repro.core.tester import _distortion_trial
+    def test_value_independent_of_block_edges(self, monkeypatch):
+        import repro.core.tester as tester
 
-        fam = CountSketch(m=64, n=128)
-        fixed = fam.sample(np.random.SeedSequence(0))
-        draws = []
-        for use_fixed in (False, True):
-            inst = _DrawRecordingInstance(n=128, d=3)
-            _distortion_trial(fam, inst, fixed if use_fixed else None,
-                              np.random.SeedSequence(11))
-            draws.append(inst.seen[0])
-        a = DBeta(n=128, d=3, reps=1).sample_draw(draws[0])
-        b = DBeta(n=128, d=3, reps=1).sample_draw(draws[1])
-        assert np.array_equal(a.u, b.u)
+        reference = self._samples()
+        monkeypatch.setattr(tester, "_DERIVE_BLOCK", 5)
+        np.testing.assert_array_equal(self._samples(), reference)
+        np.testing.assert_array_equal(self._samples(chunk_size=3),
+                                      reference)
+
+    def test_value_independent_of_shard_split(self):
+        from repro.core.tester import _trial_chunk
+
+        key = np.uint64(0x0123456789ABCDEF)
+        full = _trial_chunk(self.FAM, self.INST, None, False, key,
+                            range(0, 24))
+        for lo, hi in [(0, 7), (7, 8), (8, 24), (5, 19)]:
+            assert _trial_chunk(self.FAM, self.INST, None, False, key,
+                                range(lo, hi)) == full[lo:hi]
+
+    def test_batch_one_is_bit_identical_to_serial(self):
+        np.testing.assert_array_equal(self._samples(batch=1),
+                                      self._samples())
+
+    @pytest.mark.parametrize("batch", [None, 4])
+    def test_hit_and_miss_each_spawn_one_child(self, tmp_path, batch):
+        from repro.cache import ProbeCache
+        from repro.utils.rng import seed_fingerprint
+
+        cache = ProbeCache(tmp_path)
+        for use_cache in (None, cache, cache):  # off, miss, hit
+            gen = np.random.default_rng(23)
+            distortion_samples(self.FAM, self.INST, 12, gen,
+                               cache=use_cache, batch=batch)
+            assert seed_fingerprint(gen)["children_spawned"] == 1
+        assert len(cache) == 1
+
+    def test_fixed_path_draws_the_fresh_path_subspaces(self):
+        # A fixed sketch is keyed by the probe's word 0, so the instance
+        # keys of every trial are those of the fresh path.
+        calls = []
+        for fresh in (True, False):
+            inst = _KeyRecordingInstance(n=128, d=3)
+            failure_estimate(self.FAM, inst, 0.5, 10, rng=11,
+                             fresh_sketch=fresh)
+            calls.append(inst.calls)
+        assert calls[0] == calls[1] and len(calls[0][0]) == 10
+
+    def test_serial_derivation_is_bounded_by_the_block(self):
+        from repro.core.tester import _DERIVE_BLOCK
+
+        trials = 2 * _DERIVE_BLOCK + 3
+        inst = _KeyRecordingInstance(n=128, d=3)
+        distortion_samples(self.FAM, inst, trials, rng=2)
+        # One chunk of all trials, derived block by block.
+        assert [len(call) for call in inst.calls] == \
+            [_DERIVE_BLOCK, _DERIVE_BLOCK, 3]
 
 
 class TestDistortionSamples:

@@ -15,6 +15,35 @@ from repro.hardinstances.mixtures import (
     section5_mixture,
 )
 from repro.linalg.subspace import is_isometry
+from repro.utils.rng import KeyedStream
+
+_U64 = (1 << 64) - 1
+_PHI = 0x9E3779B97F4A7C15
+
+
+def _lane(word, t):
+    """Lane ``t`` of ``word``: splitmix64's finalizer of ``word + (t+1)·φ``."""
+    z = (word + (t + 1) * _PHI) & _U64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
+    return z ^ (z >> 31)
+
+
+def _reference_support(key, q, n, distinct_rows):
+    """A ``D_β`` support's rows and signs, one lane at a time."""
+    signs = [1.0 - 2.0 * (_lane(key, 2 * i + 1) >> 63) for i in range(q)]
+    if not distinct_rows:
+        rows = [_lane(key, 2 * r) * n >> 64 for r in range(q)]
+    elif 2 * q > n:
+        rows = sorted(range(n), key=lambda r: _lane(key, 2 * r))[:q]
+    else:
+        rows, lane = [], 0
+        while len(rows) < q:
+            row = _lane(key, lane) * n >> 64
+            if row not in rows:
+                rows.append(row)
+            lane += 2
+    return rows, signs
 
 
 class TestDBetaConstruction:
@@ -79,22 +108,38 @@ class TestDBetaSampling:
         assert draw.rows.shape == (8,)
         assert set(np.unique(draw.signs)) <= {-1.0, 1.0}
 
-    @pytest.mark.parametrize("distinct_rows", [True, False])
-    def test_support_stream_matches_choice_reference(self, distinct_rows):
-        # The support draw is pinned to the reference calls it replaced:
-        # rows, then Rademacher signs via ``choice`` — same values, same
-        # generator state afterwards.
-        inst = DBeta(n=500, d=6, reps=3, distinct_rows=distinct_rows)
+    @pytest.mark.parametrize("n,reps,distinct_rows", [
+        pytest.param(500, 3, True, id="distinct"),
+        # 2q <= n with frequent repeats: extra lanes are evaluated.
+        pytest.param(40, 3, True, id="distinct-repeats"),
+        # 2q > n: the q smallest of n lane words.
+        pytest.param(30, 3, True, id="distinct-dense"),
+        pytest.param(18, 3, True, id="distinct-full"),
+        pytest.param(40, 3, False, id="iid"),
+    ])
+    def test_support_matches_lane_formula(self, n, reps, distinct_rows):
+        # A draw is keyed by the next uint64 of the stream; its rows and
+        # signs are the lane formula of repro.utils.rng.keyed_sample.
+        inst = DBeta(n=n, d=6, reps=reps, distinct_rows=distinct_rows)
+        q = 6 * reps
         for seed in range(20):
             gen = np.random.default_rng(seed)
             draw = inst.sample_support(gen)
             ref = np.random.default_rng(seed)
-            rows = ref.choice(500, size=18, replace=False) if distinct_rows \
-                else ref.integers(0, 500, size=18)
-            signs = ref.choice((-1.0, 1.0), size=18)
-            assert np.array_equal(draw.rows, rows)
-            assert np.array_equal(draw.signs, signs)
+            key = int(ref.integers(2**64, dtype=np.uint64))
             assert gen.bit_generator.state == ref.bit_generator.state
+            rows, signs = _reference_support(key, q, n, distinct_rows)
+            assert draw.rows.tolist() == rows
+            assert draw.signs.tolist() == signs
+
+    def test_supports_vectorized_equal_single_draws(self):
+        inst = DBeta(n=300, d=5, reps=2)
+        keys = np.arange(1, 40, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        for key, draw in zip(keys, inst.sample_supports(keys)):
+            single = inst.sample_draw(KeyedStream(key))
+            assert np.array_equal(draw.rows, single.rows)
+            assert np.array_equal(draw.signs, single.signs)
+            assert np.array_equal(draw.u, single.u)
 
     def test_iid_rows_mode_allows_duplicates(self):
         # With n tiny and many rows, duplicates become likely.

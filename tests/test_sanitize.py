@@ -13,7 +13,12 @@ import pytest
 
 from repro.cache import ProbeCache
 from repro.core import tester
-from repro.core.tester import distortion_samples, failure_estimate, minimal_m
+from repro.core.tester import (
+    ShardPending,
+    distortion_samples,
+    failure_estimate,
+    minimal_m,
+)
 from repro.experiments.harness import ExperimentResult
 from repro.sanitize import (
     DeterminismError,
@@ -37,7 +42,6 @@ from repro.utils.rng import (
     seed_fingerprint,
     spawn,
     spawn_seeds,
-    spawn_slice,
 )
 
 pytestmark = pytest.mark.sanitize
@@ -68,17 +72,19 @@ class TestRecorder:
 
     def test_spawn_events_carry_tree_position_and_counter(self):
         recorder = StreamTraceRecorder(label="t")
+        child = np.random.SeedSequence(9).spawn(2)[1]
         with recorder.activate():
             spawn_seeds(np.random.default_rng(7), 3)
-            spawn_slice(np.random.default_rng(9), 1, 3, total=6)
+            spawn_seeds(child, 2)
         events = stream_events(recorder.trace())
-        assert [e["kind"] for e in events] == ["spawn", "spawn_slice"]
+        assert [e["kind"] for e in events] == ["spawn", "spawn"]
         first, second = events
         assert first["entropy"] == 7
         assert first["spawn_key"] == []
         assert first["base"] == 0 and first["count"] == 3
         assert second["entropy"] == 9
-        assert (second["start"], second["stop"], second["total"]) == (1, 3, 6)
+        assert second["spawn_key"] == [1]
+        assert second["base"] == 0 and second["count"] == 2
 
     def test_spawn_counter_advances_across_calls(self):
         recorder = StreamTraceRecorder(label="t")
@@ -138,21 +144,35 @@ class TestCheckTrace:
         assert [fault.kind for fault in faults] == ["double-consumption"]
         assert "handed out twice" in faults[0].detail
 
-    def test_disjoint_shard_slices_are_legitimate(self):
+    def _shard_slices(self, tmp_path, shards):
+        """Run the given shard slices of one probe under one recorder."""
         recorder = StreamTraceRecorder(label="t")
+        cache = ProbeCache(tmp_path)
         with recorder.activate():
-            spawn_slice(np.random.default_rng(7), 0, 2, total=4)
-            spawn_slice(np.random.default_rng(7), 2, 4, total=4)
-        assert check_trace(recorder.trace()) == []
+            for shard in shards:
+                with pytest.raises(ShardPending):
+                    distortion_samples(_family(), _instance(), 12,
+                                       np.random.default_rng(7),
+                                       cache=cache, shard=shard)
+        return recorder.trace()
 
-    def test_overlapping_shard_slices_detected(self):
-        recorder = StreamTraceRecorder(label="t")
-        with recorder.activate():
-            spawn_slice(np.random.default_rng(7), 0, 3, total=4)
-            spawn_slice(np.random.default_rng(7), 2, 4, total=4)
-        faults = check_trace(recorder.trace())
+    def test_shard_slice_spawns_one_child_per_probe(self, tmp_path):
+        # A shard's slice of trial indices consumes one probe-level spawn
+        # of its own pass, whatever the span.
+        trace = self._shard_slices(tmp_path, [(1, 3)])
+        [event] = stream_events(trace)
+        assert (event["kind"], event["base"], event["count"]) == \
+            ("spawn", 0, 1)
+        assert check_trace(trace) == []
+
+    def test_two_shard_slices_in_one_pass_detected(self, tmp_path):
+        # Shards rebuild the parent from the seed, so two of them inside
+        # one recording hand out the probe's child twice; each shard pass
+        # must get its own recorder.
+        trace = self._shard_slices(tmp_path, [(0, 3), (2, 3)])
+        faults = check_trace(trace)
         assert [fault.kind for fault in faults] == ["double-consumption"]
-        assert "[2, 3)" in faults[0].detail
+        assert "[0, 1)" in faults[0].detail
 
 
 class TestDiffTraces:

@@ -40,7 +40,7 @@ from repro.shard import (
 )
 from repro.sketch.countsketch import CountSketch
 from repro.utils.parallel import ShardSpec, normalize_shard, shard_spans
-from repro.utils.rng import spawn_seeds, spawn_slice
+from repro.utils.rng import seed_fingerprint, trial_keys
 
 pytestmark = pytest.mark.shard
 
@@ -137,26 +137,56 @@ class TestShardSpans:
         assert cursor == total
 
 
-class TestSpawnSlice:
-    def test_slice_equals_serial_children(self):
-        serial = spawn_seeds(np.random.default_rng(5), 10)
-        sliced = spawn_slice(np.random.default_rng(5), 3, 7, total=10)
-        for child, expected in zip(sliced, serial[3:7]):
-            np.testing.assert_array_equal(
-                child.generate_state(4), expected.generate_state(4)
-            )
+class TestShardSpanStreams:
+    """A shard runs its span of trial indices on the serial run's streams:
+    a trial's keys are lanes of ``(probe key, t)`` alone."""
 
-    def test_parent_advances_by_total_regardless_of_slice(self):
-        tails = []
-        for start, stop in [(0, 10), (2, 5), (10, 10)]:
+    def test_span_keys_equal_serial_keys(self):
+        key = np.uint64(0xDEADBEEF12345678)
+        serial = trial_keys(key, 0, 10)
+        for lo, hi in shard_spans(10, 3):
+            np.testing.assert_array_equal(trial_keys(key, lo, hi),
+                                          serial[lo:hi])
+
+    def test_parent_advances_by_one_spawn_regardless_of_span(self, tmp_path):
+        # Serial, every shard slice (computed or already on disk) and the
+        # hit replay each spawn exactly one child of the caller's stream.
+        states = []
+        for shard, directory in [(None, None), ((0, 3), "s"), ((1, 3), "s"),
+                                 ((1, 3), "s"), ((2, 3), "s")]:
             gen = np.random.default_rng(5)
-            spawn_slice(gen, start, stop, total=10)
-            tails.append(gen.integers(0, 10**9, 4).tolist())
-        assert tails[0] == tails[1] == tails[2]
+            cache = None if directory is None \
+                else ProbeCache(tmp_path / directory)
+            try:
+                distortion_samples(_family(), _instance(), 10, gen,
+                                   cache=cache, shard=shard)
+            except ShardPending:
+                pass
+            states.append((seed_fingerprint(gen),
+                           gen.integers(0, 10**9, 4).tolist()))
+        assert states[0][0]["children_spawned"] == 1
+        assert all(state == states[0] for state in states)
 
-    def test_total_must_cover_slice(self):
-        with pytest.raises(ValueError):
-            spawn_slice(np.random.default_rng(0), 2, 8, total=4)
+    @pytest.mark.parametrize("batch", [None, 4])
+    def test_span_slices_concatenate_to_serial_values(self, batch):
+        # Batched chunks are ``batch`` trials each, as the executor cuts
+        # them; shard spans are batch-aligned, so they cut the same ones.
+        from repro.core.tester import _trial_chunk
+
+        key, step = np.uint64(77), batch or 1
+
+        def run(lo, hi):
+            return [value for start in range(lo, hi, batch or hi - lo)
+                    for value in _trial_chunk(
+                        _family(), _instance(), None, batch is not None,
+                        key, range(start, min(start + (batch or hi), hi)),
+                    )]
+
+        serial = run(0, 10)
+        for count in (2, 3, 4):
+            sliced = [value for lo, hi in shard_spans(10, count, step=step)
+                      if lo < hi for value in run(lo, hi)]
+            assert sliced == serial
 
 
 class TestNormalizeShard:

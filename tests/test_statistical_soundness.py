@@ -16,7 +16,8 @@ from repro.experiments.registry import run_experiment
 from repro.hardinstances.dbeta import DBeta
 from repro.hardinstances.mixtures import MixtureInstance
 from repro.sketch import OSNAP, CountSketch
-from repro.utils.rng import as_generator, spawn
+from repro.sketch.hashing import column_hash
+from repro.utils.rng import as_generator, spawn, trial_keys
 from repro.utils.stats import wilson_interval
 
 
@@ -155,6 +156,99 @@ class TestHashedSketchFamilies:
             counts = np.bincount(rows[b] % block, minlength=block)
             assert stats.chisquare(counts).pvalue > P_FLOOR
         assert abs(signs.mean()) < 4.0 / np.sqrt(signs.size)
+
+
+def _trial_supports(instance, trials, key=0x5EED):
+    """Rows and signs ``(trials, reps·d)`` of one probe's trials, with the
+    trials' sketch keys, as the trial engine derives them."""
+    keys = trial_keys(np.uint64(key), 0, trials)
+    draws = instance.sample_supports(keys[:, 1])
+    rows = np.stack([draw.rows for draw in draws])
+    signs = np.stack([draw.signs for draw in draws])
+    return rows, signs, keys[:, 0]
+
+
+class TestTrialStreams:
+    """The counter-based trial streams draw ``D_β`` soundly.
+
+    Trial ``t``'s support comes from lanes of its instance key, a lane of
+    ``mix(K + (t + 1)·φ)``; the measured failure rates are only the
+    paper's quantities if those supports are uniform samples, independent
+    across trials and of the trial's own sketch.
+    """
+
+    TRIALS = 20_000
+
+    def test_rows_uniform(self):
+        # n is not a power of two, so a biased reduction shows.
+        rows, _, _ = _trial_supports(DBeta(n=100, d=4, reps=1), self.TRIALS)
+        counts = np.bincount(rows.ravel(), minlength=100)
+        assert stats.chisquare(counts).pvalue > P_FLOOR
+
+    @pytest.mark.parametrize("n,d,reps", [
+        pytest.param(12, 2, 1, id="sparse"),   # repeats re-draw lanes
+        pytest.param(7, 2, 2, id="dense"),     # 2·reps·d > n: argsort
+    ])
+    def test_ordered_pairs_uniform(self, n, d, reps):
+        rows, _, _ = _trial_supports(DBeta(n=n, d=d, reps=reps),
+                                     self.TRIALS)
+        pairs = rows[:, 0] * n + rows[:, 1]
+        counts = np.bincount(pairs, minlength=n * n)
+        off_diagonal = counts[np.arange(n * n) % (n + 1) != 0]
+        assert counts.sum() == off_diagonal.sum()  # no repeated row
+        assert stats.chisquare(off_diagonal).pvalue > P_FLOOR
+
+    def test_distinct_rows_never_repeat(self):
+        rows, _, _ = _trial_supports(DBeta(n=40, d=6, reps=3), 2000)
+        ordered = np.sort(rows, axis=1)
+        assert np.all(np.diff(ordered, axis=1) > 0)
+
+    def test_iid_rows_repeat_at_the_birthday_rate(self):
+        n, q = 100, 8
+        rows, _, _ = _trial_supports(
+            DBeta(n=n, d=q, reps=1, distinct_rows=False), self.TRIALS,
+        )
+        ordered = np.sort(rows, axis=1)
+        repeated = np.any(np.diff(ordered, axis=1) == 0, axis=1).mean()
+        assert repeated == pytest.approx(
+            birthday_collision_probability(q, n), abs=0.015
+        )
+
+    def test_signs_balanced_and_independent_of_rows(self):
+        rows, signs, _ = _trial_supports(DBeta(n=50, d=4, reps=2),
+                                         self.TRIALS)
+        assert abs(signs.mean()) < 4.0 / np.sqrt(signs.size)
+        table = np.stack([np.bincount(rows[signs == sign], minlength=50)
+                          for sign in (-1.0, 1.0)])
+        assert stats.chi2_contingency(table).pvalue > P_FLOOR
+
+    def test_consecutive_trials_overlap_at_the_independent_rate(self):
+        # Two independent uniform q-subsets of [n] share q²/n rows on
+        # average; correlated neighbouring streams would share more.
+        n, q = 1000, 16
+        rows, _, _ = _trial_supports(DBeta(n=n, d=q, reps=1), self.TRIALS)
+        member = np.zeros((self.TRIALS, n), dtype=bool)
+        member[np.arange(self.TRIALS)[:, None], rows] = True
+        overlap = (member[:-1] & member[1:]).sum(axis=1).mean()
+        assert overlap == pytest.approx(q * q / n, abs=0.02)
+
+    def test_sketch_rows_independent_of_own_support(self):
+        # A trial's CountSketch collides on its own support at the
+        # birthday rate of Theorem 8, and its bucket of the first support
+        # column carries no trace of which column that is.
+        m, n, q = 16, 64, 4
+        rows, _, sketch_keys = _trial_supports(DBeta(n=n, d=q, reps=1),
+                                               self.TRIALS)
+        buckets, _ = column_hash(sketch_keys[:, None], rows, 1, m)
+        buckets = buckets[..., 0]
+        ordered = np.sort(buckets, axis=1)
+        collided = np.any(np.diff(ordered, axis=1) == 0, axis=1).mean()
+        assert collided == pytest.approx(
+            birthday_collision_probability(q, m), abs=0.02
+        )
+        table = np.zeros((8, m))
+        np.add.at(table, (rows[:, 0] % 8, buckets[:, 0]), 1)
+        assert stats.chi2_contingency(table).pvalue > P_FLOOR
 
 
 class TestSeedReproducibility:
