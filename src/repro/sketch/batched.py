@@ -284,15 +284,22 @@ class BatchedColumnScatter(BatchedTrialKernel):
         rowc = (np.arange(uniq.size) - starts[uniq // m])[inv]
         rowc = rowc.reshape(group, q, self._s)
         out_cols = np.repeat(np.arange(d), reps)            # (q,)
-        lin = (bix * k_pad + rowc) * d + out_cols[None, :, None]
+        # The scatter block has room for the most rows a trial of this
+        # shape can touch, and the products are its first k_pad rows, so
+        # every chunk of one shape asks the allocator for the same block.
+        # glibc mmaps a request larger than any block freed so far while
+        # the heap keeps the last one resident: a block that grew with
+        # k_pad raised peak memory by one product in some runs only.
+        k_cap = max(d, min(m, q * self._s))
+        lin = (bix * k_cap + rowc) * d + out_cols[None, :, None]
         # Flattened selected-column-major with the s axis inner: within
         # each trial this is exactly the serial scatter's insertion order,
         # and distinct within-column rows mean every output bin accumulates
         # its entries in the same sequence — the products are bit-identical
         # to the serial kernel scatter on the surviving rows.
         flat = np.bincount(lin.ravel(), weights=sel_vals.ravel(),
-                           minlength=group * k_pad * d)
-        return flat.reshape(group, k_pad, d)
+                           minlength=group * k_cap * d)
+        return flat.reshape(group, k_cap, d)[:, :k_pad]
 
 
 class BatchedRowGather(BatchedTrialKernel):

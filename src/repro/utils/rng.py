@@ -309,9 +309,7 @@ def keyed_words(keys: Any, index: Any) -> np.ndarray:
     ``mix`` is splitmix64's output finalizer."""
     z = np.asarray(keys, dtype=np.uint64) \
         + np.asarray(index, dtype=np.uint64) * _PHI
-    # In place on the fresh sum: one temporary per step instead of two
-    # keeps the batched engine's heap from fragmenting around its large
-    # per-chunk products (it raised probe_batched's peak memory).
+    # In place on the fresh sum: one temporary per step instead of two.
     z ^= z >> np.uint64(30)
     z *= _MIX1
     z ^= z >> np.uint64(27)

@@ -272,6 +272,24 @@ class TestPerTrialReconstruction:
             )
             assert not products[index][touched.size:].any()
 
+    def test_scatter_block_size_depends_only_on_shape(self):
+        # Chunks touching different row counts (k_pad) still scatter into
+        # one block size, so the allocator can reuse a freed block for the
+        # next chunk instead of mapping a larger one beside it.
+        family = OSNAP(M, N, s=4)
+        instance = DBeta(N, 6, reps=2)
+        heights, blocks = set(), set()
+        for seed in np.random.SeedSequence(SEED).spawn(8):
+            pairs = [child.spawn(2) for child in seed.spawn(4)]
+            batched = family.sample_trial_batch([p[0] for p in pairs])
+            products = batched.sketched_bases(
+                [instance.sample_support(p[1]) for p in pairs]
+            )
+            heights.add(products.shape[1])
+            blocks.add(products.base.size)
+        assert len(heights) > 1
+        assert blocks == {4 * min(M, 2 * 6 * 4) * 6}
+
 
 class TestBatchedKernelValidation:
     def test_batch_requires_fresh_sketch(self):
