@@ -86,8 +86,9 @@ sample_supports` call.
 
     The batched engine (``batched``) samples the chunk's sketches with
     ``sample_trial_batch`` and reduces them as one stack; families
-    without a batched sampler (it returns ``None``) fall back to the
-    per-trial arithmetic on the same streams.  The per-trial engine
+    without a vectorized sampler (it returns ``None``; all but
+    CountSketch and OSNAP) run the per-trial arithmetic on the same
+    streams, bit-identical to the per-trial engine.  The per-trial engine
     derives the chunk in blocks of ``_DERIVE_BLOCK`` trials and reduces
     each trial on its own: fresh sketches are drawn ``lazy=True`` (no
     scipy assembly), ``fixed`` when given; the subspace stays a support
@@ -139,15 +140,17 @@ def _check_batch(batch: Optional[int], fresh_sketch: bool) -> Optional[int]:
 #: of each probe spec, so a store written by an engine whose values differ
 #: (2: the row-compacted per-trial reduction; 3: the batched reducer's
 #: isolated-column and Gram-eigenvalue routes; 4: counter-based trial
-#: streams keyed by one probe key) recomputes instead of replaying them.
-ENGINE_VERSION = 4
+#: streams keyed by one probe key; 5: only CountSketch/OSNAP batched,
+#: every other family on the per-trial path under ``batch > 1``)
+#: recomputes instead of replaying them.
+ENGINE_VERSION = 5
 
 
 def _probe_spec(family: SketchFamily, instance: HardInstance,
                 fingerprint: Dict[str, Any], trials: int,
                 **params: Any) -> Dict[str, Any]:
     """Content-address spec for one probe: *what* is computed, and from
-    which stream state — never *how* (``workers``/``chunk_size`` excluded,
+    which stream state — never *how* (``workers`` and the chunking excluded,
     since results are bit-identical across execution strategies)."""
     return {
         "family": family.spec(),
@@ -200,8 +203,8 @@ def _run_probe(kind: str, family: SketchFamily, instance: HardInstance,
                trials: int, rng: RngLike, params: Dict[str, Any],
                reduce: Callable[[List[float]], Dict[str, Any]], *,
                fresh_sketch: bool, workers: Optional[int],
-               chunk_size: Optional[int], cache: Optional[Any],
-               batch: Optional[int], shard: Optional[Any]) -> Dict[str, Any]:
+               cache: Optional[Any], batch: Optional[int],
+               shard: Optional[Any]) -> Dict[str, Any]:
     """The one probe engine behind :func:`failure_estimate` and
     :func:`distortion_samples`; returns the probe's record.
 
@@ -279,7 +282,7 @@ def _run_probe(kind: str, family: SketchFamily, instance: HardInstance,
         before = counters().snapshot()
         fixed = sample_fixed()
     executor = TrialExecutor(workers=workers,
-                             chunk_size=batch if batched else chunk_size)
+                             chunk_size=batch if batched else None)
     run = partial(executor.run_chunked,
                   partial(_trial_chunk, family, instance, fixed, batched,
                           key),
@@ -304,7 +307,6 @@ def failure_estimate(family: SketchFamily, instance: HardInstance,
                      rng: RngLike = None,
                      fresh_sketch: bool = True,
                      workers: Optional[int] = 1,
-                     chunk_size: Optional[int] = None,
                      cache: Optional[Any] = None,
                      batch: Optional[int] = None,
                      shard: Optional[Any] = None) -> BernoulliEstimate:
@@ -347,7 +349,7 @@ def failure_estimate(family: SketchFamily, instance: HardInstance,
     serial/parallel and cold/warm-cache runs at a fixed seed, but distinct
     from the serial stream at the ULP level, which is why the batch size
     enters the cache key.  Requires ``fresh_sketch=True``; the chunk
-    decomposition is pinned to ``batch`` (``chunk_size`` is ignored).
+    decomposition is pinned to ``batch``.
 
     ``shard`` (a :class:`~repro.utils.parallel.ShardSpec` or an
     ``(index, count)`` pair) runs this call as one worker of an N-way
@@ -380,8 +382,8 @@ def failure_estimate(family: SketchFamily, instance: HardInstance,
     record = _run_probe(
         "failure_estimate", family, instance, trials, rng,
         dict(epsilon=epsilon, fresh_sketch=fresh_sketch), reduce,
-        fresh_sketch=fresh_sketch, workers=workers, chunk_size=chunk_size,
-        cache=cache, batch=batch, shard=shard,
+        fresh_sketch=fresh_sketch, workers=workers, cache=cache,
+        batch=batch, shard=shard,
     )
     return BernoulliEstimate(int(record["successes"]), int(record["trials"]),
                              float(record["confidence"]))
@@ -390,7 +392,6 @@ def failure_estimate(family: SketchFamily, instance: HardInstance,
 def distortion_samples(family: SketchFamily, instance: HardInstance,
                        trials: int, rng: RngLike = None,
                        workers: Optional[int] = 1,
-                       chunk_size: Optional[int] = None,
                        cache: Optional[Any] = None,
                        batch: Optional[int] = None,
                        shard: Optional[Any] = None) -> np.ndarray:
@@ -412,8 +413,8 @@ def distortion_samples(family: SketchFamily, instance: HardInstance,
     record = _run_probe(
         "distortion_samples", family, instance, trials, rng, {},
         lambda values: {"values": values},
-        fresh_sketch=True, workers=workers, chunk_size=chunk_size,
-        cache=cache, batch=batch, shard=shard,
+        fresh_sketch=True, workers=workers, cache=cache, batch=batch,
+        shard=shard,
     )
     return np.asarray(record["values"], dtype=float)
 
@@ -469,7 +470,6 @@ def minimal_m(family: SketchFamily, instance: HardInstance, epsilon: float,
               decision: str = "point",
               rng: RngLike = None,
               workers: Optional[int] = 1,
-              chunk_size: Optional[int] = None,
               cache: Optional[Any] = None,
               batch: Optional[int] = None,
               shard: Optional[Any] = None) -> MinimalMResult:
@@ -584,8 +584,8 @@ def minimal_m(family: SketchFamily, instance: HardInstance, epsilon: float,
             try:
                 est = failure_estimate(
                     fam, instance, epsilon, trials, spawn(gen),
-                    workers=workers, chunk_size=chunk_size,
-                    cache=probe_cache, batch=batch, shard=shard,
+                    workers=workers, cache=probe_cache, batch=batch,
+                    shard=shard,
                 )
             except ShardPending:
                 # Sharded search: this probe is not resolvable yet — our

@@ -11,6 +11,8 @@ failure outside.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from ..core.tester import failure_estimate
 from ..hardinstances.dbeta import DBeta
 from ..sketch.base import Sketch
@@ -51,6 +53,11 @@ class ScaledCountSketch(CountSketch):
         # Scaling needs the materialized matrix; ``lazy`` is ignored.
         base = super().sample(rng)
         return Sketch(base.matrix * self._c, family=self)
+
+    def sample_trial_batch(self, streams: Sequence[RngLike]) -> None:
+        # CountSketch's batched sampler would drop the scale c; run the
+        # per-trial path, which samples through sample() above.
+        return None
 
 
 class ColumnNormExperiment(Experiment):

@@ -209,6 +209,11 @@ class EstimationService:
         fingerprint = seed_fingerprint(seq)
         planner = getattr(self, f"_plan_{endpoint}")
         normalized, compute = planner(payload, seed, spawn_key)
+        # The normalized params are exactly the fields the planner reads.
+        unknown = set(payload) - set(normalized) - {"seed", "spawn_key"}
+        if unknown:
+            raise BadRequest(f"unknown field(s) for {endpoint}: "
+                             f"{', '.join(sorted(unknown))}")
         key = cache_key(f"serve:{endpoint}", {
             "params": normalized,
             "seed_fingerprint": fingerprint,

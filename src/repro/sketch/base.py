@@ -244,15 +244,12 @@ class SketchFamily(abc.ABC):
         engine a :class:`~repro.utils.rng.KeyedStream` holding the trial's
         sketch key; the batch consumes each stream exactly as
         ``sample(streams[i], lazy=True)`` would, so ``trial_kernel(i)``
-        matches the serial draw.  The default stacks per-trial kernels
-        (vectorizing only the reduction); structured families override
-        with fully vectorized samplers.  Returns ``None`` when the family
-        has no kernel path — callers then fall back to the serial
-        per-trial loop on the same streams.
+        matches the serial draw.  Only families with a vectorized sampler
+        override this (CountSketch and OSNAP).  The default returns
+        ``None``: the trial engine then runs the per-trial path on the
+        same streams, bit-identical to ``batch=None``.
         """
-        from .batched import stacked_from_family
-
-        return stacked_from_family(self, list(streams))
+        return None
 
     def spec(self) -> Dict[str, Any]:
         """Canonical JSON-able description of this family.

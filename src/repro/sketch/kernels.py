@@ -114,9 +114,10 @@ class ApplyKernel(abc.ABC):
     def representation(self) -> Dict[str, np.ndarray]:
         """The index/value arrays defining ``Π``, keyed by role.
 
-        The public accessor for the sampled representation — what the
-        batched trial engine stacks across draws and what benchmarks
-        introspect, without reaching into private attributes.  Keys by
+        The public accessor for the sampled representation — what tests
+        and benchmarks introspect (e.g. to check that a batched trial
+        kernel is the serial draw), without reaching into private
+        attributes; the trial engines themselves never read it.  Keys by
         kernel type: ``{"rows", "values"}`` for column scatters,
         ``{"cols", "values"}`` for row gathers, and
         ``{"rows", "cols", "values"}`` for triplet kernels.  The arrays

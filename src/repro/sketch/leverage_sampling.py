@@ -14,17 +14,13 @@ scores, or accepts externally approximated ones (see
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 import numpy as np
 import scipy.sparse as sp
 
 from ..apps.leverage import exact_leverage_scores
-from ..observe.counters import add_count
 from ..utils.rng import RngLike, as_generator
 from ..utils.validation import check_matrix, check_positive_int
 from .base import Sketch, SketchFamily
-from .batched import BatchedRowGather
 from .kernels import RowGatherKernel
 
 __all__ = ["LeverageSampling"]
@@ -111,18 +107,3 @@ class LeverageSampling(SketchFamily):
                 (values, (np.arange(self.m), rows)), shape=(self.m, self.n)
             )
         return Sketch(matrix, family=self, kernel=kernel)
-
-    def sample_trial_batch(
-        self, streams: Sequence[RngLike],
-    ) -> Optional[BatchedRowGather]:
-        """Stacked ``(B, m)`` sampled rows, one sub-stream per trial."""
-        if not streams:
-            return None
-        batch = len(streams)
-        cols = np.empty((batch, self.m), dtype=np.int64)
-        for index, stream in enumerate(streams):
-            gen = as_generator(stream)
-            cols[index] = gen.choice(self.n, size=self.m, p=self._p)
-        values = 1.0 / np.sqrt(self.m * self._p[cols])
-        add_count("sketch_samples", batch)
-        return BatchedRowGather(cols, values, (self.m, self.n))

@@ -10,15 +10,12 @@ the interesting regime.  Used as a control in experiments E1 and E11.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from ..observe.counters import add_count
 from ..utils.rng import RngLike, as_generator
 from .base import Sketch, SketchFamily
-from .batched import BatchedRowGather
 from .kernels import RowGatherKernel
 
 __all__ = ["RowSampling"]
@@ -46,22 +43,6 @@ class RowSampling(SketchFamily):
                 shape=(self.m, self.n),
             )
         return Sketch(matrix, family=self, kernel=kernel)
-
-    def sample_trial_batch(
-        self, streams: Sequence[RngLike],
-    ) -> Optional[BatchedRowGather]:
-        """Stacked ``(B, m)`` selected rows, one sub-stream per trial."""
-        if not streams:
-            return None
-        batch = len(streams)
-        cols = np.empty((batch, self.m), dtype=np.int64)
-        for index, stream in enumerate(streams):
-            gen = as_generator(stream)
-            cols[index] = gen.choice(self.n, size=self.m, replace=False)
-        scale = math.sqrt(self.n / self.m)
-        values = np.full((batch, self.m), scale)
-        add_count("sketch_samples", batch)
-        return BatchedRowGather(cols, values, (self.m, self.n))
 
     def with_m(self, m: int) -> "RowSampling":
         return RowSampling(m=min(m, self.n), n=self.n)

@@ -166,8 +166,7 @@ def estimate_probability(event: Callable[[np.random.Generator], bool],
                          trials: int,
                          rng: RngLike = None,
                          confidence: float = 0.95,
-                         workers: Optional[int] = 1,
-                         chunk_size: Optional[int] = None) -> BernoulliEstimate:
+                         workers: Optional[int] = 1) -> BernoulliEstimate:
     """Estimate ``P[event]`` with ``trials`` independent Monte-Carlo trials.
 
     ``event`` receives a fresh child generator per trial and returns a bool.
@@ -177,7 +176,7 @@ def estimate_probability(event: Callable[[np.random.Generator], bool],
     not a lambda or closure).
     """
     trials = check_positive_int(trials, "trials")
-    executor = TrialExecutor(workers=workers, chunk_size=chunk_size)
+    executor = TrialExecutor(workers=workers)
     with trace("estimate_probability", trials=trials):
         outcomes = executor.run(partial(_event_trial, event), trials, rng)
     return BernoulliEstimate(sum(outcomes), trials, confidence)

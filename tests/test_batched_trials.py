@@ -5,9 +5,11 @@ The contracts under test (see :mod:`repro.sketch.batched` and the
 
 * ``batch=1`` (and ``batch=None``) delegate to the serial per-trial path
   **bit for bit** — no array may differ in a single ULP;
-* ``batch > 1`` owns a canonical accumulation order: its values agree
-  with the serial stream to tight relative tolerance, and are themselves
-  bit-identical across serial/parallel execution and cold/warm cache;
+* ``batch > 1`` batches only CountSketch and OSNAP, which own a canonical
+  accumulation order: their values agree with the serial stream to tight
+  relative tolerance, and are themselves bit-identical across
+  serial/parallel execution and cold/warm cache; every other family runs
+  the per-trial path, bit-identical to ``batch=None``;
 * per-trial reconstruction (``trial_kernel``, compacted products) matches
   the serial samplers exactly, because the batched samplers consume the
   same per-trial sub-streams;
@@ -24,22 +26,23 @@ from repro.core.tester import (
     failure_estimate,
     minimal_m,
 )
+from repro.experiments.e03_column_norms import ScaledCountSketch
 from repro.hardinstances.dbeta import DBeta
 from repro.hardinstances.mixtures import MixtureInstance
 from repro.sketch import (
     OSNAP,
+    SRHT,
     CountSketch,
     GaussianSketch,
     LeverageSampling,
     RowSampling,
     SparseJL,
+    StackedSketch,
+    TwoStageSketch,
     sample_sketch,
 )
-from repro.sketch.batched import (
-    BatchedColumnScatter,
-    BatchedRowGather,
-    StackedKernelBatch,
-)
+from repro.sketch.base import SketchFamily
+from repro.sketch.batched import BatchedColumnScatter
 from repro.sketch.hadamard_block import HadamardBlockSketch
 from repro.utils.stats import BernoulliEstimate
 
@@ -58,10 +61,10 @@ def _leverage_family(m=M, n=N):
     return LeverageSampling(m, n, probabilities=p)
 
 
-#: (family factory, instance) pairs covering every batched-sampler code
-#: path: both column-scatter layouts, both row-gather layouts, the
-#: stacked-kernel fallback (sparse-JL) and the kernel-less serial
-#: fallback (Gaussian).
+#: (family factory, instance reps) pairs: both column-scatter layouts
+#: (the only vectorized samplers), and families that run the per-trial
+#: path under batch > 1 — row gathers (row and leverage sampling),
+#: sparse-JL's triplet kernel and the kernel-less Gaussian.
 CASES = [
     pytest.param(lambda: CountSketch(M, N), 1, id="countsketch"),
     pytest.param(lambda: OSNAP(M, N, s=4), 2, id="osnap-uniform"),
@@ -140,6 +143,68 @@ class TestBatchDelegation:
             OSNAP(M, N, s=4), instance, 5, trials=13
         )
         np.testing.assert_allclose(batched, serial, rtol=1e-9, atol=1e-12)
+
+
+def _sketch_family_classes():
+    """Every :class:`SketchFamily` subclass the package defines."""
+    import repro.experiments  # noqa: F401 - experiments define families too
+
+    found, stack = set(), [SketchFamily]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            if sub not in found:
+                found.add(sub)
+                stack.append(sub)
+    return {cls for cls in found if cls.__module__.startswith("repro.")}
+
+
+#: One or more instances of every family.  The vectorized samplers
+#: (CountSketch, OSNAP) own their accumulation order; every other family
+#: must run the per-trial path under batch > 1.
+FAMILY_FACTORIES = {
+    CountSketch: [lambda: CountSketch(M, N)],
+    OSNAP: [lambda: OSNAP(M, N, s=4),
+            lambda: OSNAP(M, N, s=4, variant="block")],
+    ScaledCountSketch: [lambda: ScaledCountSketch(M, N, c=0.5)],
+    GaussianSketch: [lambda: GaussianSketch(48, N)],
+    HadamardBlockSketch: [lambda: HadamardBlockSketch(M, N, block_order=4)],
+    LeverageSampling: [_leverage_family],
+    RowSampling: [lambda: RowSampling(M, N)],
+    # Both regimes: a triplet kernel below q = 0.5, a dense matrix above.
+    SparseJL: [lambda: SparseJL(M, N, q=0.05),
+               lambda: SparseJL(M, N, q=0.6)],
+    SRHT: [lambda: SRHT(64, 256)],
+    TwoStageSketch: [lambda: TwoStageSketch(CountSketch(M, N),
+                                            GaussianSketch(48, M))],
+    StackedSketch: [lambda: StackedSketch([CountSketch(48, N),
+                                           OSNAP(48, N, s=2)])],
+}
+VECTORIZED = {CountSketch, OSNAP}
+
+
+class TestBatchContractConformance:
+    """batch > 1 batches only the vectorized samplers; every other
+    family runs the per-trial path, bit for bit."""
+
+    def test_every_family_has_a_factory(self):
+        missing = _sketch_family_classes() - set(FAMILY_FACTORIES)
+        assert not missing, sorted(cls.__qualname__ for cls in missing)
+
+    @pytest.mark.parametrize("cls,make_family", [
+        pytest.param(cls, make, id=f"{cls.__name__}-{i}")
+        for cls, makes in FAMILY_FACTORIES.items()
+        for i, make in enumerate(makes)
+    ])
+    def test_batch_honours_the_family_contract(self, cls, make_family):
+        family = make_family()
+        assert type(family) is cls
+        instance = DBeta(family.n, 6, reps=2)
+        serial, batched = _serial_and_batched(family, instance, 4)
+        if cls in VECTORIZED:
+            np.testing.assert_allclose(batched, serial, rtol=1e-9,
+                                       atol=1e-12)
+        else:
+            assert np.array_equal(serial, batched)
 
 
 class TestBatchDeterminism:
@@ -235,21 +300,6 @@ class TestPerTrialReconstruction:
             assert np.array_equal(got["rows"], want["rows"])
             assert np.array_equal(got["values"], want["values"])
 
-    @pytest.mark.parametrize("make_family", [
-        pytest.param(lambda: RowSampling(M, N), id="rowsampling"),
-        pytest.param(_leverage_family, id="leverage"),
-    ])
-    def test_gather_trial_kernels_match_serial_sampler(self, make_family):
-        family = make_family()
-        seeds = np.random.SeedSequence(SEED).spawn(6)
-        batched = family.sample_trial_batch(seeds)
-        for index, seed in enumerate(seeds):
-            serial = sample_sketch(family, seed, lazy=True).kernel
-            got = batched.trial_kernel(index).representation()
-            want = serial.representation()
-            assert np.array_equal(got["cols"], want["cols"])
-            assert np.array_equal(got["values"], want["values"])
-
     @pytest.mark.parametrize("make_family", SCATTER_CASES)
     def test_compacted_products_match_serial_scatter_bitwise(
             self, make_family):
@@ -316,20 +366,6 @@ class TestBatchedKernelValidation:
         with pytest.raises(ValueError, match="cannot exceed"):
             BatchedColumnScatter([0, 1], 5, (4, 8))
 
-    def test_row_gather_rejects_out_of_range_cols(self):
-        cols = np.full((1, 4), 8, dtype=np.int64)
-        values = np.ones((1, 4))
-        with pytest.raises(ValueError, match="column index"):
-            BatchedRowGather(cols, values, (4, 8))
-
-    def test_stacked_batch_rejects_shape_mismatch(self):
-        family = CountSketch(M, N)
-        kernel = sample_sketch(
-            family, np.random.SeedSequence(0), lazy=True
-        ).kernel
-        with pytest.raises(ValueError, match="share shape"):
-            StackedKernelBatch([kernel], (M + 1, N))
-
     def test_distortions_validates_draw_count(self):
         family = CountSketch(M, N)
         batched = family.sample_trial_batch(
@@ -350,8 +386,7 @@ def _recording_stub(threshold, trials=20):
     seen = []
 
     def fake(family, instance, epsilon, probe_trials, rng=None,
-             fresh_sketch=True, workers=1, chunk_size=None, cache=None,
-             **kwargs):
+             fresh_sketch=True, workers=1, cache=None, **kwargs):
         seen.append(family.m)
         failures = 0 if family.m >= threshold else trials
         return BernoulliEstimate(failures, trials)

@@ -626,6 +626,13 @@ class TestEngineVersionInKey:
         # engine-3 record of either engine is stale.
         self._assert_stale_record_misses(tmp_path, batch, engine=3)
 
+    @pytest.mark.parametrize("batch", [None, 8])
+    def test_record_under_engine_4_is_a_miss(self, tmp_path, batch):
+        # Engine 5 runs every family but CountSketch/OSNAP on the
+        # per-trial path under batch > 1 (an engine-4 batched record of
+        # ScaledCountSketch measured plain CountSketch), so both are stale.
+        self._assert_stale_record_misses(tmp_path, batch, engine=4)
+
     def test_every_stored_spec_names_the_engine(self, tmp_path):
         from repro.core.tester import ENGINE_VERSION
 
@@ -818,17 +825,24 @@ class TestCliCacheAndResume:
         assert self._resumed(tmp_path, ["--batch", "8"])
         assert (tmp_path / "resumed" / "E1.json").read_bytes() == batched
 
-    def test_resume_of_checkpoint_from_another_engine_reruns(self, tmp_path,
-                                                             capsys):
+    def _assert_other_engine_reruns(self, tmp_path, engine):
         cache = ["--cache-dir", str(tmp_path / "cache")]
         baseline = self._run(tmp_path, cache, "cold")
         meta_path = tmp_path / "cache" / "checkpoints" / "E1.meta.json"
         meta = json.loads(meta_path.read_text())
-        meta["engine"] = 3
+        meta["engine"] = engine
         meta_path.write_text(json.dumps(meta))
         assert not self._resumed(tmp_path, [])
         assert (tmp_path / "resumed" / "E1.json").read_bytes() == baseline
         assert self._resumed(tmp_path, [])
+
+    def test_resume_of_checkpoint_from_another_engine_reruns(self, tmp_path,
+                                                             capsys):
+        self._assert_other_engine_reruns(tmp_path, 3)
+
+    def test_resume_of_checkpoint_from_engine_4_reruns(self, tmp_path,
+                                                       capsys):
+        self._assert_other_engine_reruns(tmp_path, 4)
 
     def test_resume_without_cache_dir_is_usage_error(self, tmp_path, capsys):
         from repro.experiments.__main__ import main

@@ -111,15 +111,10 @@ class TestTrialStreamContract:
             draw = self.INST.sample_support(KeyedStream(instance_key))
             assert value == distortion_of_product(sketch.basis_image(draw))
 
-    @pytest.mark.parametrize("workers,chunk_size", [
-        (1, 1), (1, 5), (2, None), (2, 7),
-    ])
-    def test_value_independent_of_chunking_and_workers(self, workers,
-                                                       chunk_size):
-        np.testing.assert_array_equal(
-            self._samples(workers=workers, chunk_size=chunk_size),
-            self._samples(),
-        )
+    def test_value_independent_of_chunking_and_workers(self):
+        # Two workers split the 24 trials into 8 chunks of 3.
+        np.testing.assert_array_equal(self._samples(workers=2),
+                                      self._samples())
 
     def test_value_independent_of_block_edges(self, monkeypatch):
         import repro.core.tester as tester
@@ -127,7 +122,7 @@ class TestTrialStreamContract:
         reference = self._samples()
         monkeypatch.setattr(tester, "_DERIVE_BLOCK", 5)
         np.testing.assert_array_equal(self._samples(), reference)
-        np.testing.assert_array_equal(self._samples(chunk_size=3),
+        np.testing.assert_array_equal(self._samples(workers=2),
                                       reference)
 
     def test_value_independent_of_shard_split(self):
@@ -247,8 +242,7 @@ def _stub_threshold_estimate(threshold, trials=20):
     at or above it, with deterministic all-or-nothing counts."""
 
     def fake(family, instance, epsilon, probe_trials, rng=None,
-             fresh_sketch=True, workers=1, chunk_size=None,
-             cache=None, **kwargs):
+             fresh_sketch=True, workers=1, cache=None, **kwargs):
         from repro.utils.stats import BernoulliEstimate
 
         failures = 0 if family.m >= threshold else trials
@@ -324,8 +318,7 @@ class TestMinimalMBracket:
                                           "confident_fail"])
     def test_each_decision_mode_searches(self, monkeypatch, decision):
         def fake(family, instance, epsilon, trials, rng=None,
-                 fresh_sketch=True, workers=1, chunk_size=None,
-                 cache=None, **kwargs):
+                 fresh_sketch=True, workers=1, cache=None, **kwargs):
             from repro.utils.stats import BernoulliEstimate
 
             failures = {1: 50, 2: 15, 3: 12, 4: 8, 5: 8, 6: 5, 7: 2,
@@ -347,8 +340,7 @@ class TestMinimalMBracket:
 
     def test_decision_modes_order_conservatively(self, monkeypatch):
         def fake(family, instance, epsilon, trials, rng=None,
-                 fresh_sketch=True, workers=1, chunk_size=None,
-                 cache=None, **kwargs):
+                 fresh_sketch=True, workers=1, cache=None, **kwargs):
             from repro.utils.stats import BernoulliEstimate
 
             failures = {1: 50, 2: 15, 3: 12, 4: 8, 5: 8, 6: 5, 7: 2,

@@ -15,8 +15,11 @@ followers attach and rejections trigger deterministically.
 """
 
 import asyncio
+import importlib.util
 import json
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -463,6 +466,52 @@ class TestHTTP:
             assert excinfo.value.status == 405
 
         asyncio.run(self._with_server(tmp_path, check))
+
+    def test_unknown_field_is_a_400_on_every_endpoint(self, tmp_path):
+        # Each body is valid but for one field its endpoint never reads:
+        # a typo, or a knob another endpoint takes.  None may be ignored.
+        search = {"family": FAMILY_SPEC, "instance": INSTANCE_SPEC,
+                  "epsilon": 0.5, "delta": 0.2, "m_max": 64}
+        samples = {"family": FAMILY_SPEC, "instance": INSTANCE_SPEC,
+                   "trials": 4}
+        cases = [
+            ("failure_estimate", dict(ESTIMATE_REQUEST, trails=7)),
+            ("distortion_samples", dict(samples, fresh_sketch=False)),
+            ("minimal_m", dict(search, trails=7)),
+            ("minimal_m", dict(search, batch=8)),
+            ("sketch_apply", {"family": FAMILY_SPEC,
+                              "matrix": [[1.0]] * 64, "lazy": True}),
+            ("run_experiment", {"experiment": "E1", "workers": 2}),
+        ]
+
+        async def check(client):
+            for endpoint, payload in cases:
+                with pytest.raises(ServeError) as excinfo:
+                    await asyncio.to_thread(client.call, endpoint, payload)
+                assert excinfo.value.status == 400, endpoint
+                assert "unknown field" in str(excinfo.value), endpoint
+
+        asyncio.run(self._with_server(tmp_path, check))
+
+    def test_benchmark_request_bodies_are_accepted(self, tmp_path,
+                                                   monkeypatch):
+        # perfbench's served workload posts these bodies; planning them
+        # must not trip the unknown-field check.
+        path = Path(__file__).resolve().parents[1] / "perfbench" \
+            / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      path)
+        workloads = importlib.util.module_from_spec(spec)
+        # Its dataclasses resolve their module through sys.modules.
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec.loader.exec_module(workloads)
+        service = EstimationService(tmp_path / "cache")
+        for endpoint, body in [("failure_estimate", workloads.FE_REQUEST),
+                               ("minimal_m", workloads.MM_REQUEST)]:
+            plan = service._plan(endpoint, dict(body, seed=1))
+            assert plan.replay["params"]["trials"] == body["trials"]
+        service.close()
 
     def test_http_429_carries_retry_after(self, tmp_path, monkeypatch):
         started = threading.Event()
