@@ -141,9 +141,10 @@ def _check_batch(batch: Optional[int], fresh_sketch: bool) -> Optional[int]:
 #: (2: the row-compacted per-trial reduction; 3: the batched reducer's
 #: isolated-column and Gram-eigenvalue routes; 4: counter-based trial
 #: streams keyed by one probe key; 5: only CountSketch/OSNAP batched,
-#: every other family on the per-trial path under ``batch > 1``)
+#: every other family on the per-trial path under ``batch > 1``; 6: tall
+#: batched chunks' Gram matrices built from their hashed entries)
 #: recomputes instead of replaying them.
-ENGINE_VERSION = 5
+ENGINE_VERSION = 6
 
 
 def _probe_spec(family: SketchFamily, instance: HardInstance,

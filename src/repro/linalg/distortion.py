@@ -28,6 +28,7 @@ __all__ = [
     "singular_interval_of_product",
     "distortion",
     "compact_rows",
+    "SparseProducts",
     "distortion_of_product",
     "distortions_of_products",
     "distortion_report",
@@ -133,8 +134,39 @@ def distortion_of_product(product: np.ndarray) -> float:
 #: recomputed from the rectangular product directly.
 _GRAM_RATIO_FLOOR = 1e-12
 
+#: Bytes of Gram matrices one sub-block of a :class:`SparseProducts`
+#: stack assembles and solves at once (8 trials at ``d = 64``).  With
+#: every temporary this small a reference chunk peaks near 1 MiB, under
+#: the trim threshold a freed near-square scatter block leaves glibc; a
+#: larger peak makes glibc trim its heap after every chunk and fault the
+#: pages in again on the next (``docs/perf.md``).
+_GRAM_BLOCK_BYTES = 1 << 18
 
-def distortions_of_products(products: np.ndarray,
+
+@dataclass(frozen=True)
+class SparseProducts:
+    """A stack of ``B`` products ``ΠU`` held as their stored entries.
+
+    Entry ``e`` is ``product[trial, rows[e], cols[e]] = values[e]``;
+    trial ``i``'s entries are ``starts[i]:starts[i + 1]``, sorted by row
+    and then column, each position stored at most once.  Every other
+    entry is zero, and a stored one may be zero too (contributions that
+    cancelled).  ``shape`` is the stack's uncompacted ``(B, m, d)``.
+
+    :func:`distortions_of_products` reduces it by the Gram route: a
+    column-sparse sketch (OSNAP) applied to a ``D_β`` draw touches a few
+    hundred of ``m`` rows, and its Gram matrix needs only the entries
+    that share a row.
+    """
+
+    shape: Tuple[int, int, int]
+    starts: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+
+def distortions_of_products(products: Union[np.ndarray, SparseProducts],
                             rows: Optional[int] = None) -> np.ndarray:
     """Per-draw distortions for a stack of products ``(B, k, d)``.
 
@@ -148,40 +180,42 @@ def distortions_of_products(products: np.ndarray,
     is lost and ``σ_min`` is exactly 0, mirroring
     :func:`singular_interval_of_product`.
 
-    Each trial's extreme singular values come from one of three routes,
-    each gufunc-batched over the stack:
+    Each trial's extreme singular values come from one of three routes:
 
-    * a stack of one, or ``k < d``: the rectangular SVD of each product,
-      so the per-trial engine stays a full-precision reference;
-    * ``d ≤ k ≤ 2d`` (near-square, the CountSketch shape): *isolated*
-      columns by their norms, and one rectangular SVD of the *coupled*
-      columns only (:func:`_isolated_extremes`);
-    * ``k > 2d`` (tall, the OSNAP shape): the symmetric eigenvalues of the
-      ``d × d`` Gram matrices ``(ΠU)ᵀ(ΠU)`` — for ``k ≫ d`` the BLAS Gram
-      build plus a small symmetric eigensolve is several times cheaper
-      than a rectangular SVD, and the Gram eigenvalues are exactly the
-      squared singular values of ``ΠU``.  Squaring halves the working
+    * a dense stack of one, ``k < d`` or ``k > 2d``: the rectangular SVD
+      of each product, so the per-trial engine stays a full-precision
+      reference;
+    * a dense stack with ``d ≤ k ≤ 2d`` (near-square, the CountSketch
+      shape): *isolated* columns by their norms, and one rectangular SVD
+      of the *coupled* columns only (:func:`_isolated_extremes`);
+    * a :class:`SparseProducts` stack (tall, the OSNAP shape): the
+      symmetric eigenvalues of the ``d × d`` Gram matrices
+      ``(ΠU)ᵀ(ΠU)``, built from the entries that share a row
+      (:func:`_gram_extremes`).  The Gram eigenvalues are exactly the
+      squared singular values of ``ΠU``, but squaring halves the working
       precision near rank deficiency, so any trial whose squared spectrum
       spans more than :data:`_GRAM_RATIO_FLOOR` (a rounded ``λ_min ≤ 0``
       included) is recomputed from its rectangular product; in
       Monte-Carlo runs those are the rare annihilation events, so the
       fallback stays off the hot path.
     """
-    products = np.asarray(products, dtype=float)
-    if products.ndim != 3:
-        raise ValueError(
-            f"products must be a (B, k, d) stack, got ndim={products.ndim}"
-        )
+    if not isinstance(products, SparseProducts):
+        products = np.asarray(products, dtype=float)
+        if products.ndim != 3:
+            raise ValueError(
+                "products must be a (B, k, d) stack, "
+                f"got ndim={products.ndim}"
+            )
     batch, k, d = products.shape
     if k == 0 or d == 0:
         raise ValueError("empty product matrices")
     true_rows = k if rows is None else int(rows)
-    if batch == 1 or k < d:
-        lo, hi = _rectangular_extremes(products)
-    elif k <= 2 * d:
+    if isinstance(products, SparseProducts):
+        lo, hi = _gram_extremes(products)
+    elif batch > 1 and d <= k <= 2 * d:
         lo, hi = _isolated_extremes(products)
     else:
-        lo, hi = _gram_extremes(products)
+        lo, hi = _rectangular_extremes(products)
     # Fewer than d rows, true or compacted, annihilate a direction.
     if true_rows < d or k < d:
         lo = np.zeros(batch)
@@ -238,19 +272,77 @@ def _coupled_columns(products: np.ndarray) -> np.ndarray:
     return nonzero.any(axis=1)
 
 
-def _gram_extremes(products: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _gram_extremes(products: SparseProducts
+                   ) -> Tuple[np.ndarray, np.ndarray]:
     """``(σ_min, σ_max)`` per product from its Gram eigenvalues, and from
-    the rectangular SVD for trials below :data:`_GRAM_RATIO_FLOOR`."""
-    gram = np.matmul(np.swapaxes(products, -1, -2), products)
-    eig = np.linalg.eigvalsh(gram)
-    lo_sq, hi_sq = eig[:, 0], eig[:, -1]
-    suspect = np.flatnonzero(lo_sq <= _GRAM_RATIO_FLOOR * hi_sq)
+    the rectangular SVD for trials below :data:`_GRAM_RATIO_FLOOR`.
+
+    ``Gram[a, b] = Σ_r P[r, a]·P[r, b]`` has one term per pair of entries
+    that share a row, and ``eigvalsh`` reads only its lower triangle: an
+    entry's square goes to the diagonal, and a product with each earlier
+    entry of its row, whose column is smaller, below it.  Those pairs are
+    listed once for the whole stack, in entry order; each sub-block of
+    trials then sums its diagonal and pair terms into ``(b, d, d)`` Grams
+    with one ``bincount`` and solves them.  A bin receives its terms in
+    its own trial's entry order, so a trial's Gram, and its eigenvalues,
+    do not depend on the trials around it.
+    """
+    batch, _, d = products.shape
+    starts, rows, cols, values = (products.starts, products.rows,
+                                  products.cols, products.values)
+    block = max(1, _GRAM_BLOCK_BYTES // (8 * d * d))
+    # Each entry's row of Gram bins within its sub-block.
+    base = np.repeat(np.arange(batch) % block * d, np.diff(starts)) + cols
+    # The entries whose row their predecessor in the same trial shares
+    # (a trial that stores no entry leaves two equal starts).
+    shared = rows[1:] == rows[:-1]
+    edges = starts[1:-1]
+    shared[edges[(edges > 0) & (edges < rows.size)] - 1] = False
+    later = np.flatnonzero(shared) + 1
+    # Entry later[i] pairs with the fan[i] entries just before it.
+    fresh = np.ones(later.size, dtype=bool)
+    fresh[1:] = later[1:] != later[:-1] + 1
+    rank = np.arange(later.size)
+    fan = rank - np.maximum.accumulate(np.where(fresh, rank, 0)) + 1
+    left = np.repeat(later, fan)
+    right = left - 1 - (np.arange(left.size)
+                        - np.repeat(np.cumsum(fan) - fan, fan))
+    pair_bins = base[left] * d + cols[right]
+    pair_terms = values[left] * values[right]
+    pair_starts = np.searchsorted(left, starts)
+    lo_sq, hi_sq = np.empty(batch), np.empty(batch)
+    for start in range(0, batch, block):
+        stop = min(batch, start + block)
+        own = slice(starts[start], starts[stop])
+        pairs = slice(pair_starts[start], pair_starts[stop])
+        gram = np.bincount(
+            np.concatenate((base[own] * d + cols[own], pair_bins[pairs])),
+            weights=np.concatenate((np.square(values[own]),
+                                    pair_terms[pairs])),
+            minlength=(stop - start) * d * d,
+        )
+        eig = np.linalg.eigvalsh(gram.reshape(stop - start, d, d))
+        lo_sq[start:stop], hi_sq[start:stop] = eig[:, 0], eig[:, -1]
     # Rounding can leave a PSD eigenvalue below 0; such a trial is
     # suspect, and the clip only keeps sqrt from returning NaN first.
     lo = np.sqrt(np.maximum(lo_sq, 0.0))
     hi = np.sqrt(np.maximum(hi_sq, 0.0))
-    lo[suspect], hi[suspect] = _rectangular_extremes(products[suspect])
+    for i in np.flatnonzero(lo_sq <= _GRAM_RATIO_FLOOR * hi_sq):
+        lo[i:i + 1], hi[i:i + 1] = _rectangular_extremes(
+            _dense_product(products, i)[None]
+        )
     return lo, hi
+
+
+def _dense_product(products: SparseProducts, index: int) -> np.ndarray:
+    """Trial ``index`` of a sparse stack as a dense product: its stored
+    rows in order, zero-padded to at least ``d`` rows."""
+    d = products.shape[2]
+    span = slice(products.starts[index], products.starts[index + 1])
+    touched, rank = np.unique(products.rows[span], return_inverse=True)
+    product = np.zeros((max(d, touched.size), d))
+    product[rank, products.cols[span]] = products.values[span]
+    return product
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from ..utils.validation import check_positive_int
 from .kernels import ApplyKernel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .batched import BatchedTrialKernel
+    from .batched import BatchedColumnScatter
 
 __all__ = ["Sketch", "SketchFamily", "sample_sketch"]
 
@@ -237,7 +237,7 @@ class SketchFamily(abc.ABC):
 
     def sample_trial_batch(
         self, streams: Sequence[RngLike],
-    ) -> Optional["BatchedTrialKernel"]:
+    ) -> Optional["BatchedColumnScatter"]:
         """Sample ``len(streams)`` sketches as one batched trial kernel.
 
         ``streams[i]`` is trial ``i``'s sketch stream — in the trial

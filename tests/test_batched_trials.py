@@ -17,6 +17,8 @@ The contracts under test (see :mod:`repro.sketch.batched` and the
   families — each probed at most once, never past ``m_max``.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,8 +29,13 @@ from repro.core.tester import (
     minimal_m,
 )
 from repro.experiments.e03_column_norms import ScaledCountSketch
-from repro.hardinstances.dbeta import DBeta
+from repro.hardinstances.dbeta import DBeta, SupportDraw
 from repro.hardinstances.mixtures import MixtureInstance
+from repro.linalg.distortion import (
+    _GRAM_BLOCK_BYTES,
+    SparseProducts,
+    distortion_of_product,
+)
 from repro.sketch import (
     OSNAP,
     SRHT,
@@ -44,6 +51,7 @@ from repro.sketch import (
 from repro.sketch.base import SketchFamily
 from repro.sketch.batched import BatchedColumnScatter
 from repro.sketch.hadamard_block import HadamardBlockSketch
+from repro.utils.rng import KeyedStream, trial_keys
 from repro.utils.stats import BernoulliEstimate
 
 pytestmark = pytest.mark.kernels
@@ -305,7 +313,11 @@ class TestPerTrialReconstruction:
             self, make_family):
         # The batched scatter inserts entries in the serial kernel's
         # per-column order, so on the surviving (touched) rows the
-        # products must be bitwise equal — not merely close.
+        # products must be bitwise equal — not merely close.  A tall
+        # chunk (OSNAP here) comes back as its entries, which sum the
+        # support columns one output column hashes to one row in the
+        # same order: placed into a zero matrix they must give the
+        # serial product bitwise, every position at most once.
         family = make_family()
         instance = DBeta(N, 6, reps=2)
         seeds = np.random.SeedSequence(SEED).spawn(4)
@@ -313,9 +325,21 @@ class TestPerTrialReconstruction:
         batched = family.sample_trial_batch([p[0] for p in pairs])
         draws = [instance.sample_support(p[1]) for p in pairs]
         products = batched.sketched_bases(draws)
+        assert isinstance(products, SparseProducts) == (batched.s > 1)
         for index, draw in enumerate(draws):
             kernel = batched.trial_kernel(index)
             serial = kernel.sketched_basis(draw)
+            if isinstance(products, SparseProducts):
+                span = slice(products.starts[index],
+                             products.starts[index + 1])
+                rows = products.rows[span].astype(np.int64)
+                cols = products.cols[span]
+                key = rows * 6 + cols
+                assert np.all(np.diff(key) > 0)
+                product = np.zeros_like(serial)
+                product[rows, cols] = products.values[span]
+                assert np.array_equal(product, serial)
+                continue
             touched = np.unique(kernel.entries(draw.rows)[0])
             assert np.array_equal(
                 products[index][:touched.size], serial[touched]
@@ -325,8 +349,10 @@ class TestPerTrialReconstruction:
     def test_scatter_block_size_depends_only_on_shape(self):
         # Chunks touching different row counts (k_pad) still scatter into
         # one block size, so the allocator can reuse a freed block for the
-        # next chunk instead of mapping a larger one beside it.
-        family = OSNAP(M, N, s=4)
+        # next chunk instead of mapping a larger one beside it.  Only
+        # near-square chunks (here CountSketch on D_{1/2}, reps·d·s = 2d)
+        # scatter a dense block; tall ones come back as entries.
+        family = CountSketch(24, N)
         instance = DBeta(N, 6, reps=2)
         heights, blocks = set(), set()
         for seed in np.random.SeedSequence(SEED).spawn(8):
@@ -338,7 +364,65 @@ class TestPerTrialReconstruction:
             heights.add(products.shape[1])
             blocks.add(products.base.size)
         assert len(heights) > 1
-        assert blocks == {4 * min(M, 2 * 6 * 4) * 6}
+        assert blocks == {4 * min(24, 2 * 6 * 1) * 6}
+
+
+class TestTallChunks:
+    """Chunks whose products touch more than 2d rows (the OSNAP shape)
+    reach the reducer as their hashed entries."""
+
+    def test_singular_gram_falls_back_to_the_trials_product(self):
+        # Output column 1 repeats output column 0's support columns and
+        # signs, so each ΠU has two equal columns and an exactly singular
+        # Gram matrix.  Its rounded λ_min is ±ε·λ_max: through sqrt that
+        # is a σ_min near 1e-8, so each trial must be recomputed from its
+        # own dense product, and a negative λ_min must never reach sqrt.
+        n, d, reps = 256, 6, 2
+        family = OSNAP(64, n, s=4)
+        instance = DBeta(n, d, reps=reps)
+        seeds = np.random.SeedSequence(SEED).spawn(4)
+        pairs = [seed.spawn(2) for seed in seeds]
+        batched = family.sample_trial_batch([p[0] for p in pairs])
+        draws = []
+        for _, seed in pairs:
+            draw = instance.sample_support(seed)
+            rows, signs = draw.rows.copy(), draw.signs.copy()
+            rows[reps:2 * reps] = rows[:reps]
+            signs[reps:2 * reps] = signs[:reps]
+            draws.append(SupportDraw(n, d, rows, signs, reps))
+        assert isinstance(batched.sketched_bases(draws), SparseProducts)
+        with np.errstate(invalid="raise"):
+            values = batched.distortions(draws)
+        for index, draw in enumerate(draws):
+            product = batched.trial_kernel(index).sketched_basis(draw)
+            np.testing.assert_allclose(
+                values[index], distortion_of_product(product), rtol=1e-9
+            )
+
+    def test_reference_chunk_stays_small(self):
+        # One chunk of the reference grid (n=16384, d=64, m=1024, OSNAP
+        # s=4 on D_{1/2}, 32 trials).  Its entries and pair lists take one
+        # 8-byte word per hashed entry each, and each sub-block one
+        # (b, d, d) Gram stack; a dozen entry arrays and two Gram stacks
+        # bound the chunk, a quarter of the dense (B, min(m, q·s), d)
+        # block a scatter would fill.
+        n, d, m, s, reps, trials = 16384, 64, 1024, 4, 2, 32
+        keys = trial_keys(np.uint64(SEED), 0, trials)
+        batched = OSNAP(m, n, s=s).sample_trial_batch(
+            [KeyedStream(key) for key in keys[:, 0]]
+        )
+        draws = DBeta(n, d, reps=reps).sample_supports(keys[:, 1])
+        assert isinstance(batched.sketched_bases(draws), SparseProducts)
+        batched.distortions(draws)
+        entries = trials * reps * d * s
+        budget = 12 * 8 * entries + 2 * _GRAM_BLOCK_BYTES
+        tracemalloc.start()
+        try:
+            batched.distortions(draws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget
 
 
 class TestBatchedKernelValidation:

@@ -3,38 +3,49 @@
 :func:`repro.linalg.distortion.distortions_of_products` is the reduction
 step of the batched trial engine and owns four internal regimes:
 
-* a stack of one, or ``k < d`` — rectangular gufunc SVD directly;
-* ``d <= k <= 2d`` — isolated columns by their norms, one rectangular SVD
-  of the zero-padded coupled columns (the whole stack when some trial
-  has every column coupled);
-* ``k > 2d`` — symmetric eigenvalues of the ``d x d`` Gram matrices
-  (squared spectrum);
-* rank-deficient trials inside the Gram path — squared-spectrum ratio
+* a dense stack of one, ``k < d`` or ``k > 2d`` — rectangular gufunc SVD
+  directly;
+* a dense stack with ``d <= k <= 2d`` — isolated columns by their norms,
+  one rectangular SVD of the zero-padded coupled columns (the whole stack
+  when some trial has every column coupled);
+* a :class:`~repro.linalg.distortion.SparseProducts` stack (the tall
+  batched chunks, OSNAP's shape) — symmetric eigenvalues of the ``d x d``
+  Gram matrices built from the entries that share a row (squared
+  spectrum), in sub-blocks of trials;
+* rank-deficient trials inside the Gram route — squared-spectrum ratio
   below ``_GRAM_RATIO_FLOOR``, or a rounded eigenvalue ``<= 0`` —
-  recomputed from the rectangular product.
+  recomputed from their dense rectangular product.
 
 Hypothesis drives random ``(B, k, d)`` shapes straddling every switch,
-and sketch-like sparse stacks (disjoint supports, CountSketch buckets,
-chains of coupled columns) through the isolated-column route, and checks
-the batched values against the full-height rectangular SVD of every
-product (:func:`singular_interval_of_product`) at the 1e-9 relative
-tolerance the golden pins use for cross-BLAS SVD agreement.  The
-per-trial :func:`distortion_of_product` is a stack of one through the
-same reduction, so it is checked against that reference too, never used
-as one.
+sketch-like sparse stacks (disjoint supports, CountSketch buckets,
+chains of coupled columns) through the isolated-column route, and tall
+chunks of the batched column scatter (both layouts, ``s`` from 2 to 8,
+dense regime included, hashed collisions and exact cancellations,
+chunks crossing a sub-block edge) through the Gram route, and checks
+the values against the full-height rectangular SVD of every product
+(:func:`singular_interval_of_product`) at the 1e-9 relative tolerance
+the golden pins use for cross-BLAS SVD agreement.  The per-trial
+:func:`distortion_of_product` is a stack of one through the same
+reduction, so it is checked against that reference too, never used as
+one.
 """
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.hardinstances.dbeta import DBeta, SupportDraw
 from repro.linalg.distortion import (
+    _GRAM_BLOCK_BYTES,
     _GRAM_RATIO_FLOOR,
+    SparseProducts,
     distortion_of_product,
     distortions_of_products,
     singular_interval_of_product,
 )
+from repro.sketch.batched import BatchedColumnScatter
+from repro.sketch.hashing import column_hash
 
 pytestmark = pytest.mark.kernels
 
@@ -58,6 +69,15 @@ def _reference(products):
     """Per-product distortions from the rectangular SVD of each
     uncompacted product: independent of the reduction under test."""
     return np.array([_full_svd_distortion(p) for p in products])
+
+
+def _sparse(products):
+    """A dense ``(B, k, d)`` stack as its nonzero entries, for the Gram
+    route: ``np.nonzero`` lists them by trial, row and column."""
+    trial, rows, cols = np.nonzero(products)
+    starts = np.searchsorted(trial, np.arange(products.shape[0] + 1))
+    return SparseProducts(products.shape, starts, rows, cols,
+                          products[trial, rows, cols])
 
 
 def _stack(batch, k, d, seed, scale=None):
@@ -97,13 +117,15 @@ class TestShapeSweep:
     )
     @settings(max_examples=30, **COMMON)
     def test_gram_switch_boundary_is_seamless(self, batch, d, seed):
-        """k = 2d (rectangular) and k = 2d+1 (Gram) agree with the reference."""
+        """k = 2d (isolated columns) and k = 2d+1 (rectangular) agree with
+        the reference, and so does the Gram route on both."""
         for k in (2 * d, 2 * d + 1):
             products = _stack(batch, k, d, seed)
-            np.testing.assert_allclose(
-                distortions_of_products(products), _reference(products),
-                rtol=RTOL, atol=ATOL,
-            )
+            for stack in (products, _sparse(products)):
+                np.testing.assert_allclose(
+                    distortions_of_products(stack), _reference(products),
+                    rtol=RTOL, atol=ATOL,
+                )
 
     @given(
         batch=st.integers(min_value=1, max_value=4),
@@ -135,14 +157,14 @@ class TestRankDeficientFallback:
     @settings(max_examples=30, **COMMON)
     def test_exact_deficiency_recomputed_exactly(self, batch, d, seed,
                                                  victim):
-        """A rank-deficient trial in the Gram path falls back to the
+        """A rank-deficient trial in the Gram route falls back to the
         rectangular SVD and still matches the reference value."""
-        k = 3 * d  # force the Gram branch
+        k = 3 * d
         products = _stack(batch, k, d, seed)
         victim %= batch
         # Make one trial exactly rank-deficient: duplicate a column.
         products[victim, :, 0] = products[victim, :, -1]
-        values = distortions_of_products(products)
+        values = distortions_of_products(_sparse(products))
         np.testing.assert_allclose(values, _reference(products),
                                    rtol=RTOL, atol=ATOL)
         assert values[victim] >= 1.0 - RTOL
@@ -177,7 +199,7 @@ class TestRankDeficientFallback:
         assert 1e-18 < _GRAM_RATIO_FLOOR < 1e-6
         stack = np.stack([product, gen.normal(size=(k, d)) / np.sqrt(k)])
         np.testing.assert_allclose(
-            distortions_of_products(stack), _reference(stack),
+            distortions_of_products(_sparse(stack)), _reference(stack),
             rtol=RTOL, atol=ATOL,
         )
 
@@ -393,10 +415,156 @@ class TestGramEigenvalues:
         victim %= batch
         products[victim, :, 0] = products[victim, :, -1]
         with np.errstate(invalid="raise"):
-            values = distortions_of_products(products)
+            values = distortions_of_products(_sparse(products))
         np.testing.assert_allclose(values, _reference(products),
                                    rtol=RTOL, atol=ATOL)
         assert values[victim] >= 1.0 - RTOL
+
+
+def _scatter_chunk(s, m, variant, d, reps, batch, seed, n=64):
+    """Keys and ``D_β`` draws of one batched column-scatter chunk."""
+    keys = np.random.default_rng(seed).integers(
+        2**63, size=(batch, 2), dtype=np.uint64
+    )
+    kernel = BatchedColumnScatter(keys[:, 0], s, (m, n), variant)
+    return kernel, DBeta(n, d, reps=reps).sample_supports(keys[:, 1])
+
+
+def _trial_references(kernel, draws):
+    """Each trial's distortion from the full-height SVD of its serial
+    kernel's product."""
+    return np.array([
+        _full_svd_distortion(kernel.trial_kernel(i).sketched_basis(draw))
+        for i, draw in enumerate(draws)
+    ])
+
+
+@st.composite
+def _tall_shapes(draw):
+    """``(s, m, variant, d, reps)`` whose chunks are mostly tall: a trial
+    touches at least ``s`` rows and usually far more than ``2d``."""
+    variant = draw(st.sampled_from(["uniform", "block"]))
+    dense = draw(st.booleans())
+    s = draw(st.integers(min_value=3 if variant == "block" and dense
+                         else 2, max_value=8))
+    if dense:
+        # 2s > m: OSNAP's dense regime (a block of one row per entry).
+        m = s if variant == "block" \
+            else draw(st.integers(min_value=s, max_value=2 * s - 1))
+    elif variant == "block":
+        m = s * draw(st.integers(min_value=2, max_value=8))
+    else:
+        m = draw(st.integers(min_value=2 * s, max_value=48))
+    d = draw(st.integers(min_value=1, max_value=max(1, min(6, m // 4))))
+    reps = draw(st.integers(min_value=2 if s == 2 else 1, max_value=4))
+    return s, m, variant, d, reps
+
+
+class TestSparseGramRoute:
+    """Tall chunks of the batched column scatter, reduced from their
+    hashed entries, against the full-height SVD of every trial."""
+
+    @given(
+        shape=_tall_shapes(),
+        batch=st.integers(min_value=2, max_value=6),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=80, **COMMON)
+    def test_tall_chunks_match_the_full_svd(self, shape, batch, seed):
+        s, m, variant, d, reps = shape
+        kernel, draws = _scatter_chunk(s, m, variant, d, reps, batch, seed)
+        assume(isinstance(kernel.sketched_bases(draws), SparseProducts))
+        np.testing.assert_allclose(
+            kernel.distortions(draws), _trial_references(kernel, draws),
+            rtol=RTOL, atol=ATOL,
+        )
+
+    @given(
+        d=st.sampled_from([24, 32, 40]),
+        extra=st.integers(min_value=1, max_value=16),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=8, **COMMON)
+    def test_chunks_crossing_a_sub_block_edge(self, d, extra, seed):
+        block = _GRAM_BLOCK_BYTES // (8 * d * d)
+        kernel, draws = _scatter_chunk(4, 128, "uniform", d, 1,
+                                       block + extra, seed, n=256)
+        assert isinstance(kernel.sketched_bases(draws), SparseProducts)
+        np.testing.assert_allclose(
+            kernel.distortions(draws), _trial_references(kernel, draws),
+            rtol=RTOL, atol=ATOL,
+        )
+
+    @given(
+        variant=st.sampled_from(["uniform", "block"]),
+        s=st.sampled_from([2, 4, 8]),
+        cancel=st.booleans(),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=40, **COMMON)
+    def test_support_columns_hashing_to_one_row(self, variant, s, cancel,
+                                                seed):
+        """Output column 0's two support columns share a row, where their
+        entries add or cancel to an exact 0."""
+        n, m, d, reps = 512, 32, 3, 2
+        kernel, draws = _scatter_chunk(s, m, variant, d, reps, 4, seed, n=n)
+        key = kernel.trial_kernel(0).key
+        rows, signs = column_hash(key, np.arange(n), s, m, variant)
+        gen = np.random.default_rng(seed)
+        hits = np.array([np.intersect1d(rows[0], row).size for row in rows])
+        partner = int(gen.choice(np.flatnonzero(hits[1:]) + 1))
+        shared = int(np.intersect1d(rows[0], rows[partner])[0])
+        sign_a = signs[0][rows[0] == shared][0]
+        sign_b = signs[partner][rows[partner] == shared][0]
+        support = np.concatenate((
+            [0, partner],
+            gen.choice(np.setdiff1d(np.arange(1, n), [partner]),
+                       size=reps * d - 2, replace=False),
+        ))
+        draw_signs = gen.choice([-1.0, 1.0], size=reps * d)
+        draw_signs[1] = draw_signs[0] * sign_a * sign_b * (-1 if cancel
+                                                           else 1)
+        draws[0] = SupportDraw(n, d, support, draw_signs, reps)
+        products = kernel.sketched_bases(draws)
+        assert isinstance(products, SparseProducts)
+        serial = kernel.trial_kernel(0).sketched_basis(draws[0])
+        assert (serial[shared, 0] == 0.0) == cancel
+        own = slice(products.starts[0], products.starts[1])
+        at = (products.rows[own] == shared) & (products.cols[own] == 0)
+        assert np.array_equal(products.values[own][at], [serial[shared, 0]])
+        np.testing.assert_allclose(
+            kernel.distortions(draws), _trial_references(kernel, draws),
+            rtol=RTOL, atol=ATOL,
+        )
+
+    @given(
+        d=st.sampled_from([4, 32]),
+        seed=st.integers(min_value=0, max_value=10**6),
+        data=st.data(),
+    )
+    @settings(max_examples=20, **COMMON)
+    def test_a_trials_value_ignores_its_chunk_mates(self, d, seed, data):
+        """Moved to another position among other trials of a tall chunk
+        (across a sub-block edge at ``d = 32``), a trial's value is
+        bitwise the same."""
+        block = _GRAM_BLOCK_BYTES // (8 * d * d)
+        batch = min(block + 8, 40)
+        pool, draws = _scatter_chunk(4, 128, "uniform", d, 1, 2 * batch,
+                                     seed, n=256)
+        # Half of the first chunk's trials, among new mates, reshuffled.
+        moved = list(range(batch // 2)) + list(range(batch, 2 * batch
+                                                     - batch // 2))
+        chunks = [list(range(batch)), data.draw(st.permutations(moved))]
+        values = {}
+        for chunk in chunks:
+            kernel = BatchedColumnScatter(
+                [pool.trial_kernel(i).key for i in chunk], 4, pool.shape
+            )
+            picked = [draws[i] for i in chunk]
+            assert isinstance(kernel.sketched_bases(picked), SparseProducts)
+            for trial, value in zip(chunk, kernel.distortions(picked)):
+                values.setdefault(trial, set()).add(value)
+        assert all(len(seen) == 1 for seen in values.values())
 
 
 #: Row layouts of the zero-row insertion property: ``k`` nonzero rows

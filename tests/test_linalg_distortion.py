@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.linalg.distortion import (
+    SparseProducts,
     distortion,
     distortion_of_product,
     distortion_report,
@@ -154,12 +155,22 @@ class TestDistortionsOfProducts:
         rng = np.random.default_rng(seed)
         return rng.standard_normal((batch, k, d)) / np.sqrt(k)
 
+    @staticmethod
+    def _entries(products):
+        """The stack's nonzero entries, for the Gram route."""
+        trial, rows, cols = np.nonzero(products)
+        starts = np.searchsorted(trial, np.arange(products.shape[0] + 1))
+        return SparseProducts(products.shape, starts, rows, cols,
+                              products[trial, rows, cols])
+
     def test_matches_scalar_path_tall(self):
-        # k > 2d exercises the Gram-reduced branch.
+        # k > 2d: the dense stack takes the rectangular SVD, its entries
+        # the Gram route.
         products = self._stack(6, 40, 5, seed=0)
-        batched = distortions_of_products(products)
         serial = [_full_svd_distortion(p) for p in products]
-        np.testing.assert_allclose(batched, serial, rtol=1e-9, atol=1e-12)
+        for stack in (products, self._entries(products)):
+            np.testing.assert_allclose(distortions_of_products(stack),
+                                       serial, rtol=1e-9, atol=1e-12)
 
     def test_matches_scalar_path_near_square(self):
         # k <= 2d takes the direct rectangular-SVD branch.
@@ -183,15 +194,15 @@ class TestDistortionsOfProducts:
         rng = np.random.default_rng(4)
         basis = np.linalg.qr(rng.standard_normal((40, 3)))[0]
         products[2] = basis @ rng.standard_normal((3, 4))
-        batched = distortions_of_products(products)
+        batched = distortions_of_products(self._entries(products))
         serial = [_full_svd_distortion(p) for p in products]
         np.testing.assert_allclose(batched, serial, rtol=1e-9, atol=1e-12)
         assert batched[2] >= 1.0
 
     def test_stack_of_one_takes_the_rectangular_svd(self):
-        # k > 2d takes the Gram form in a larger stack; a stack of one
-        # (the per-trial engine) stays on the rectangular SVD, so a
-        # product without zero rows reduces to exactly the full SVD.
+        # A stack of one (the per-trial engine) stays on the rectangular
+        # SVD, so a product without zero rows reduces to exactly the full
+        # SVD.
         product = self._stack(1, 40, 5, seed=0)[0]
         assert distortions_of_products(product[None])[0] \
             == _full_svd_distortion(product)
