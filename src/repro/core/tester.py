@@ -142,9 +142,10 @@ def _check_batch(batch: Optional[int], fresh_sketch: bool) -> Optional[int]:
 #: isolated-column and Gram-eigenvalue routes; 4: counter-based trial
 #: streams keyed by one probe key; 5: only CountSketch/OSNAP batched,
 #: every other family on the per-trial path under ``batch > 1``; 6: tall
-#: batched chunks' Gram matrices built from their hashed entries)
+#: batched chunks' Gram matrices built from their hashed entries; 7: every
+#: batched chunk reduced from its hashed entries, near-square ones too)
 #: recomputes instead of replaying them.
-ENGINE_VERSION = 6
+ENGINE_VERSION = 7
 
 
 def _probe_spec(family: SketchFamily, instance: HardInstance,

@@ -134,12 +134,13 @@ def distortion_of_product(product: np.ndarray) -> float:
 #: recomputed from the rectangular product directly.
 _GRAM_RATIO_FLOOR = 1e-12
 
-#: Bytes of Gram matrices one sub-block of a :class:`SparseProducts`
-#: stack assembles and solves at once (8 trials at ``d = 64``).  With
-#: every temporary this small a reference chunk peaks near 1 MiB, under
-#: the trim threshold a freed near-square scatter block leaves glibc; a
-#: larger peak makes glibc trim its heap after every chunk and fault the
-#: pages in again on the next (``docs/perf.md``).
+#: Bytes of Gram matrices one sub-block of a tall :class:`SparseProducts`
+#: stack assembles and solves at once (8 trials at ``d = 64``), which
+#: keeps a reference chunk's peak near 1 MiB.  glibc's trim threshold is
+#: twice the largest block the process has freed so far: a chunk whose
+#: heap peak stays under it reuses the pages the previous chunk freed,
+#: and a larger one has them trimmed after it and faulted in again by
+#: the next (``docs/perf.md``).
 _GRAM_BLOCK_BYTES = 1 << 18
 
 
@@ -153,10 +154,11 @@ class SparseProducts:
     entry is zero, and a stored one may be zero too (contributions that
     cancelled).  ``shape`` is the stack's uncompacted ``(B, m, d)``.
 
-    :func:`distortions_of_products` reduces it by the Gram route: a
-    column-sparse sketch (OSNAP) applied to a ``D_β`` draw touches a few
-    hundred of ``m`` rows, and its Gram matrix needs only the entries
-    that share a row.
+    This is the form the batched engine hands every chunk of a
+    column-sparse sketch (CountSketch, OSNAP) to
+    :func:`distortions_of_products`: applied to a ``D_β`` draw, such a
+    sketch touches at most ``s·reps·d`` of ``m`` rows, and both reducer
+    routes need only the column norms and the entries that share a row.
     """
 
     shape: Tuple[int, int, int]
@@ -171,33 +173,34 @@ def distortions_of_products(products: Union[np.ndarray, SparseProducts],
     """Per-draw distortions for a stack of products ``(B, k, d)``.
 
     The reduction step of both trial engines: the batched one
-    (:mod:`repro.sketch.batched`) reduces a chunk's stack, the per-trial
-    one a stack of one (see :func:`distortion_of_product`).  ``products``
-    may hold *row-compacted* sketched bases (:func:`compact_rows`): zero
-    rows of ``ΠU`` change no singular value.  ``rows`` is the true row
-    count ``m`` of the uncompacted products; it decides the annihilation
-    rule — when ``m < d`` (or the compacted ``k < d``), a whole direction
-    is lost and ``σ_min`` is exactly 0, mirroring
-    :func:`singular_interval_of_product`.
+    (:mod:`repro.sketch.batched`) reduces a chunk's hashed entries, the
+    per-trial one a dense stack of one (see :func:`distortion_of_product`).
+    A dense ``products`` may hold *row-compacted* sketched bases
+    (:func:`compact_rows`): zero rows of ``ΠU`` change no singular value.
+    ``rows`` is the true row count ``m`` of the uncompacted products; it
+    decides the annihilation rule — when ``m < d`` (or the compacted
+    ``k < d``), a whole direction is lost and ``σ_min`` is exactly 0,
+    mirroring :func:`singular_interval_of_product`.
 
     Each trial's extreme singular values come from one of three routes:
 
-    * a dense stack of one, ``k < d`` or ``k > 2d``: the rectangular SVD
-      of each product, so the per-trial engine stays a full-precision
-      reference;
-    * a dense stack with ``d ≤ k ≤ 2d`` (near-square, the CountSketch
-      shape): *isolated* columns by their norms, and one rectangular SVD
-      of the *coupled* columns only (:func:`_isolated_extremes`);
-    * a :class:`SparseProducts` stack (tall, the OSNAP shape): the
-      symmetric eigenvalues of the ``d × d`` Gram matrices
-      ``(ΠU)ᵀ(ΠU)``, built from the entries that share a row
-      (:func:`_gram_extremes`).  The Gram eigenvalues are exactly the
-      squared singular values of ``ΠU``, but squaring halves the working
-      precision near rank deficiency, so any trial whose squared spectrum
-      spans more than :data:`_GRAM_RATIO_FLOOR` (a rounded ``λ_min ≤ 0``
-      included) is recomputed from its rectangular product; in
-      Monte-Carlo runs those are the rare annihilation events, so the
-      fallback stays off the hot path.
+    * a dense stack: the rectangular SVD of each product, so the
+      per-trial engine stays the full-precision reference the two entry
+      routes are tested against;
+    * a :class:`SparseProducts` stack whose trials each touch at most
+      ``2d`` rows (near-square, the CountSketch shape): *isolated*
+      columns by their norms, and one rectangular SVD of the *coupled*
+      columns only (:func:`_coupled_extremes`);
+    * a :class:`SparseProducts` stack in which some trial touches more
+      than ``2d`` rows (tall, the OSNAP shape): the symmetric eigenvalues
+      of the ``d × d`` Gram matrices ``(ΠU)ᵀ(ΠU)`` (:func:`_gram_extremes`).
+      The Gram eigenvalues are exactly the squared singular values of
+      ``ΠU``, but squaring halves the working precision near rank
+      deficiency, so any trial whose squared spectrum spans more than
+      :data:`_GRAM_RATIO_FLOOR` (a rounded ``λ_min ≤ 0`` included) is
+      recomputed from its rectangular product; in Monte-Carlo runs those
+      are the rare annihilation events, so the fallback stays off the hot
+      path.
     """
     if not isinstance(products, SparseProducts):
         products = np.asarray(products, dtype=float)
@@ -211,9 +214,7 @@ def distortions_of_products(products: Union[np.ndarray, SparseProducts],
         raise ValueError("empty product matrices")
     true_rows = k if rows is None else int(rows)
     if isinstance(products, SparseProducts):
-        lo, hi = _gram_extremes(products)
-    elif batch > 1 and d <= k <= 2 * d:
-        lo, hi = _isolated_extremes(products)
+        lo, hi = _entry_extremes(products)
     else:
         lo, hi = _rectangular_extremes(products)
     # Fewer than d rows, true or compacted, annihilate a direction.
@@ -229,76 +230,102 @@ def _rectangular_extremes(products: np.ndarray
     return sigma.min(axis=1), sigma.max(axis=1)
 
 
-def _isolated_extremes(products: np.ndarray
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(σ_min, σ_max)`` per product of a ``(B, k, d)`` stack, ``k ≥ d``.
+def _entry_extremes(products: SparseProducts
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(σ_min, σ_max)`` per trial of a sparse stack, by its route.
 
-    A column whose nonzero rows no other column touches is *isolated*:
-    it is orthogonal to every other column, so ``(ΠU)ᵀ(ΠU)`` is block
-    diagonal and the column's norm is a singular value of ``ΠU`` (an
-    all-zero column is isolated, with singular value 0).  The *coupled*
-    columns are gathered, zero-padded to the stack's widest coupled set,
-    row-compacted and reduced by one rectangular SVD.  Zero padding only
-    appends zero singular values, so a trial's ``σ_min`` is read at its
-    own coupled-column count, never at the padded width.  When some trial
-    has every column coupled, the stack is reduced as it is.
+    Two things are read from the entries once for the whole stack: each
+    ``(trial, column)``'s squared norm, summed in entry order, which is
+    the Gram diagonal; and the entries whose row the entry before them in
+    the same trial shares, which carry the Gram's off-diagonal support.
+    A trial touches as many rows as it has entries that share no row with
+    their predecessor, and the most rows any trial touches picks the
+    route: more than ``2d`` is tall.
     """
-    batch, k, d = products.shape
-    coupled = _coupled_columns(products)
-    counts = np.count_nonzero(coupled, axis=1)
-    width = int(counts.max(initial=0))
-    if width == d:
-        return _rectangular_extremes(products)
-    norms = np.sqrt(np.einsum("bkd,bkd->bd", products, products))
+    batch, _, d = products.shape
+    sizes = np.diff(products.starts)
+    rows = products.rows
+    bins = np.repeat(np.arange(batch), sizes)               # trials, first
+    shared = rows[1:] == rows[:-1]
+    shared &= bins[1:] == bins[:-1]
+    later = np.flatnonzero(shared) + 1
+    touched = sizes - np.diff(np.searchsorted(later, products.starts))
+    bins *= d
+    bins += products.cols                   # each entry's (trial, column)
+    squares = np.bincount(bins, weights=np.square(products.values),
+                          minlength=batch * d).reshape(batch, d)
+    if touched.max(initial=0) > 2 * d:
+        return _gram_extremes(products, bins, squares, later)
+    return _coupled_extremes(products, bins, squares, later)
+
+
+def _coupled_extremes(products: SparseProducts, bins: np.ndarray,
+                      squares: np.ndarray, later: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(σ_min, σ_max)`` per trial of a near-square sparse stack.
+
+    A column none of whose entries shares a row is *isolated*: it is
+    orthogonal to every other column, so ``(ΠU)ᵀ(ΠU)`` is block diagonal
+    and the column's norm is a singular value of ``ΠU`` (an all-zero
+    column, with no entries, is isolated with singular value 0).  For
+    CountSketch on ``D_1`` that is Theorem 8's collision-free column.  An
+    entry that shares a row couples its column, a stored exact zero
+    included.  The *coupled* columns' entries are placed into one dense
+    stack, each trial's coupled columns in order and zero-padded to the
+    stack's widest coupled set, its touched rows in order, and reduced
+    by one rectangular SVD.  Zero padding only appends zero singular
+    values, so a trial's ``σ_min`` is read at its own coupled-column
+    count, never at the padded width.
+    """
+    batch, d = squares.shape
+    coupled = np.zeros(batch * d, dtype=bool)
+    coupled[bins[later - 1]] = True
+    coupled[bins[later]] = True
+    coupled = coupled.reshape(batch, d)
+    norms = np.sqrt(squares)
     lo = np.where(coupled, np.inf, norms).min(axis=1)
     hi = np.where(coupled, 0.0, norms).max(axis=1)
+    counts = np.count_nonzero(coupled, axis=1)
+    width = int(counts.max(initial=0))
     if width == 0:
         return lo, hi
-    # Stable: each trial's coupled columns first, in their original order;
-    # the columns past its own count are zeroed into padding.
-    cols = np.argsort(~coupled, axis=1, kind="stable")[:, :width]
-    block = np.swapaxes(products[np.arange(batch)[:, None], :, cols], 1, 2)
-    block *= (np.arange(width) < counts[:, None])[:, None, :]
-    sigma = np.linalg.svd(compact_rows(block), compute_uv=False)
+    keep = coupled.ravel()[bins]
+    owner, rows = bins[keep] // d, products.rows[keep]
+    cols = (np.cumsum(coupled, axis=1) - 1).ravel()[bins[keep]]
+    # Each trial's touched rows, ranked in order from 0.
+    fresh = np.ones(owner.size, dtype=bool)
+    fresh[1:] = (rows[1:] != rows[:-1]) | (owner[1:] != owner[:-1])
+    heights = np.bincount(owner[fresh], minlength=batch)
+    ranks = np.cumsum(fresh) - 1
+    ranks -= (np.cumsum(heights) - heights)[owner]
+    block = np.zeros((batch, max(width, int(heights.max())), width))
+    block[owner, ranks, cols] = products.values[keep]
+    sigma = np.linalg.svd(block, compute_uv=False)
     own = sigma[np.arange(batch), np.maximum(counts - 1, 0)]
     lo = np.minimum(lo, np.where(counts > 0, own, np.inf))
     return lo, np.maximum(hi, sigma[:, 0])
 
 
-def _coupled_columns(products: np.ndarray) -> np.ndarray:
-    """``(B, d)`` mask of the columns sharing a nonzero row with another."""
-    nonzero = products != 0
-    nonzero &= (np.count_nonzero(nonzero, axis=2) > 1)[:, :, None]
-    return nonzero.any(axis=1)
-
-
-def _gram_extremes(products: SparseProducts
+def _gram_extremes(products: SparseProducts, bins: np.ndarray,
+                   squares: np.ndarray, later: np.ndarray
                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(σ_min, σ_max)`` per product from its Gram eigenvalues, and from
-    the rectangular SVD for trials below :data:`_GRAM_RATIO_FLOOR`.
+    """``(σ_min, σ_max)`` per trial of a tall sparse stack from its Gram
+    eigenvalues, and from the rectangular SVD for trials below
+    :data:`_GRAM_RATIO_FLOOR`.
 
     ``Gram[a, b] = Σ_r P[r, a]·P[r, b]`` has one term per pair of entries
-    that share a row, and ``eigvalsh`` reads only its lower triangle: an
-    entry's square goes to the diagonal, and a product with each earlier
-    entry of its row, whose column is smaller, below it.  Those pairs are
-    listed once for the whole stack, in entry order; each sub-block of
-    trials then sums its diagonal and pair terms into ``(b, d, d)`` Grams
-    with one ``bincount`` and solves them.  A bin receives its terms in
-    its own trial's entry order, so a trial's Gram, and its eigenvalues,
-    do not depend on the trials around it.
+    that share a row, and ``eigvalsh`` reads only its lower triangle: the
+    diagonal holds the squared norms, and each entry's product with each
+    earlier entry of its row, whose column is smaller, goes below it.
+    Those pairs are listed once for the whole stack, in entry order; each
+    sub-block of trials then sums its pair terms into ``(b, d, d)`` Grams
+    with one ``bincount``, sets their diagonals and solves them.  A bin
+    receives its terms in its own trial's entry order, so a trial's Gram,
+    and its eigenvalues, do not depend on the trials around it.
     """
-    batch, _, d = products.shape
-    starts, rows, cols, values = (products.starts, products.rows,
-                                  products.cols, products.values)
+    batch, d = squares.shape
+    starts, cols, values = products.starts, products.cols, products.values
     block = max(1, _GRAM_BLOCK_BYTES // (8 * d * d))
-    # Each entry's row of Gram bins within its sub-block.
-    base = np.repeat(np.arange(batch) % block * d, np.diff(starts)) + cols
-    # The entries whose row their predecessor in the same trial shares
-    # (a trial that stores no entry leaves two equal starts).
-    shared = rows[1:] == rows[:-1]
-    edges = starts[1:-1]
-    shared[edges[(edges > 0) & (edges < rows.size)] - 1] = False
-    later = np.flatnonzero(shared) + 1
     # Entry later[i] pairs with the fan[i] entries just before it.
     fresh = np.ones(later.size, dtype=bool)
     fresh[1:] = later[1:] != later[:-1] + 1
@@ -307,20 +334,19 @@ def _gram_extremes(products: SparseProducts
     left = np.repeat(later, fan)
     right = left - 1 - (np.arange(left.size)
                         - np.repeat(np.cumsum(fan) - fan, fan))
-    pair_bins = base[left] * d + cols[right]
+    # A pair's bin in its sub-block's Grams: row cols[left], column
+    # cols[right].
+    pair_bins = bins[left] % (block * d) * d + cols[right]
     pair_terms = values[left] * values[right]
     pair_starts = np.searchsorted(left, starts)
     lo_sq, hi_sq = np.empty(batch), np.empty(batch)
     for start in range(0, batch, block):
         stop = min(batch, start + block)
-        own = slice(starts[start], starts[stop])
         pairs = slice(pair_starts[start], pair_starts[stop])
-        gram = np.bincount(
-            np.concatenate((base[own] * d + cols[own], pair_bins[pairs])),
-            weights=np.concatenate((np.square(values[own]),
-                                    pair_terms[pairs])),
-            minlength=(stop - start) * d * d,
-        )
+        gram = np.bincount(pair_bins[pairs], weights=pair_terms[pairs],
+                           minlength=(stop - start) * d * d)
+        gram = gram.astype(float, copy=False)  # integer zeros if no pair
+        gram.reshape(stop - start, d * d)[:, ::d + 1] = squares[start:stop]
         eig = np.linalg.eigvalsh(gram.reshape(stop - start, d, d))
         lo_sq[start:stop], hi_sq[start:stop] = eig[:, 0], eig[:, -1]
     # Rounding can leave a PSD eigenvalue below 0; such a trial is

@@ -7,30 +7,28 @@ OSNAP).  A :class:`BatchedColumnScatter` holds the ``B`` hash keys of
 independently sampled sketches, hashes the support columns of all ``B``
 structured hard-instance draws in one call, sorts each trial's entries
 by row, and hands the chunk to
-:func:`repro.linalg.distortion.distortions_of_products` in the form its
-route takes: near-square chunks (the CountSketch shape) as a dense stack
-from one batch-axis ``np.bincount`` scatter, whose isolated columns are
-taken by their norms and coupled columns by one gufunc-batched SVD; tall
-chunks (the OSNAP shape) as their hashed entries
-(:class:`~repro.linalg.distortion.SparseProducts`), from which the
-reducer builds the ``d × d`` Gram matrices in sub-blocks of trials and
-takes their symmetric eigenvalues.
+:func:`repro.linalg.distortion.distortions_of_products` as its hashed
+entries (:class:`~repro.linalg.distortion.SparseProducts`).  The reducer
+picks the route from the rows they touch: near-square chunks (the
+CountSketch shape) take isolated columns by their norms and coupled
+columns by one gufunc-batched SVD, tall chunks (the OSNAP shape) the
+symmetric eigenvalues of ``d × d`` Gram matrices built in sub-blocks of
+trials.
 
 Row compaction
 --------------
 ``ΠU`` for a structured ``D_β`` draw has at most ``s·reps·d`` potentially
 nonzero rows — typically far fewer than ``m`` — and removing zero rows
-changes no singular value.  A near-square chunk is therefore scattered
-into a *row-compacted* stack ``(B, k_pad, d)`` with ``k_pad ≤ m``, which
-is what makes the batched reduction cheaper than ``B`` full-height SVDs.
-A tall chunk never forms its products: at the reference grid (d=64,
-m=1024, OSNAP s=4 on ``D_{1/2}``) a trial's ``≈417 × 64`` product is 1.9%
-nonzero, and its Gram matrix needs only the ``reps·d·s = 512`` entries
-and the pairs of them that share a row.  The true row count still
-decides the ``m < d`` annihilation rule; see
+changes no singular value.  No chunk ever forms its dense products: a
+trial's entries name only the rows it touches.  At the reference grid
+(d=64, m=1024) a CountSketch trial on ``D_1`` has 64 entries, and an
+OSNAP trial (s=4 on ``D_{1/2}``) has 512 in ``≈417`` rows, so its
+``417 × 64`` product would be 1.9% nonzero; both routes need only the
+column norms and the entries that share a row.  The true row count
+still decides the ``m < d`` annihilation rule; see
 :func:`repro.linalg.distortion.distortions_of_products`, the reducer the
-per-trial engine shares (it compacts each product with
-:func:`~repro.linalg.distortion.compact_rows`).
+per-trial engine shares (it reduces each row-compacted product,
+:func:`~repro.linalg.distortion.compact_rows`, as a dense stack of one).
 
 Determinism contract
 --------------------
@@ -39,18 +37,18 @@ kernels at the ULP level, e.g. for ``reps > SCATTER_MAX_REPS`` where the
 serial path switches to the gather arithmetic), but it is *canonical*:
 a fixed seed gives bit-identical results across serial/parallel execution
 and cold/warm cache, because chunk decomposition is pinned to the batch
-size and every data-dependent choice (``k_pad`` and with it the route,
-group order, and the reducer's coupled-block width — the stack's largest
-count of columns that share a row with another column) is a pure
-function of the chunk's draws.  The per-trial accumulation order
-actually coincides with the serial scatter (entries are inserted
-selected-column-major with the ``s`` axis inner, the stable row sort
-keeps that order within a row, and distinct within-column rows mean no
-bin ever receives two entries from the same column), so dense products
-and tall chunks' entries are bit-identical to the serial kernels' on the
-surviving rows — ``tests/test_batched_trials.py`` pins this.  Within a
-tall chunk a trial's value does not depend on its chunk-mates: its Gram
-matrix sums its own entries in their own order.
+size and every data-dependent choice (the route, group order, and the
+near-square route's coupled-block width — the chunk's largest count of
+columns with an entry that shares a row) is a pure function of the
+chunk's draws.  The per-trial accumulation order actually coincides with
+the serial scatter (entries are inserted selected-column-major with the
+``s`` axis inner, the stable row sort keeps that order within a row, and
+distinct within-column rows mean no position ever receives two entries
+from the same column), so every trial's entries are bit-identical to the
+serial kernels' product on the rows it touches —
+``tests/test_batched_trials.py`` pins this.  Within a tall chunk a
+trial's value does not depend on its chunk-mates: its Gram matrix sums
+its own entries in their own order.
 
 Samplers
 --------
@@ -71,7 +69,7 @@ streams, bit-identical to ``batch=None``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -222,27 +220,28 @@ class BatchedColumnScatter:
 
     def sketched_bases(self, draws: Sequence[Any],
                        indices: Optional[Sequence[int]] = None
-                       ) -> Union[np.ndarray, SparseProducts]:
+                       ) -> SparseProducts:
         """The products ``Π_i U_i`` of a uniform-``(reps, d)`` group of
-        structured draws, in the form their reduction takes.
+        structured draws, as their hashed entries.
 
         ``indices[i]`` names the batch slot whose sketch applies to
         ``draws[i]`` (all slots in order when omitted).  Mixed-``reps``
         draws — e.g. from a :class:`~repro.hardinstances.mixtures.\
 MixtureInstance` — must go through :meth:`distortions`, which groups them.
 
-        A group of several trials whose products touch more than ``2d``
-        rows (``k_pad``, the most rows one trial touches) is *tall* and
-        comes back as its hashed entries, a :class:`~repro.linalg.\
-distortion.SparseProducts` for the Gram route.  Any other group is
-        scattered into a dense row-compacted stack ``(len(draws), k_pad,
-        d)``.
+        The result is a :class:`~repro.linalg.distortion.SparseProducts`
+        of shape ``(len(draws), m, d)``.  Each trial's entries are sorted
+        by row and then column; the support columns of one output column
+        that hash to one row are summed into one entry in insertion
+        order, as the serial scatter sums them (an exact cancellation
+        stores a 0).  :func:`~repro.linalg.distortion.\
+distortions_of_products` picks the route from the rows they touch.
         """
         idx = self._resolve_indices(draws, indices)
         reps, d, drows, dsigns = _uniform_group(draws)
         group = idx.size
-        q = reps * d
         s, m = self._s, self.m
+        width = reps * d * s
         weights = dsigns * (1.0 / np.sqrt(reps))            # (B, q)
         # Hash only the s nonzeros of each trial's q = reps·d support
         # columns, all trials at once: (B, q, s), entries inner.
@@ -253,10 +252,7 @@ distortion.SparseProducts` for the Gram route.  Any other group is
         # Each trial's entries by row.  The sort is stable, so the entries
         # of one row keep their insertion order: support-column-major,
         # hence by output column too.  Row ids below 2¹⁶ sort as uint16,
-        # which numpy radix-sorts.  k_pad, the route and every row id are
-        # pure functions of the chunk's draws, so chunked execution is
-        # deterministic.
-        width = q * s
+        # which numpy radix-sorts.
         keys = sel_rows.reshape(group, width).astype(np.min_scalar_type(m - 1))
         del sel_rows  # the chunk's largest arrays die as soon as they can
         order = np.argsort(keys, axis=1, kind="stable")
@@ -264,58 +260,18 @@ distortion.SparseProducts` for the Gram route.  Any other group is
         order = order.ravel()
         rows = keys.ravel()[order]
         del keys
-        first = np.empty(rows.size, dtype=bool)
-        np.not_equal(rows[1:], rows[:-1], out=first[1:])
-        first[::width] = True
-        counts = np.count_nonzero(first.reshape(group, width), axis=1)
-        k_pad = int(max(d, counts.max()))
-        if group > 1 and k_pad > 2 * d:
-            values = sel_vals.ravel()[order]
-            del sel_vals
-            order %= width
-            order //= s * reps                              # output columns
-            return self._entries((group, m, d), rows, order, values, first)
-        # Compact row ids: per trial, the touched rows in ascending order.
-        rowc = np.empty_like(order)
-        rowc[order] = np.cumsum(first.reshape(group, width), axis=1).ravel()
-        rowc -= 1
-        rowc = rowc.reshape(group, q, s)
-        out_cols = np.repeat(np.arange(d), reps)            # (q,)
-        # The scatter block has room for the most rows a trial of this
-        # shape can touch, and the products are its first k_pad rows, so
-        # every chunk of one shape asks the allocator for the same block.
-        # glibc mmaps a request larger than any block freed so far while
-        # the heap keeps the last one resident: a block that grew with
-        # k_pad raised peak memory by one product in some runs only.
-        k_cap = max(d, min(m, q * s))
-        bix = np.arange(group)[:, None, None]
-        lin = (bix * k_cap + rowc) * d + out_cols[None, :, None]
-        # Flattened selected-column-major with the s axis inner: within
-        # each trial this is exactly the serial scatter's insertion order,
-        # and distinct within-column rows mean every output bin accumulates
-        # its entries in the same sequence — the products are bit-identical
-        # to the serial kernel scatter on the surviving rows.
-        flat = np.bincount(lin.ravel(), weights=sel_vals.ravel(),
-                           minlength=group * k_cap * d)
-        return flat.reshape(group, k_cap, d)[:, :k_pad]
-
-    @staticmethod
-    def _entries(shape: Tuple[int, int, int], rows: np.ndarray,
-                 cols: np.ndarray, values: np.ndarray,
-                 first: np.ndarray) -> SparseProducts:
-        """The hashed entries, each trial's sorted by row, as a sparse
-        stack; ``first`` flags each trial's first entry in every row.
-
-        Support columns of one output column that hash to one row land on
-        one position; their entries are summed in insertion order, as the
-        dense scatter sums them (an exact cancellation stores a 0).
-        """
-        repeat = ~first
-        repeat[1:] &= cols[1:] == cols[:-1]
-        keep = np.flatnonzero(~repeat)
-        kept = np.count_nonzero(~repeat.reshape(shape[0], -1), axis=1)
-        return SparseProducts(shape, np.concatenate(([0], np.cumsum(kept))),
-                              rows[keep], cols[keep],
+        values = sel_vals.ravel()[order]
+        del sel_vals
+        order %= width
+        order //= s * reps                                  # output columns
+        # A trial's first entry and each entry on a new position start a
+        # run of entries that sums into one stored entry.
+        fresh = np.ones(rows.size, dtype=bool)
+        fresh[1:] = (rows[1:] != rows[:-1]) | (order[1:] != order[:-1])
+        fresh[::width] = True
+        keep = np.flatnonzero(fresh)
+        starts = np.searchsorted(keep, np.arange(group + 1) * width)
+        return SparseProducts((group, m, d), starts, rows[keep], order[keep],
                               np.add.reduceat(values, keep))
 
     def __repr__(self) -> str:

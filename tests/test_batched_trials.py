@@ -311,13 +311,11 @@ class TestPerTrialReconstruction:
     @pytest.mark.parametrize("make_family", SCATTER_CASES)
     def test_compacted_products_match_serial_scatter_bitwise(
             self, make_family):
-        # The batched scatter inserts entries in the serial kernel's
-        # per-column order, so on the surviving (touched) rows the
-        # products must be bitwise equal — not merely close.  A tall
-        # chunk (OSNAP here) comes back as its entries, which sum the
+        # Every chunk comes back as its hashed entries, which sum the
         # support columns one output column hashes to one row in the
-        # same order: placed into a zero matrix they must give the
-        # serial product bitwise, every position at most once.
+        # serial kernel's per-column order: placed into a zero matrix
+        # they must give the serial product bitwise — not merely close —
+        # every position at most once.
         family = make_family()
         instance = DBeta(N, 6, reps=2)
         seeds = np.random.SeedSequence(SEED).spawn(4)
@@ -325,51 +323,22 @@ class TestPerTrialReconstruction:
         batched = family.sample_trial_batch([p[0] for p in pairs])
         draws = [instance.sample_support(p[1]) for p in pairs]
         products = batched.sketched_bases(draws)
-        assert isinstance(products, SparseProducts) == (batched.s > 1)
+        assert isinstance(products, SparseProducts)
         for index, draw in enumerate(draws):
-            kernel = batched.trial_kernel(index)
-            serial = kernel.sketched_basis(draw)
-            if isinstance(products, SparseProducts):
-                span = slice(products.starts[index],
-                             products.starts[index + 1])
-                rows = products.rows[span].astype(np.int64)
-                cols = products.cols[span]
-                key = rows * 6 + cols
-                assert np.all(np.diff(key) > 0)
-                product = np.zeros_like(serial)
-                product[rows, cols] = products.values[span]
-                assert np.array_equal(product, serial)
-                continue
-            touched = np.unique(kernel.entries(draw.rows)[0])
-            assert np.array_equal(
-                products[index][:touched.size], serial[touched]
-            )
-            assert not products[index][touched.size:].any()
-
-    def test_scatter_block_size_depends_only_on_shape(self):
-        # Chunks touching different row counts (k_pad) still scatter into
-        # one block size, so the allocator can reuse a freed block for the
-        # next chunk instead of mapping a larger one beside it.  Only
-        # near-square chunks (here CountSketch on D_{1/2}, reps·d·s = 2d)
-        # scatter a dense block; tall ones come back as entries.
-        family = CountSketch(24, N)
-        instance = DBeta(N, 6, reps=2)
-        heights, blocks = set(), set()
-        for seed in np.random.SeedSequence(SEED).spawn(8):
-            pairs = [child.spawn(2) for child in seed.spawn(4)]
-            batched = family.sample_trial_batch([p[0] for p in pairs])
-            products = batched.sketched_bases(
-                [instance.sample_support(p[1]) for p in pairs]
-            )
-            heights.add(products.shape[1])
-            blocks.add(products.base.size)
-        assert len(heights) > 1
-        assert blocks == {4 * min(24, 2 * 6 * 1) * 6}
+            serial = batched.trial_kernel(index).sketched_basis(draw)
+            span = slice(products.starts[index], products.starts[index + 1])
+            rows = products.rows[span].astype(np.int64)
+            cols = products.cols[span]
+            assert np.all(np.diff(rows * 6 + cols) > 0)
+            product = np.zeros_like(serial)
+            product[rows, cols] = products.values[span]
+            assert np.array_equal(product, serial)
 
 
 class TestTallChunks:
-    """Chunks whose products touch more than 2d rows (the OSNAP shape)
-    reach the reducer as their hashed entries."""
+    """Chunks whose products touch more than 2d rows (the OSNAP shape),
+    and the reference grid's chunks of both families, reduced from their
+    hashed entries."""
 
     def test_singular_gram_falls_back_to_the_trials_product(self):
         # Output column 1 repeats output column 0's support columns and
@@ -400,29 +369,39 @@ class TestTallChunks:
             )
 
     def test_reference_chunk_stays_small(self):
-        # One chunk of the reference grid (n=16384, d=64, m=1024, OSNAP
-        # s=4 on D_{1/2}, 32 trials).  Its entries and pair lists take one
-        # 8-byte word per hashed entry each, and each sub-block one
-        # (b, d, d) Gram stack; a dozen entry arrays and two Gram stacks
-        # bound the chunk, a quarter of the dense (B, min(m, q·s), d)
-        # block a scatter would fill.
-        n, d, m, s, reps, trials = 16384, 64, 1024, 4, 2, 32
-        keys = trial_keys(np.uint64(SEED), 0, trials)
-        batched = OSNAP(m, n, s=s).sample_trial_batch(
-            [KeyedStream(key) for key in keys[:, 0]]
-        )
-        draws = DBeta(n, d, reps=reps).sample_supports(keys[:, 1])
-        assert isinstance(batched.sketched_bases(draws), SparseProducts)
+        # One OSNAP chunk of the reference grid (s=4 on D_{1/2}).  Its
+        # entries and pair lists take one 8-byte word per hashed entry
+        # each, and each sub-block one (b, d, d) Gram stack; a dozen entry
+        # arrays and two Gram stacks bound the chunk, a quarter of the
+        # dense (B, min(m, q·s), d) block a scatter would fill.
+        entries = 32 * 2 * 64 * 4
+        peak = _reference_chunk_peak(OSNAP(1024, 16384, s=4), reps=2)
+        assert peak < 12 * 8 * entries + 2 * _GRAM_BLOCK_BYTES
+
+    def test_reference_countsketch_chunk_stays_small(self):
+        # One CountSketch chunk of the reference grid (D_1), near-square:
+        # sixteen words per hashed entry bound it, a quarter of the dense
+        # (B, d, d) block a scatter would fill.
+        entries = 32 * 64
+        peak = _reference_chunk_peak(CountSketch(1024, 16384), reps=1)
+        assert peak < 16 * 8 * entries
+
+
+def _reference_chunk_peak(family, reps):
+    """The ``tracemalloc`` peak of ``distortions`` on one 32-trial chunk
+    of the reference grid (n=16384, d=64, m=1024), after a warm-up call."""
+    keys = trial_keys(np.uint64(SEED), 0, 32)
+    batched = family.sample_trial_batch(
+        [KeyedStream(key) for key in keys[:, 0]]
+    )
+    draws = DBeta(family.n, 64, reps=reps).sample_supports(keys[:, 1])
+    batched.distortions(draws)
+    tracemalloc.start()
+    try:
         batched.distortions(draws)
-        entries = trials * reps * d * s
-        budget = 12 * 8 * entries + 2 * _GRAM_BLOCK_BYTES
-        tracemalloc.start()
-        try:
-            batched.distortions(draws)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < budget
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestBatchedKernelValidation:

@@ -640,6 +640,13 @@ class TestEngineVersionInKey:
         # record is stale; a per-trial one shares the key's engine field.
         self._assert_stale_record_misses(tmp_path, batch, engine=5)
 
+    @pytest.mark.parametrize("batch", [None, 8])
+    def test_record_under_engine_6_is_a_miss(self, tmp_path, batch):
+        # Engine 7 reduces near-square batched chunks (CountSketch) from
+        # their hashed entries (values moved by ULPs), so an engine-6
+        # record is stale; a per-trial one shares the key's engine field.
+        self._assert_stale_record_misses(tmp_path, batch, engine=6)
+
     def test_every_stored_spec_names_the_engine(self, tmp_path):
         from repro.core.tester import ENGINE_VERSION
 
@@ -854,6 +861,10 @@ class TestCliCacheAndResume:
     def test_resume_of_checkpoint_from_engine_5_reruns(self, tmp_path,
                                                        capsys):
         self._assert_other_engine_reruns(tmp_path, 5)
+
+    def test_resume_of_checkpoint_from_engine_6_reruns(self, tmp_path,
+                                                       capsys):
+        self._assert_other_engine_reruns(tmp_path, 6)
 
     def test_resume_without_cache_dir_is_usage_error(self, tmp_path, capsys):
         from repro.experiments.__main__ import main

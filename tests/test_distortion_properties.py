@@ -1,28 +1,30 @@
 """Property-based tests for the batched distortion reduction.
 
 :func:`repro.linalg.distortion.distortions_of_products` is the reduction
-step of the batched trial engine and owns four internal regimes:
+step of both trial engines and owns four internal regimes:
 
-* a dense stack of one, ``k < d`` or ``k > 2d`` — rectangular gufunc SVD
-  directly;
-* a dense stack with ``d <= k <= 2d`` — isolated columns by their norms,
-  one rectangular SVD of the zero-padded coupled columns (the whole stack
-  when some trial has every column coupled);
-* a :class:`~repro.linalg.distortion.SparseProducts` stack (the tall
-  batched chunks, OSNAP's shape) — symmetric eigenvalues of the ``d x d``
-  Gram matrices built from the entries that share a row (squared
-  spectrum), in sub-blocks of trials;
+* a dense stack (the per-trial engine's stack of one) — rectangular
+  gufunc SVD directly;
+* a :class:`~repro.linalg.distortion.SparseProducts` stack whose trials
+  each touch at most ``2d`` rows (near-square, CountSketch's shape) —
+  isolated columns by their norms, one rectangular SVD of the
+  zero-padded coupled columns;
+* a :class:`~repro.linalg.distortion.SparseProducts` stack in which some
+  trial touches more than ``2d`` rows (tall, OSNAP's shape) — symmetric
+  eigenvalues of the ``d x d`` Gram matrices built from the entries that
+  share a row (squared spectrum), in sub-blocks of trials;
 * rank-deficient trials inside the Gram route — squared-spectrum ratio
   below ``_GRAM_RATIO_FLOOR``, or a rounded eigenvalue ``<= 0`` —
   recomputed from their dense rectangular product.
 
 Hypothesis drives random ``(B, k, d)`` shapes straddling every switch,
 sketch-like sparse stacks (disjoint supports, CountSketch buckets,
-chains of coupled columns) through the isolated-column route, and tall
-chunks of the batched column scatter (both layouts, ``s`` from 2 to 8,
-dense regime included, hashed collisions and exact cancellations,
-chunks crossing a sub-block edge) through the Gram route, and checks
-the values against the full-height rectangular SVD of every product
+chains of coupled columns) through the near-square route, and chunks of
+the batched column scatter through both entry routes (CountSketch on
+``D_1`` and ``D_{1/2}``; both layouts with ``s`` from 2 to 8, dense
+regime included; hashed collisions and exact cancellations, chunks
+crossing a sub-block edge), and checks the values against the
+full-height rectangular SVD of every product
 (:func:`singular_interval_of_product`) at the 1e-9 relative tolerance
 the golden pins use for cross-BLAS SVD agreement.  The per-trial
 :func:`distortion_of_product` is a stack of one through the same
@@ -72,12 +74,20 @@ def _reference(products):
 
 
 def _sparse(products):
-    """A dense ``(B, k, d)`` stack as its nonzero entries, for the Gram
-    route: ``np.nonzero`` lists them by trial, row and column."""
+    """A dense ``(B, k, d)`` stack as its nonzero entries, for the entry
+    routes: ``np.nonzero`` lists them by trial, row and column."""
     trial, rows, cols = np.nonzero(products)
     starts = np.searchsorted(trial, np.arange(products.shape[0] + 1))
     return SparseProducts(products.shape, starts, rows, cols,
                           products[trial, rows, cols])
+
+
+def _most_rows(products):
+    """The most rows one trial of a sparse stack touches: more than
+    ``2d`` sends the stack down the tall route."""
+    return max(np.unique(products.rows[start:stop]).size
+               for start, stop in zip(products.starts[:-1],
+                                      products.starts[1:]))
 
 
 def _stack(batch, k, d, seed, scale=None):
@@ -117,11 +127,17 @@ class TestShapeSweep:
     )
     @settings(max_examples=30, **COMMON)
     def test_gram_switch_boundary_is_seamless(self, batch, d, seed):
-        """k = 2d (isolated columns) and k = 2d+1 (rectangular) agree with
-        the reference, and so does the Gram route on both."""
+        """Entries whose first trial touches k = 2d rows (near-square) or
+        k = 2d+1 (tall) agree with the reference, and so does the dense
+        stack's rectangular SVD on both.  The other trials are sparse, so
+        isolated and coupled columns meet the switch too."""
+        gen = np.random.default_rng(seed)
         for k in (2 * d, 2 * d + 1):
             products = _stack(batch, k, d, seed)
-            for stack in (products, _sparse(products)):
+            products[1:] *= gen.random(size=products[1:].shape) < 0.3
+            entries = _sparse(products)
+            assert _most_rows(entries) == k
+            for stack in (products, entries):
                 np.testing.assert_allclose(
                     distortions_of_products(stack), _reference(products),
                     rtol=RTOL, atol=ATOL,
@@ -286,7 +302,8 @@ def _chain_product(gen, k, d, coupled):
 
 
 class TestIsolatedColumns:
-    """The near-square route (``d <= k <= 2d``) on sketch-like stacks."""
+    """The near-square route on the entries of sketch-like ``(B, k, d)``
+    stacks, ``k <= 2d``: no trial can touch more than ``2d`` rows."""
 
     @given(
         batch=st.integers(min_value=2, max_value=5),
@@ -302,7 +319,7 @@ class TestIsolatedColumns:
         products = np.stack([_disjoint_product(gen, k, d)
                              for _ in range(batch)])
         np.testing.assert_allclose(
-            distortions_of_products(products), _reference(products),
+            distortions_of_products(_sparse(products)), _reference(products),
             rtol=RTOL, atol=ATOL,
         )
 
@@ -322,7 +339,7 @@ class TestIsolatedColumns:
         products = np.stack([_bucket_product(gen, k, d)
                              for _ in range(batch)])
         np.testing.assert_allclose(
-            distortions_of_products(products, rows=4 * d),
+            distortions_of_products(_sparse(products), rows=4 * d),
             _reference(products), rtol=RTOL, atol=ATOL,
         )
 
@@ -341,7 +358,7 @@ class TestIsolatedColumns:
         products = np.stack([build(gen, 2 * d, d) for _ in range(batch)])
         victim %= batch
         products[victim, :, int(gen.integers(d))] = 0.0
-        values = distortions_of_products(products)
+        values = distortions_of_products(_sparse(products))
         np.testing.assert_allclose(values, _reference(products),
                                    rtol=RTOL, atol=ATOL)
         assert values[victim] >= 1.0
@@ -358,7 +375,7 @@ class TestIsolatedColumns:
                                                             full, seed):
         """Trials with no coupled column next to partly coupled ones pad
         to different widths; with ``full`` one trial has every column
-        coupled and the stack is reduced as it is."""
+        coupled and the SVD block is ``d`` columns wide."""
         gen = np.random.default_rng(seed)
         # 1 coupled column is impossible (it needs a partner).
         coupled = [min(c, d - 1) if c != 1 else 0 for c in counts]
@@ -368,7 +385,7 @@ class TestIsolatedColumns:
         products = np.stack([_chain_product(gen, d + 1 + d // 2, d, c)
                              for c in coupled])
         np.testing.assert_allclose(
-            distortions_of_products(products), _reference(products),
+            distortions_of_products(_sparse(products)), _reference(products),
             rtol=RTOL, atol=ATOL,
         )
 
@@ -387,7 +404,7 @@ class TestIsolatedColumns:
         k = max(1, d - short)
         products = np.stack([_bucket_product(gen, d, d)[:k]
                              for _ in range(batch)])
-        values = distortions_of_products(products)
+        values = distortions_of_products(_sparse(products))
         np.testing.assert_allclose(values, _reference(products),
                                    rtol=RTOL, atol=ATOL)
         assert np.all(values >= 1.0)
@@ -422,7 +439,8 @@ class TestGramEigenvalues:
 
 
 def _scatter_chunk(s, m, variant, d, reps, batch, seed, n=64):
-    """Keys and ``D_β`` draws of one batched column-scatter chunk."""
+    """Keys and ``D_β`` draws of one batched column-scatter chunk
+    (CountSketch at ``s = 1``)."""
     keys = np.random.default_rng(seed).integers(
         2**63, size=(batch, 2), dtype=np.uint64
     )
@@ -461,19 +479,40 @@ def _tall_shapes(draw):
 
 
 class TestSparseGramRoute:
-    """Tall chunks of the batched column scatter, reduced from their
-    hashed entries, against the full-height SVD of every trial."""
+    """Chunks of the batched column scatter, reduced from their hashed
+    entries by the tall (Gram) or the near-square route, against the
+    full-height SVD of every trial."""
 
     @given(
         shape=_tall_shapes(),
-        batch=st.integers(min_value=2, max_value=6),
+        batch=st.integers(min_value=1, max_value=6),
         seed=st.integers(min_value=0, max_value=10**6),
     )
     @settings(max_examples=80, **COMMON)
     def test_tall_chunks_match_the_full_svd(self, shape, batch, seed):
         s, m, variant, d, reps = shape
         kernel, draws = _scatter_chunk(s, m, variant, d, reps, batch, seed)
-        assume(isinstance(kernel.sketched_bases(draws), SparseProducts))
+        assume(_most_rows(kernel.sketched_bases(draws)) > 2 * d)
+        np.testing.assert_allclose(
+            kernel.distortions(draws), _trial_references(kernel, draws),
+            rtol=RTOL, atol=ATOL,
+        )
+
+    @given(
+        m=st.integers(min_value=1, max_value=48),
+        d=st.integers(min_value=1, max_value=8),
+        reps=st.sampled_from([1, 2]),
+        batch=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=80, **COMMON)
+    def test_near_square_chunks_match_the_full_svd(self, m, d, reps, batch,
+                                                   seed):
+        """CountSketch on ``D_1`` and ``D_{1/2}``: a trial has at most
+        ``2d`` entries, so the chunk is near-square, ``m < d`` included."""
+        kernel, draws = _scatter_chunk(1, m, "uniform", d, reps, batch,
+                                       seed)
+        assert _most_rows(kernel.sketched_bases(draws)) <= 2 * d
         np.testing.assert_allclose(
             kernel.distortions(draws), _trial_references(kernel, draws),
             rtol=RTOL, atol=ATOL,
@@ -489,7 +528,7 @@ class TestSparseGramRoute:
         block = _GRAM_BLOCK_BYTES // (8 * d * d)
         kernel, draws = _scatter_chunk(4, 128, "uniform", d, 1,
                                        block + extra, seed, n=256)
-        assert isinstance(kernel.sketched_bases(draws), SparseProducts)
+        assert _most_rows(kernel.sketched_bases(draws)) > 2 * d
         np.testing.assert_allclose(
             kernel.distortions(draws), _trial_references(kernel, draws),
             rtol=RTOL, atol=ATOL,
@@ -497,7 +536,7 @@ class TestSparseGramRoute:
 
     @given(
         variant=st.sampled_from(["uniform", "block"]),
-        s=st.sampled_from([2, 4, 8]),
+        s=st.sampled_from([1, 2, 4, 8]),
         cancel=st.booleans(),
         seed=st.integers(min_value=0, max_value=10**6),
     )
@@ -505,33 +544,43 @@ class TestSparseGramRoute:
     def test_support_columns_hashing_to_one_row(self, variant, s, cancel,
                                                 seed):
         """Output column 0's two support columns share a row, where their
-        entries add or cancel to an exact 0."""
+        entries add or cancel to an exact 0.  At ``s = 1`` the chunk is
+        near-square and output column 1 touches that row too, so even a
+        cancelled entry couples column 0."""
         n, m, d, reps = 512, 32, 3, 2
         kernel, draws = _scatter_chunk(s, m, variant, d, reps, 4, seed, n=n)
         key = kernel.trial_kernel(0).key
         rows, signs = column_hash(key, np.arange(n), s, m, variant)
         gen = np.random.default_rng(seed)
         hits = np.array([np.intersect1d(rows[0], row).size for row in rows])
-        partner = int(gen.choice(np.flatnonzero(hits[1:]) + 1))
+        mates = np.flatnonzero(hits[1:]) + 1
+        assume(mates.size >= 2)
+        lead = gen.choice(mates, size=2 if s == 1 else 1, replace=False)
+        partner = int(lead[0])
         shared = int(np.intersect1d(rows[0], rows[partner])[0])
         sign_a = signs[0][rows[0] == shared][0]
         sign_b = signs[partner][rows[partner] == shared][0]
+        # At s = 1 lead[1], output column 1's first support column,
+        # hashes to the shared row as well.
         support = np.concatenate((
-            [0, partner],
-            gen.choice(np.setdiff1d(np.arange(1, n), [partner]),
-                       size=reps * d - 2, replace=False),
+            [0], lead,
+            gen.choice(np.setdiff1d(np.arange(1, n), lead),
+                       size=reps * d - 1 - lead.size, replace=False),
         ))
         draw_signs = gen.choice([-1.0, 1.0], size=reps * d)
         draw_signs[1] = draw_signs[0] * sign_a * sign_b * (-1 if cancel
                                                            else 1)
         draws[0] = SupportDraw(n, d, support, draw_signs, reps)
         products = kernel.sketched_bases(draws)
-        assert isinstance(products, SparseProducts)
+        if s == 1:
+            assert _most_rows(products) <= 2 * d
         serial = kernel.trial_kernel(0).sketched_basis(draws[0])
         assert (serial[shared, 0] == 0.0) == cancel
         own = slice(products.starts[0], products.starts[1])
         at = (products.rows[own] == shared) & (products.cols[own] == 0)
         assert np.array_equal(products.values[own][at], [serial[shared, 0]])
+        if s == 1:
+            assert np.count_nonzero(products.rows[own] == shared) >= 2
         np.testing.assert_allclose(
             kernel.distortions(draws), _trial_references(kernel, draws),
             rtol=RTOL, atol=ATOL,
@@ -561,7 +610,7 @@ class TestSparseGramRoute:
                 [pool.trial_kernel(i).key for i in chunk], 4, pool.shape
             )
             picked = [draws[i] for i in chunk]
-            assert isinstance(kernel.sketched_bases(picked), SparseProducts)
+            assert _most_rows(kernel.sketched_bases(picked)) > 2 * d
             for trial, value in zip(chunk, kernel.distortions(picked)):
                 values.setdefault(trial, set()).add(value)
         assert all(len(seen) == 1 for seen in values.values())

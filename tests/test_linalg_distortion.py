@@ -157,7 +157,7 @@ class TestDistortionsOfProducts:
 
     @staticmethod
     def _entries(products):
-        """The stack's nonzero entries, for the Gram route."""
+        """The stack's nonzero entries, for the entry routes."""
         trial, rows, cols = np.nonzero(products)
         starts = np.searchsorted(trial, np.arange(products.shape[0] + 1))
         return SparseProducts(products.shape, starts, rows, cols,
@@ -173,11 +173,16 @@ class TestDistortionsOfProducts:
                                        serial, rtol=1e-9, atol=1e-12)
 
     def test_matches_scalar_path_near_square(self):
-        # k <= 2d takes the direct rectangular-SVD branch.
+        # k <= 2d: the dense stack takes the rectangular SVD, its entries
+        # the near-square route.
         products = self._stack(6, 8, 5, seed=1)
-        batched = distortions_of_products(products)
         serial = [_full_svd_distortion(p) for p in products]
-        np.testing.assert_allclose(batched, serial, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(distortions_of_products(products),
+                                   serial, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(
+            distortions_of_products(self._entries(products)), serial,
+            rtol=1e-9, atol=1e-12,
+        )
 
     def test_rows_below_d_forces_annihilation(self):
         # A compacted stack whose true row count is below d has sigma_min
@@ -200,9 +205,9 @@ class TestDistortionsOfProducts:
         assert batched[2] >= 1.0
 
     def test_stack_of_one_takes_the_rectangular_svd(self):
-        # A stack of one (the per-trial engine) stays on the rectangular
-        # SVD, so a product without zero rows reduces to exactly the full
-        # SVD.
+        # A dense stack (the per-trial engine's stack of one) takes the
+        # rectangular SVD, so a product without zero rows reduces to
+        # exactly the full SVD.
         product = self._stack(1, 40, 5, seed=0)[0]
         assert distortions_of_products(product[None])[0] \
             == _full_svd_distortion(product)
@@ -211,9 +216,11 @@ class TestDistortionsOfProducts:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 9])
     def test_empty_stack_reduces_to_no_values(self, k):
-        # Every route (k < d, near-square, tall) accepts a stack of zero
-        # trials, as compact_rows does.
-        assert distortions_of_products(np.zeros((0, k, 3))).shape == (0,)
+        # A dense stack and its entries accept a stack of zero trials, at
+        # k < d, near-square and tall, as compact_rows does.
+        empty = np.zeros((0, k, 3))
+        assert distortions_of_products(empty).shape == (0,)
+        assert distortions_of_products(self._entries(empty)).shape == (0,)
 
     def test_validation(self):
         with pytest.raises(ValueError):
