@@ -359,7 +359,13 @@ class TestTallChunks:
             rows[reps:2 * reps] = rows[:reps]
             signs[reps:2 * reps] = signs[:reps]
             draws.append(SupportDraw(n, d, rows, signs, reps))
-        assert isinstance(batched.sketched_bases(draws), SparseProducts)
+        # Each trial touches more than 2d rows: the chunk is tall.
+        products = batched.sketched_bases(draws)
+        assert all(
+            np.unique(products.rows[start:stop]).size > 2 * d
+            for start, stop in zip(products.starts[:-1],
+                                   products.starts[1:])
+        )
         with np.errstate(invalid="raise"):
             values = batched.distortions(draws)
         for index, draw in enumerate(draws):

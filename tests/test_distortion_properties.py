@@ -106,8 +106,9 @@ class TestShapeSweep:
     @given(
         batch=st.integers(min_value=1, max_value=6),
         d=st.integers(min_value=1, max_value=6),
-        # k from 1 to 5d-ish: covers k < d (annihilation), the k <= 2d
-        # rectangular branch, and the k > 2d Gram branch.
+        # k from 1 to 5d-ish: the entries cover k < d (annihilation),
+        # the k <= 2d near-square route and the k > 2d Gram route; the
+        # dense stack takes the rectangular SVD at every k.
         k_factor=st.floats(min_value=0.25, max_value=5.0),
         seed=st.integers(min_value=0, max_value=10**6),
     )
@@ -115,10 +116,11 @@ class TestShapeSweep:
     def test_batched_matches_serial_svds(self, batch, d, k_factor, seed):
         k = max(1, int(round(k_factor * d)))
         products = _stack(batch, k, d, seed)
-        np.testing.assert_allclose(
-            distortions_of_products(products), _reference(products),
-            rtol=RTOL, atol=ATOL,
-        )
+        for stack in (products, _sparse(products)):
+            np.testing.assert_allclose(
+                distortions_of_products(stack), _reference(products),
+                rtol=RTOL, atol=ATOL,
+            )
 
     @given(
         batch=st.integers(min_value=1, max_value=4),
@@ -431,8 +433,12 @@ class TestGramEigenvalues:
             products *= gen.random(size=products.shape) < 0.3
         victim %= batch
         products[victim, :, 0] = products[victim, :, -1]
+        entries = _sparse(products)
+        # A masked chunk whose trials all touch at most 2d rows would
+        # take the near-square route instead.
+        assume(_most_rows(entries) > 2 * d)
         with np.errstate(invalid="raise"):
-            values = distortions_of_products(_sparse(products))
+            values = distortions_of_products(entries)
         np.testing.assert_allclose(values, _reference(products),
                                    rtol=RTOL, atol=ATOL)
         assert values[victim] >= 1.0 - RTOL
@@ -546,7 +552,7 @@ class TestSparseGramRoute:
         """Output column 0's two support columns share a row, where their
         entries add or cancel to an exact 0.  At ``s = 1`` the chunk is
         near-square and output column 1 touches that row too, so even a
-        cancelled entry couples column 0."""
+        cancelled entry couples column 0; at ``s >= 2`` it is tall."""
         n, m, d, reps = 512, 32, 3, 2
         kernel, draws = _scatter_chunk(s, m, variant, d, reps, 4, seed, n=n)
         key = kernel.trial_kernel(0).key
@@ -574,6 +580,8 @@ class TestSparseGramRoute:
         products = kernel.sketched_bases(draws)
         if s == 1:
             assert _most_rows(products) <= 2 * d
+        else:
+            assert _most_rows(products) > 2 * d
         serial = kernel.trial_kernel(0).sketched_basis(draws[0])
         assert (serial[shared, 0] == 0.0) == cancel
         own = slice(products.starts[0], products.starts[1])
