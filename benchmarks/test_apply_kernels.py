@@ -66,7 +66,7 @@ def _sample_representations(family, count):
     variant = getattr(family, "variant", "uniform")
     reprs = []
     for seed in np.random.SeedSequence(77).spawn(count):
-        kernel = sample_sketch(family, seed, lazy=True).kernel
+        kernel = sample_sketch(family, seed).kernel
         arrays = kernel.representation()
         reprs.append(((kernel.key, kernel.s, kernel.shape, variant),
                       arrays["rows"], arrays["values"], kernel.shape))
@@ -165,12 +165,12 @@ class TestTrialPathSpeedup:
             rng=np.random.SeedSequence(5),
         )
 
-        def eager_no_kernel(fam, rng=None, lazy=False):
+        def matrix_only(fam, rng=None):
             sketch = fam.sample(rng)
             return Sketch(sketch.matrix, family=fam)
 
         original = tester.sample_sketch
-        tester.sample_sketch = eager_no_kernel
+        tester.sample_sketch = matrix_only
         try:
             old = failure_estimate(
                 family, instance, epsilon=0.5, trials=TRIALS,
@@ -199,13 +199,10 @@ class TestDenseApplyGrid:
             n = max(128, int(n * SCALE))
             m = max(8, int(m * min(1.0, 4 * SCALE)))
             family = CountSketch(m, n) if s == 1 else OSNAP(m, n, s=s)
-            eager = family.sample(np.random.SeedSequence(1))
-            lazy = sample_sketch(
-                family, np.random.SeedSequence(1), lazy=True
-            )
+            sketch = sample_sketch(family, np.random.SeedSequence(1))
             a = np.random.default_rng(2).standard_normal((n, d))
-            t_kernel, out_kernel = _best_of(20, lazy.kernel.apply, a)
-            t_matmul, out_matmul = _best_of(20, eager.matrix.__matmul__, a)
+            t_kernel, out_kernel = _best_of(20, sketch.kernel.apply, a)
+            t_matmul, out_matmul = _best_of(20, sketch.matrix.__matmul__, a)
             assert np.array_equal(out_kernel, np.asarray(out_matmul))
             rows.append((n, d, m, s, 1e3 * t_kernel, 1e3 * t_matmul))
 

@@ -336,7 +336,7 @@ class _FixedFamily:
         self._pi = pi
         self.m, self.n = pi.shape
 
-    def sample(self, rng=None, lazy: bool = False):
+    def sample(self, rng=None):
         from ..sketch.base import Sketch
 
         return Sketch(self._pi)

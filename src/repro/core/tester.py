@@ -90,11 +90,11 @@ sample_supports` call.
     CountSketch and OSNAP) run the per-trial arithmetic on the same
     streams, bit-identical to the per-trial engine.  The per-trial engine
     derives the chunk in blocks of ``_DERIVE_BLOCK`` trials and reduces
-    each trial on its own: fresh sketches are drawn ``lazy=True`` (no
-    scipy assembly), ``fixed`` when given; the subspace stays a support
-    draw, so a structured trial never allocates the dense ``n × d``
-    matrix.  A fixed sketch leaves the instance keys untouched, so both
-    paths draw the same subspaces.
+    each trial on its own, on a fresh sketch (a kernel-backed one applied
+    through its kernel) or ``fixed`` when given; the subspace stays a
+    support draw, so a structured trial never allocates the dense
+    ``n × d`` matrix.  A fixed sketch leaves the instance keys untouched,
+    so both paths draw the same subspaces.
     """
     if batched:
         blocks = [(trials.start, trials.stop)]
@@ -116,7 +116,7 @@ sample_supports` call.
                 continue
         for stream, draw in zip(streams, draws):
             sketch = fixed if fixed is not None \
-                else sample_sketch(family, stream, lazy=True)
+                else sample_sketch(family, stream)
             values.append(float(distortion_of_product(
                 sketch.basis_image(draw)
             )))
@@ -271,7 +271,7 @@ def _run_probe(kind: str, family: SketchFamily, instance: HardInstance,
     def sample_fixed() -> Optional[Sketch]:
         # The fixed sketch is keyed by the probe's word 0 (trial "-1").
         return None if fresh_sketch else sample_sketch(
-            family, KeyedStream(trial_keys(key, -1, 0)[0, 0]), lazy=True,
+            family, KeyedStream(trial_keys(key, -1, 0)[0, 0]),
         )
 
     if shard is not None and shard.index > 0:

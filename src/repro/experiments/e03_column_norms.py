@@ -49,8 +49,8 @@ class ScaledCountSketch(CountSketch):
     def _resize_params(self) -> dict:
         return {"m": self.m, "n": self.n, "c": self._c}
 
-    def sample(self, rng: RngLike = None, lazy: bool = False) -> Sketch:
-        # Scaling needs the materialized matrix; ``lazy`` is ignored.
+    def sample(self, rng: RngLike = None) -> Sketch:
+        # Scaling needs the explicit matrix.
         base = super().sample(rng)
         return Sketch(base.matrix * self._c, family=self)
 

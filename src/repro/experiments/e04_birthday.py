@@ -66,7 +66,7 @@ class BirthdayCollisionExperiment(Experiment):
             for _ in range(trials):
                 # Eager on purpose: collision/rank checks read the
                 # explicit matrix immediately below.
-                sketch = family.sample(spawn(rng), lazy=False)
+                sketch = family.sample(spawn(rng))
                 draw = instance.sample_draw(spawn(rng))
                 collided = has_bucket_collision(
                     sketch.matrix, draw.rows, 1.0 - epsilon, 1.0 + epsilon

@@ -75,7 +75,7 @@ class Algorithm1Experiment(Experiment):
             exhaustive_hits = 0
             for _ in range(trials):
                 # Eager on purpose: Algorithm 1 walks the explicit matrix.
-                sketch = family.sample(spawn(rng), lazy=False)
+                sketch = family.sample(spawn(rng))
                 pi = sketch.matrix
                 draw = instance.sample_draw(spawn(rng))
                 good = good_columns(pi, epsilon, theta, min_heavy)

@@ -67,7 +67,7 @@ class HadamardTightnessExperiment(Experiment):
             for _ in range(trials):
                 # Eager on purpose: the witness search below reads the
                 # explicit matrix.
-                sketch = family.sample(spawn(rng), lazy=False)
+                sketch = family.sample(spawn(rng))
                 draw = instance.sample_draw(spawn(rng))
                 failed = distortion_of_product(
                     draw.sketched_basis(sketch.matrix)

@@ -67,7 +67,7 @@ class HeavyBudgetExperiment(Experiment):
         for name, family in families:
             # Eager on purpose: the heavy-entry profile scans the
             # explicit matrix.
-            sketch = family.sample(spawn(rng), lazy=False)
+            sketch = family.sample(spawn(rng))
             norms2 = column_norms(sketch.matrix) ** 2
             avg_norm2 = float(np.mean(norms2))
             profile = heavy_budget_profile(sketch.matrix, epsilon)

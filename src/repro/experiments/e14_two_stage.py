@@ -85,12 +85,12 @@ class TwoStageExperiment(Experiment):
         m_single = single_search.m_star
         m_two = composed_search.m_star
         cost_single = (
-            single.with_m(m_single).sample(spawn(rng), lazy=True)
+            single.with_m(m_single).sample(spawn(rng))
             .apply_cost(probe)
             if m_single else float("nan")
         )
         cost_two = (
-            composed.with_m(m_two).sample(spawn(rng), lazy=True)
+            composed.with_m(m_two).sample(spawn(rng))
             .apply_cost(probe)
             if m_two else float("nan")
         )

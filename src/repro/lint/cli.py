@@ -36,8 +36,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "paths", nargs="*", default=["src", "tests", "benchmarks"],
-        help="files or directories to lint (default: src tests benchmarks)",
+        "paths", nargs="*",
+        default=["src", "tests", "benchmarks", "perfbench", "examples"],
+        help="files or directories to lint (default: src tests benchmarks "
+             "perfbench examples)",
     )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text",

@@ -66,8 +66,8 @@ class FileContext:
     * ``is_hot`` — library module under ``sketch/``, ``core/`` or
       ``linalg/``: RPL005 (sparse work inside loops) applies.
     * ``is_trial_engine`` — library module under ``core/``,
-      ``experiments/`` or ``utils/``: RPL007 (eager ``sample``) applies,
-      and RPL105 (batch/shard identity delegation) applies.
+      ``experiments/`` or ``utils/``: RPL105 (batch/shard identity
+      delegation) applies.
     * ``is_result_io`` — library module under ``cache/``, ``observe/``,
       ``experiments/`` or ``core/``, whose JSON writes feed caches,
       ledgers, or result files: RPL101 (strict JSON emission) applies.
@@ -185,18 +185,6 @@ _RULE_LIST: Tuple[Rule, ...] = (
         ),
     ),
     Rule(
-        code="RPL007",
-        name="eager-sample",
-        summary="sample(...) without an explicit lazy= at trial-engine call sites",
-        rationale=(
-            "PR 2 made kernel-backed families skip scipy matrix assembly "
-            "with sample(lazy=True); trial-engine call sites must choose "
-            "lazy= explicitly so eager materialization is a documented "
-            "decision, never an accident."
-        ),
-        scope="trial-engine library modules (core/, experiments/, utils/)",
-    ),
-    Rule(
         code="RPL008",
         name="unseeded-test-randomness",
         summary="test randomness not derived from a seed",
@@ -224,21 +212,6 @@ _RULE_LIST: Tuple[Rule, ...] = (
         ),
         scope="result-IO library modules (cache/, observe/, experiments/, "
               "core/)",
-    ),
-    Rule(
-        code="RPL102",
-        name="spec-key-omission",
-        summary="cache-relevant parameter not reflected in the cache spec "
-                "payload",
-        rationale=(
-            "PR 6's effective-m drift: failure_estimate grew a batch= "
-            "parameter that changed results but was missing from the probe "
-            "spec, so batched and serial runs collided on one cache key.  "
-            "A function that both takes a result-shaping parameter (batch, "
-            "trials, decision, confidence) and talks to a probe cache must "
-            "mention that parameter as a spec dict key or keyword argument."
-        ),
-        scope="library code",
     ),
     Rule(
         code="RPL103",

@@ -89,12 +89,6 @@ _SPARSE_FACTORY_FUNCS = frozenset({
 _NUMPY_ROOTS = frozenset({"np", "numpy"})
 _SPARSE_ROOTS = frozenset({"sp", "sparse", "scipy"})
 
-#: Parameters that shape a probe result and therefore must appear in its
-#: cache spec (RPL102).  ``seed`` material is covered separately by the
-#: fingerprint the spec already embeds.
-_CACHE_RELEVANT_PARAMS = frozenset({"batch", "trials", "decision",
-                                    "confidence"})
-
 #: Counter words with a canonical ``<word>_`` prefix (RPL104); the prefix
 #: set mirrors ``NON_RESULT_COUNTER_PREFIXES`` in experiments/harness.py.
 _COUNTER_PREFIX_WORDS = ("cache", "checkpoint", "shard")
@@ -121,16 +115,6 @@ def _literal(node: ast.AST) -> Optional[ast.Constant]:
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
         node = node.operand
     return node if isinstance(node, ast.Constant) else None
-
-
-def _is_super_receiver(func: ast.AST) -> bool:
-    """Whether ``func`` is ``super().sample``-shaped."""
-    return (
-        isinstance(func, ast.Attribute)
-        and isinstance(func.value, ast.Call)
-        and isinstance(func.value.func, ast.Name)
-        and func.value.func.id == "super"
-    )
 
 
 def _param_names(node: ast.AST) -> List[str]:
@@ -299,7 +283,6 @@ class LintVisitor(ast.NodeVisitor):
 
     def _visit_function(self, node: ast.AST) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self._check_spec_keys(node)
             self._check_identity_delegation(node)
         self._scopes.append(_Scope())
         outer_depth, self._loop_depth = self._loop_depth, 0
@@ -372,7 +355,6 @@ class LintVisitor(ast.NodeVisitor):
         self._check_child_seed(node)
         self._check_todense(node)
         self._check_sparse_in_loop(node)
-        self._check_eager_sample(node)
         self._check_test_randomness(node)
         self._check_json_emission(node)
         self._check_counter_prefix(node)
@@ -482,29 +464,6 @@ class LintVisitor(ast.NodeVisitor):
                 f"sparse construction `{dotted}` inside a loop in a hot "
                 f"module; hoist it or apply matrix-free",
             )
-
-    def _check_eager_sample(self, node: ast.Call) -> None:
-        """RPL007 — sample() must pick lazy= explicitly in trial engines."""
-        if not self.context.is_trial_engine:
-            return
-        is_sample_method = (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr == "sample"
-            and not _is_super_receiver(node.func)
-        )
-        is_sample_helper = (
-            isinstance(node.func, ast.Name) and node.func.id == "sample_sketch"
-        )
-        if not (is_sample_method or is_sample_helper):
-            return
-        if any(kw.arg == "lazy" for kw in node.keywords):
-            return
-        self._report(
-            node, "RPL007",
-            "sample(...) without lazy= at a trial-engine call site; pass "
-            "lazy=True to skip matrix assembly, or lazy=False to document "
-            "that the explicit matrix is needed",
-        )
 
     def _check_test_randomness(self, node: ast.Call) -> None:
         """RPL008 — unseeded randomness in tests/benchmarks."""
@@ -639,41 +598,6 @@ class LintVisitor(ast.NodeVisitor):
                 )
                 return
 
-    def _check_spec_keys(self, node: ast.AST) -> None:
-        """RPL102 — cache-relevant params must reach the spec payload."""
-        if self.context.is_test:
-            return
-        relevant = [p for p in _param_names(node)
-                    if p in _CACHE_RELEVANT_PARAMS]
-        if not relevant:
-            return
-        talks_to_cache = False
-        string_literals: Set[str] = set()
-        keyword_names: Set[str] = set()
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Call) and \
-                    isinstance(sub.func, ast.Attribute) and \
-                    sub.func.attr in ("get", "put", "peek"):
-                receiver = _dotted(sub.func.value)
-                if receiver is not None and "cache" in receiver.split(".")[-1]:
-                    talks_to_cache = True
-            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-                string_literals.add(sub.value)
-            if isinstance(sub, ast.keyword) and sub.arg is not None:
-                keyword_names.add(sub.arg)
-        if not talks_to_cache:
-            return
-        for param in relevant:
-            if param in string_literals or param in keyword_names:
-                continue
-            self._report(
-                node, "RPL102",
-                f"function takes cache-relevant parameter `{param}` and "
-                f"talks to a probe cache, but `{param}` never appears as a "
-                f"spec key or keyword argument; omitting it collides "
-                f"distinct results on one cache key",
-            )
-
     def _check_identity_delegation(self, node: ast.AST) -> None:
         """RPL105 — batch/shard params need an identity guard or pure
         forwarding."""
@@ -791,10 +715,8 @@ _CHECK_METHODS: Dict[str, str] = {
     "RPL004": "_check_sparse_compare",
     "RPL005": "_check_sparse_in_loop",
     "RPL006": "_check_float_equality",
-    "RPL007": "_check_eager_sample",
     "RPL008": "_check_test_randomness",
     "RPL101": "_check_json_emission",
-    "RPL102": "_check_spec_keys",
     "RPL103": "_check_shard_arithmetic",
     "RPL104": "_check_counter_prefix",
     "RPL105": "_check_identity_delegation",

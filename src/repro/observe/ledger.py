@@ -45,9 +45,8 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
-import numpy as np
-
 from ..utils.appendfile import AppendOnlyFile
+from ..utils.serialization import json_default
 
 __all__ = [
     "EXECUTION_KINDS",
@@ -78,18 +77,6 @@ EXECUTION_KINDS = frozenset({
 #: monotonic companion of ``t`` (see :meth:`RunLedger.emit`).
 TIMING_FIELDS = frozenset({"t", "mono", "elapsed", "worker", "workers",
                            "pid", "shard"})
-
-
-def _json_default(value: Any) -> Any:
-    """JSON fallback for numpy scalars/arrays inside event payloads."""
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(
-        f"ledger event field of type {type(value).__name__} is not "
-        f"JSON-serializable"
-    )
 
 
 class RunLedger:
@@ -183,7 +170,7 @@ class RunLedger:
                 # Python's lenient parser reads back — fail at the emit
                 # site instead.
                 self._buffer.append(json.dumps(event, allow_nan=False,
-                                               default=_json_default))
+                                               default=json_default))
                 if len(self._buffer) >= self._buffer_lines:
                     self.flush()
         if self._progress:

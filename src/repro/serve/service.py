@@ -41,7 +41,12 @@ import numpy as np
 
 from ..cache import ProbeCache
 from ..cache.keys import cache_key
-from ..core.tester import distortion_samples, failure_estimate, minimal_m
+from ..core.tester import (
+    _DECISIONS,
+    distortion_samples,
+    failure_estimate,
+    minimal_m,
+)
 from ..experiments.registry import experiment_ids, run_experiment
 from ..observe.counters import Counters, counters, use_counters
 from ..observe.ledger import RunLedger, emit_event, use_ledger
@@ -69,9 +74,6 @@ ENDPOINTS = (
     "minimal_m",
     "run_experiment",
 )
-
-_DECISIONS = ("point", "confident_pass", "confident_fail")
-
 
 class _Plan(NamedTuple):
     """A validated request: coalescing key, replay envelope, computation."""

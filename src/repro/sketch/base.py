@@ -7,13 +7,13 @@ subspace embedding is the distribution, and the embedding property is a
 statement about the probability that a sampled matrix works for a fixed
 subspace.
 
-Structured sparse families additionally attach an
-:class:`~repro.sketch.kernels.ApplyKernel` to their sketches: a matrix-free
-(hash-row, sign)-style representation whose application is bit-identical to
-the materialized matmul but skips the per-trial matrix build.  With
-``sample(..., lazy=True)`` the explicit matrix is not assembled at all
-until something (structural statistics, composition, a sparse right-hand
-side) actually asks for :attr:`Sketch.matrix`.
+Structured sparse families sample an
+:class:`~repro.sketch.kernels.ApplyKernel` instead of a matrix: a
+matrix-free (hash-row, sign)-style representation whose application is
+bit-identical to the materialized matmul but skips the per-trial matrix
+build.  The explicit matrix is a view derived from the kernel, assembled
+once, on first use, when something (composition, a sparse right-hand side,
+a structural experiment) asks for :attr:`Sketch.matrix`.
 """
 
 from __future__ import annotations
@@ -45,10 +45,12 @@ class Sketch:
     """A concrete sampled sketching matrix ``Π ∈ R^{m×n}``.
 
     Wraps the matrix together with the family that produced it, and provides
-    the application operator and basic structural statistics.  When a
-    matrix-free ``kernel`` is attached, ``matrix`` may be ``None`` — the
-    explicit form is then assembled lazily on first access, and the
-    application/statistics helpers answer from the kernel directly.
+    the application operator and basic structural statistics.  A sketch
+    sampled as a matrix-free ``kernel`` holds no matrix: :attr:`matrix` is
+    built from the kernel on first use, and the application and statistics
+    helpers answer from the kernel directly.  Sketches of implicit
+    operators (SRHT, compositions) hold neither a matrix nor a kernel and
+    override :meth:`_build_matrix`.
     """
 
     def __init__(self, matrix: Optional[MatrixLike] = None,
@@ -66,22 +68,26 @@ class Sketch:
 
     @property
     def matrix(self) -> MatrixLike:
-        """The underlying matrix, assembled from the kernel on first use."""
+        """The explicit matrix, built on first use."""
         if self._materialized is None:
-            kernel = self._kernel
-            assert kernel is not None  # __init__ requires matrix or kernel
-            self._materialized = kernel.materialize()
+            self._materialized = self._build_matrix()
         return self._materialized
+
+    def _build_matrix(self) -> MatrixLike:
+        """Assemble the explicit matrix of a sketch that holds none."""
+        kernel = self._kernel
+        assert kernel is not None  # __init__ requires matrix or kernel
+        return kernel.materialize()
 
     @property
     def kernel(self) -> Optional[ApplyKernel]:
         """The matrix-free application kernel, when the family has one."""
-        return getattr(self, "_kernel", None)
+        return self._kernel
 
     @property
     def is_materialized(self) -> bool:
         """Whether the explicit matrix has been assembled."""
-        return getattr(self, "_materialized", None) is not None
+        return self._materialized is not None
 
     @property
     def family(self) -> Optional["SketchFamily"]:
@@ -90,12 +96,8 @@ class Sketch:
 
     @property
     def shape(self) -> Tuple[int, ...]:
-        materialized = getattr(self, "_materialized", None)
-        if materialized is not None:
-            return materialized.shape
-        kernel = self.kernel
-        if kernel is not None:
-            return kernel.shape
+        if self._kernel is not None:
+            return self._kernel.shape
         return self.matrix.shape
 
     @property
@@ -111,17 +113,15 @@ class Sketch:
     @property
     def nnz(self) -> int:
         """Number of nonzero entries."""
-        kernel = self.kernel
-        if kernel is not None and not self.is_materialized:
-            return kernel.nnz()
+        if self._kernel is not None:
+            return self._kernel.nnz()
         return nnz(self.matrix)
 
     @property
     def column_sparsity(self) -> int:
         """Maximum number of nonzeros in a column — the paper's ``s``."""
-        kernel = self.kernel
-        if kernel is not None and not self.is_materialized:
-            return kernel.max_column_nnz()
+        if self._kernel is not None:
+            return self._kernel.max_column_nnz()
         return max_column_sparsity(self.matrix)
 
     def apply(self, a: MatrixLike) -> np.ndarray:
@@ -146,7 +146,7 @@ class Sketch:
                 f"cannot apply {self.shape} sketch to a {kind} with "
                 f"leading dimension {a_arr.shape[0]} (expected {self.n})"
             )
-        kernel = self.kernel
+        kernel = self._kernel
         if kernel is not None and not sp.issparse(a_arr):
             add_count("kernel_applies")
             return np.asarray(kernel.apply(a_arr), dtype=float)
@@ -164,7 +164,7 @@ class Sketch:
         unstructured draws via the kernel's dense apply.  Both are
         bit-identical to the materialized path, which remains the fallback.
         """
-        kernel = self.kernel
+        kernel = self._kernel
         if kernel is not None:
             add_count("kernel_applies")
             if getattr(draw, "structured", False):
@@ -177,16 +177,14 @@ class Sketch:
         """Multiplication count of :meth:`apply` on ``a``.
 
         Defaults to the exact sparse count (computed from the kernel's
-        per-column sparsity when the matrix is not materialized);
+        per-column sparsity when the sketch has a kernel);
         implicit-operator sketches (SRHT) override with their
         fast-transform cost.
         """
         from ..linalg.sparse_ops import sketch_apply_cost
 
-        kernel = self.kernel
-        if kernel is not None and not self.is_materialized:
-            return sketch_apply_cost(kernel, a)
-        return sketch_apply_cost(self.matrix, a)
+        pi = self._kernel if self._kernel is not None else self.matrix
+        return sketch_apply_cost(pi, a)
 
     def dense(self) -> np.ndarray:
         """The sketch as a dense ndarray."""
@@ -226,13 +224,12 @@ class SketchFamily(abc.ABC):
         return type(self).__name__
 
     @abc.abstractmethod
-    def sample(self, rng: RngLike = None, lazy: bool = False) -> Sketch:
+    def sample(self, rng: RngLike = None) -> Sketch:
         """Draw one sketching matrix from the family.
 
-        ``lazy=True`` defers assembling the explicit matrix for families
-        with a matrix-free kernel; the randomness consumed is identical
-        either way, so lazy and eager draws at the same seed hold the same
-        matrix.  Families without a kernel ignore the flag.
+        Families with a matrix-free kernel return a sketch that holds only
+        the kernel; its explicit matrix is built on first use of
+        :attr:`Sketch.matrix`.
         """
 
     def sample_trial_batch(
@@ -243,8 +240,8 @@ class SketchFamily(abc.ABC):
         ``streams[i]`` is trial ``i``'s sketch stream — in the trial
         engine a :class:`~repro.utils.rng.KeyedStream` holding the trial's
         sketch key; the batch consumes each stream exactly as
-        ``sample(streams[i], lazy=True)`` would, so ``trial_kernel(i)``
-        matches the serial draw.  Only families with a vectorized sampler
+        ``sample(streams[i])`` would, so ``trial_kernel(i)`` is the
+        serial draw's kernel.  Only families with a vectorized sampler
         override this (CountSketch and OSNAP).  The default returns
         ``None``: the trial engine then runs the per-trial path on the
         same streams, bit-identical to ``batch=None``.
@@ -285,13 +282,7 @@ class SketchFamily(abc.ABC):
         return f"{self.name}(m={self._m}, n={self._n})"
 
 
-def sample_sketch(family: SketchFamily, rng: RngLike = None,
-                  lazy: bool = False) -> Sketch:
-    """Sample from ``family``, counted as one ``sketch_samples``.
-
-    ``lazy=True`` asks kernel-backed families to skip assembling the
-    explicit matrix (see :meth:`SketchFamily.sample`); every family takes
-    the flag, and families without a kernel ignore it.
-    """
+def sample_sketch(family: SketchFamily, rng: RngLike = None) -> Sketch:
+    """Sample from ``family``, counted as one ``sketch_samples``."""
     add_count("sketch_samples")
-    return family.sample(rng, lazy=lazy)
+    return family.sample(rng)

@@ -57,7 +57,7 @@ CountSketch and OSNAP override
 kernels with *stream-faithful* sampling: it receives one stream per trial
 and consumes each exactly as the serial sampler would, so
 ``trial_kernel(i)`` reconstructs the very kernel
-``sample(streams[i], lazy=True)`` would have produced.  In the trial
+``sample(streams[i])`` would have produced.  In the trial
 engine a trial's stream is a :class:`~repro.utils.rng.KeyedStream`
 holding its sketch key (lane 0 of the trial's counter-based word, see
 :func:`repro.utils.rng.trial_keys`), so the keys are taken as they are —
@@ -165,8 +165,8 @@ class BatchedColumnScatter:
 
     def trial_kernel(self, index: int) -> ColumnScatterKernel:
         """The per-trial kernel for batch slot ``index``, identical to what
-        the family's serial ``sample(..., lazy=True)`` would have attached
-        at the same sub-stream."""
+        the family's serial ``sample`` would have drawn at the same
+        sub-stream."""
         return ColumnScatterKernel(self._keys[index], self._s, self.shape,
                                    self._variant)
 

@@ -75,46 +75,31 @@ class TwoStageSketch(SketchFamily):
             "outer": self._outer.spec(),
         }
 
-    def sample(self, rng: RngLike = None, lazy: bool = False) -> Sketch:
+    def sample(self, rng: RngLike = None) -> Sketch:
         gen = as_generator(rng)
-        inner = sample_sketch(self._inner, spawn(gen), lazy=lazy)
-        outer = sample_sketch(self._outer, spawn(gen), lazy=lazy)
-        composed = _ComposedSketch(inner, outer, self)
-        return composed
+        inner = sample_sketch(self._inner, spawn(gen))
+        outer = sample_sketch(self._outer, spawn(gen))
+        return _ComposedSketch(inner, outer, self)
 
 
 class _ComposedSketch(Sketch):
-    """Sampled two-stage sketch applying the stages in sequence."""
+    """Sampled two-stage sketch applying the stages in sequence; the
+    explicit composed matrix is built on first use."""
 
     def __init__(self, inner: Sketch, outer: Sketch,
                  family: TwoStageSketch):
         self._inner = inner
         self._outer = outer
+        self._materialized = None
         self._family = family
-        self._lazy = None
+        self._kernel = None
 
-    @property
-    def matrix(self):
-        """Explicit composed matrix (materialized on first access)."""
-        if self._lazy is None:
-            self._lazy = self._outer.apply(_to_dense(self._inner.matrix))
-        return self._lazy
-
-    @property
-    def _matrix(self):
-        return self.matrix
+    def _build_matrix(self) -> np.ndarray:
+        return self._outer.apply(_to_dense(self._inner.matrix))
 
     @property
     def shape(self) -> tuple:
         return (self._outer.m, self._inner.n)
-
-    @property
-    def m(self) -> int:
-        return self._outer.m
-
-    @property
-    def n(self) -> int:
-        return self._inner.n
 
     def apply(self, a):
         """Apply the stages in sequence (never materializes ``Π``)."""
@@ -169,9 +154,8 @@ class StackedSketch(SketchFamily):
             "families": [family.spec() for family in self._families],
         }
 
-    def sample(self, rng: RngLike = None, lazy: bool = False) -> Sketch:
-        # Stacking needs every block materialized anyway; ``lazy`` is a
-        # no-op beyond interface uniformity.
+    def sample(self, rng: RngLike = None) -> Sketch:
+        # Stacking needs every block's explicit matrix.
         gen = as_generator(rng)
         scale = 1.0 / np.sqrt(len(self._families))
         blocks = []

@@ -40,17 +40,15 @@ class CountSketch(SketchFamily):
     def spec(self) -> Dict[str, Any]:
         return {**super().spec(), "stream": STREAM_VERSION}
 
-    def sample(self, rng: RngLike = None, lazy: bool = False) -> Sketch:
+    def sample(self, rng: RngLike = None) -> Sketch:
         """Sample ``Π``: per column one ±1 entry in a uniform row.
 
         Draws one hash key from ``rng``; column ``j``'s row and sign are
         lanes 0 and 1 of the keyed column hash (:mod:`.hashing`).  The
-        sketch carries a matrix-free :class:`ColumnScatterKernel`;
-        ``lazy=True`` skips assembling the scipy matrix entirely.
+        sketch holds the matrix-free :class:`ColumnScatterKernel`.
         """
         kernel = ColumnScatterKernel(draw_key(rng), 1, (self.m, self.n))
-        matrix = None if lazy else kernel.materialize()
-        return Sketch(matrix, family=self, kernel=kernel)
+        return Sketch(family=self, kernel=kernel)
 
     def sample_trial_batch(
         self, streams: Sequence[RngLike],

@@ -21,9 +21,7 @@ __all__ = ["GaussianSketch"]
 class GaussianSketch(SketchFamily):
     """Family of dense ``m × n`` matrices with i.i.d. ``N(0, 1/m)`` entries."""
 
-    def sample(self, rng: RngLike = None, lazy: bool = False) -> Sketch:
-        # ``lazy`` is accepted for interface uniformity; a dense Gaussian
-        # matrix has no matrix-free structure to defer.
+    def sample(self, rng: RngLike = None) -> Sketch:
         gen = as_generator(rng)
         matrix = gen.standard_normal((self.m, self.n)) / math.sqrt(self.m)
         return Sketch(matrix, family=self)

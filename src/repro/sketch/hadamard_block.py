@@ -123,9 +123,8 @@ class HadamardBlockSketch(SketchFamily):
             )
         return self._base
 
-    def sample(self, rng: RngLike = None, lazy: bool = False) -> Sketch:
-        # Deterministic base matrix is cached on the family; ``lazy`` is a
-        # no-op beyond interface uniformity.
+    def sample(self, rng: RngLike = None) -> Sketch:
+        # The deterministic base matrix is cached on the family.
         matrix = self._base_matrix()
         if self._permute:
             gen = as_generator(rng)

@@ -13,8 +13,9 @@ Bit-identity contract
 ---------------------
 Every kernel's :meth:`~ApplyKernel.apply` produces output **bit-identical**
 (``np.array_equal``, not ``allclose``) to ``self.materialize() @ a``, and
-:meth:`~ApplyKernel.materialize` produces the same canonical CSC matrix as
-the eager construction in the corresponding family.  This is what lets
+:meth:`~ApplyKernel.materialize` produces the same canonical CSC matrix
+scipy assembles (COO → CSC) from :meth:`~ApplyKernel.representation`;
+:attr:`repro.sketch.base.Sketch.matrix` is that matrix.  This is what lets
 :func:`repro.core.tester.failure_estimate` switch to the kernel path
 without perturbing any recorded experiment number: the accumulation order
 of each scatter mirrors scipy's CSC matvec loop (columns in ascending

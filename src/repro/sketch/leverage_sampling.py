@@ -15,7 +15,6 @@ scores, or accepts externally approximated ones (see
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..apps.leverage import exact_leverage_scores
 from ..utils.rng import RngLike, as_generator
@@ -95,15 +94,10 @@ class LeverageSampling(SketchFamily):
         p = (1 - uniform_mix) * scores / total + uniform_mix / a.shape[0]
         return cls(m=m, n=a.shape[0], probabilities=p)
 
-    def sample(self, rng: RngLike = None, lazy: bool = False) -> Sketch:
+    def sample(self, rng: RngLike = None) -> Sketch:
         """Sample ``Π``; application is a pure row gather (kernel-backed)."""
         gen = as_generator(rng)
         rows = gen.choice(self.n, size=self.m, p=self._p)
         values = 1.0 / np.sqrt(self.m * self._p[rows])
         kernel = RowGatherKernel(rows, values, (self.m, self.n))
-        matrix = None
-        if not lazy:
-            matrix = sp.csc_matrix(
-                (values, (np.arange(self.m), rows)), shape=(self.m, self.n)
-            )
-        return Sketch(matrix, family=self, kernel=kernel)
+        return Sketch(family=self, kernel=kernel)

@@ -91,18 +91,16 @@ class OSNAP(SketchFamily):
             m += -m % self._s
         return OSNAP(**dict(self._resize_params(), m=m))
 
-    def sample(self, rng: RngLike = None, lazy: bool = False) -> Sketch:
+    def sample(self, rng: RngLike = None) -> Sketch:
         """Sample an OSNAP matrix with exactly ``s`` nonzeros per column.
 
         Draws one hash key from ``rng``; the keyed column hash
         (:mod:`.hashing`) then fixes every column's rows and signs.  The
-        sketch carries a matrix-free :class:`ColumnScatterKernel`;
-        ``lazy=True`` skips assembling the scipy matrix entirely.
+        sketch holds the matrix-free :class:`ColumnScatterKernel`.
         """
         kernel = ColumnScatterKernel(draw_key(rng), self._s,
                                      (self.m, self.n), self._variant)
-        matrix = None if lazy else kernel.materialize()
-        return Sketch(matrix, family=self, kernel=kernel)
+        return Sketch(family=self, kernel=kernel)
 
     def sample_trial_batch(
         self, streams: Sequence[RngLike],

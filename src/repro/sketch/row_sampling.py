@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..utils.rng import RngLike, as_generator
 from .base import Sketch, SketchFamily
@@ -29,20 +28,14 @@ class RowSampling(SketchFamily):
         if m > n:
             raise ValueError(f"cannot sample m={m} rows from n={n}")
 
-    def sample(self, rng: RngLike = None, lazy: bool = False) -> Sketch:
+    def sample(self, rng: RngLike = None) -> Sketch:
         """Sample ``Π``; application is a pure row gather (kernel-backed)."""
         gen = as_generator(rng)
         rows = gen.choice(self.n, size=self.m, replace=False)
         scale = math.sqrt(self.n / self.m)
         values = np.full(self.m, scale)
         kernel = RowGatherKernel(rows, values, (self.m, self.n))
-        matrix = None
-        if not lazy:
-            matrix = sp.csc_matrix(
-                (values, (np.arange(self.m), rows)),
-                shape=(self.m, self.n),
-            )
-        return Sketch(matrix, family=self, kernel=kernel)
+        return Sketch(family=self, kernel=kernel)
 
     def with_m(self, m: int) -> "RowSampling":
         return RowSampling(m=min(m, self.n), n=self.n)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..utils.rng import RngLike, as_generator
 from ..utils.validation import check_probability
@@ -58,11 +57,11 @@ class SparseJL(SketchFamily):
     def _resize_params(self) -> dict:
         return {"m": self.m, "n": self.n, "q": self._q}
 
-    def sample(self, rng: RngLike = None, lazy: bool = False) -> Sketch:
-        """Sample ``Π``; the sparse path carries a matrix-free kernel.
+    def sample(self, rng: RngLike = None) -> Sketch:
+        """Sample ``Π``; the sparse path holds a matrix-free kernel.
 
         The dense regime (``q ≥ 0.5``) has no useful sparse structure, so
-        it always materializes and ignores ``lazy``.
+        it samples the dense matrix itself.
         """
         gen = as_generator(rng)
         scale = 1.0 / math.sqrt(self._q * self.m)
@@ -80,9 +79,4 @@ class SparseJL(SketchFamily):
         kernel = CooScatterKernel.from_triplets(
             rows, cols, values, (self.m, self.n)
         )
-        matrix = None
-        if not lazy:
-            matrix = sp.coo_matrix(
-                (values, (rows, cols)), shape=(self.m, self.n)
-            ).tocsc()
-        return Sketch(matrix, family=self, kernel=kernel)
+        return Sketch(family=self, kernel=kernel)

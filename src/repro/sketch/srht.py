@@ -33,8 +33,8 @@ __all__ = ["SRHT", "SRHTOperator"]
 class SRHTOperator:
     """A sampled SRHT as an implicit operator with a fast ``apply``.
 
-    Also materializes the explicit matrix lazily for code paths (distortion
-    checks) that want it.
+    Also builds the explicit matrix for code paths (distortion checks)
+    that want it; a sampled :class:`SRHTSketch` builds it once.
     """
 
     def __init__(self, signs: np.ndarray, rows: np.ndarray, n: int, m: int):
@@ -43,7 +43,6 @@ class SRHTOperator:
         self._n = n
         self._m = m
         self._scale = 1.0 / math.sqrt(m)  # combined with unnormalized FWHT
-        self._dense = None
 
     def apply(self, a: np.ndarray) -> np.ndarray:
         """Compute ``ΠA`` in ``O(n log n)`` per column via the FWHT."""
@@ -60,46 +59,29 @@ class SRHTOperator:
 
     def dense_matrix(self) -> np.ndarray:
         """Materialize the explicit ``m × n`` matrix."""
-        if self._dense is None:
-            self._dense = self.apply(np.eye(self._n))
-        return self._dense
+        return self.apply(np.eye(self._n))
 
 
 class SRHTSketch(Sketch):
-    """A sampled SRHT: fast implicit ``apply``, lazily materialized matrix."""
+    """A sampled SRHT: fast implicit ``apply``; the explicit matrix is
+    built from the operator on first use."""
 
     def __init__(self, operator: SRHTOperator, family: "SRHT"):
         self._operator = operator
-        self._lazy_matrix = None
+        self._materialized = None
         self._family = family
+        self._kernel = None
 
     @property
     def operator(self) -> SRHTOperator:
         return self._operator
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Explicit ``m × n`` matrix (materialized on first access)."""
-        if self._lazy_matrix is None:
-            self._lazy_matrix = self._operator.dense_matrix()
-        return self._lazy_matrix
-
-    # Sketch reads self._matrix in its helpers; route through the lazy one.
-    @property
-    def _matrix(self) -> np.ndarray:
-        return self.matrix
+    def _build_matrix(self) -> np.ndarray:
+        return self._operator.dense_matrix()
 
     @property
     def shape(self) -> tuple:
         return (self._operator._m, self._operator._n)
-
-    @property
-    def m(self) -> int:
-        return self._operator._m
-
-    @property
-    def n(self) -> int:
-        return self._operator._n
 
     def apply(self, a) -> np.ndarray:
         """``ΠA`` in ``O(n log n)`` per column via the FWHT."""
@@ -123,8 +105,7 @@ class SRHT(SketchFamily):
         if m > n:
             raise ValueError(f"SRHT requires m ≤ n, got m={m}, n={n}")
 
-    def sample(self, rng: RngLike = None, lazy: bool = False) -> Sketch:
-        # SRHT is already implicit (FWHT-based); ``lazy`` is a no-op.
+    def sample(self, rng: RngLike = None) -> Sketch:
         gen = as_generator(rng)
         signs = gen.choice((-1.0, 1.0), size=self.n)
         rows = gen.choice(self.n, size=self.m, replace=False)

@@ -94,6 +94,23 @@ INPUTS = [
 ]
 
 
+def _reference_csc(kernel) -> sp.csc_matrix:
+    """``Π`` assembled by scipy (COO → CSC) from the kernel's index/value
+    representation — independent of the kernel's own matrix builder."""
+    rep = kernel.representation()
+    m, n = kernel.shape
+    values = rep["values"]
+    if "cols" not in rep:  # column scatter: (s, n) rows and values
+        rows = rep["rows"].T.ravel()
+        cols = np.repeat(np.arange(n), rep["rows"].shape[0])
+        values = values.T.ravel()
+    elif "rows" not in rep:  # row gather: one entry per output row
+        rows, cols = np.arange(m), rep["cols"]
+    else:
+        rows, cols = rep["rows"], rep["cols"]
+    return sp.coo_matrix((values, (rows, cols)), shape=(m, n)).tocsc()
+
+
 def _sparse_equal(a, b) -> bool:
     """Exact equality of two sparse matrices (structure and values)."""
     a = a.tocsc()
@@ -126,17 +143,18 @@ class TestApplyBitIdentity:
     @pytest.mark.parametrize("make_family", FAMILIES)
     @pytest.mark.parametrize("make_input", INPUTS)
     def test_sketch_apply_dispatches_to_kernel(self, make_family, make_input):
-        """``Sketch.apply`` (lazy) equals the materialized product exactly."""
+        """``Sketch.apply`` equals the materialized product exactly."""
         family = make_family()
-        lazy = sample_sketch(family, np.random.SeedSequence(5), lazy=True)
-        eager = family.sample(np.random.SeedSequence(5))
+        sketch = sample_sketch(family, np.random.SeedSequence(5))
         a = make_input(np.random.default_rng(55), family.n)
-        assert np.array_equal(lazy.apply(a), eager.apply(a))
+        got = sketch.apply(a)
+        assert not sketch.is_materialized
+        assert np.array_equal(got, Sketch(sketch.matrix).apply(a))
 
     @pytest.mark.parametrize("make_family", FAMILIES)
     def test_sparse_input_falls_back_to_matrix(self, make_family):
         family = make_family()
-        sketch = sample_sketch(family, np.random.SeedSequence(9), lazy=True)
+        sketch = sample_sketch(family, np.random.SeedSequence(9))
         a = sp.random(
             family.n, 6, density=0.2, format="csr",
             random_state=np.random.default_rng(3),
@@ -151,50 +169,52 @@ class TestApplyBitIdentity:
 class TestMaterialization:
     @pytest.mark.parametrize("make_family", FAMILIES)
     @pytest.mark.parametrize("seed", [0, 3, 7])
-    def test_lazy_and_eager_hold_identical_matrices(self, make_family, seed):
+    def test_matrix_is_scipy_assembly_of_representation(self, make_family,
+                                                        seed):
         family = make_family()
-        eager = family.sample(np.random.SeedSequence(seed))
-        lazy = sample_sketch(
-            family, np.random.SeedSequence(seed), lazy=True
-        )
-        assert not lazy.is_materialized
-        assert _sparse_equal(lazy.matrix, eager.matrix)
-        assert lazy.is_materialized
+        sketch = sample_sketch(family, np.random.SeedSequence(seed))
+        expected = _reference_csc(sketch.kernel)
+        assert not sketch.is_materialized
+        matrix = sketch.matrix
+        assert sketch.is_materialized
+        # Canonical CSC as built, not merely after a re-sort.
+        assert matrix.format == "csc" and matrix.shape == expected.shape
+        assert np.array_equal(matrix.indptr, expected.indptr)
+        assert np.array_equal(matrix.indices, expected.indices)
+        assert np.array_equal(matrix.data, expected.data)
 
     @pytest.mark.parametrize("make_family", FAMILIES)
     def test_kernel_statistics_match_matrix(self, make_family):
         family = make_family()
-        lazy = sample_sketch(family, np.random.SeedSequence(17), lazy=True)
-        eager = family.sample(np.random.SeedSequence(17))
+        sketch = sample_sketch(family, np.random.SeedSequence(17))
         # Read the statistics BEFORE materialization: they must come from
         # the kernel and still agree with the matrix-derived values.
-        kernel_nnz = lazy.nnz
-        kernel_s = lazy.column_sparsity
-        assert not lazy.is_materialized
-        assert kernel_nnz == eager.nnz
-        assert kernel_s == eager.column_sparsity
-        assert lazy.shape == eager.shape
+        kernel_nnz = sketch.nnz
+        kernel_s = sketch.column_sparsity
+        assert not sketch.is_materialized
+        explicit = Sketch(sketch.matrix)
+        assert kernel_nnz == explicit.nnz
+        assert kernel_s == explicit.column_sparsity
+        assert sketch.shape == explicit.shape
 
     @pytest.mark.parametrize("make_family", FAMILIES)
     def test_apply_cost_matches_matrix_path(self, make_family):
         family = make_family()
-        lazy = sample_sketch(family, np.random.SeedSequence(21), lazy=True)
-        eager = family.sample(np.random.SeedSequence(21))
+        sketch = sample_sketch(family, np.random.SeedSequence(21))
         gen = np.random.default_rng(0)
         a = gen.standard_normal((family.n, 5))
         a[gen.random(a.shape) < 0.5] = 0.0
-        assert not lazy.is_materialized
-        assert lazy.apply_cost(a) == eager.apply_cost(a)
-        assert sketch_apply_cost(lazy.kernel, a) == \
-            sketch_apply_cost(eager.matrix, a)
+        cost = sketch.apply_cost(a)
+        assert not sketch.is_materialized
+        assert cost == Sketch(sketch.matrix).apply_cost(a)
+        assert sketch_apply_cost(sketch.kernel, a) == \
+            sketch_apply_cost(sketch.matrix, a)
 
-    def test_lazy_repr_flags_deferred_matrix(self):
-        lazy = sample_sketch(
-            CountSketch(8, 16), np.random.SeedSequence(0), lazy=True
-        )
-        assert ", lazy" in repr(lazy)
-        lazy.matrix
-        assert ", lazy" not in repr(lazy)
+    def test_repr_flags_deferred_matrix(self):
+        sketch = sample_sketch(CountSketch(8, 16), np.random.SeedSequence(0))
+        assert ", lazy" in repr(sketch)
+        sketch.matrix
+        assert ", lazy" not in repr(sketch)
 
 
 class TestBasisImage:
@@ -208,11 +228,10 @@ class TestBasisImage:
         d = max(1, 32 // reps)
         instance = DBeta(family.n, d, reps=reps, distinct_rows=distinct_rows)
         draw = instance.sample_draw(np.random.SeedSequence(4))
-        eager = family.sample(np.random.SeedSequence(8))
-        lazy = sample_sketch(family, np.random.SeedSequence(8), lazy=True)
-        expected = draw.sketched_basis(eager.matrix)
-        assert np.array_equal(lazy.basis_image(draw), expected)
-        assert not lazy.is_materialized
+        sketch = sample_sketch(family, np.random.SeedSequence(8))
+        got = sketch.basis_image(draw)
+        assert not sketch.is_materialized
+        assert np.array_equal(got, draw.sketched_basis(sketch.matrix))
 
     @pytest.mark.parametrize("make_family", FAMILIES)
     def test_unstructured_draw_bit_identity(self, make_family):
@@ -223,10 +242,10 @@ class TestBasisImage:
             u=draw.u, rows=draw.rows, signs=draw.signs, reps=draw.reps,
             structured=False,
         )
-        eager = family.sample(np.random.SeedSequence(2))
-        lazy = sample_sketch(family, np.random.SeedSequence(2), lazy=True)
-        expected = unstructured.sketched_basis(eager.matrix)
-        assert np.array_equal(lazy.basis_image(unstructured), expected)
+        sketch = sample_sketch(family, np.random.SeedSequence(2))
+        got = sketch.basis_image(unstructured)
+        expected = unstructured.sketched_basis(sketch.matrix)
+        assert np.array_equal(got, expected)
 
     def test_combine_sketched_columns_refactor_matches(self):
         """``sketched_basis`` is gather + combine, exactly."""
@@ -242,7 +261,7 @@ class TestBasisImage:
 class TestTrialEngineDeterminism:
     @pytest.mark.parametrize("make_family", FAMILIES)
     def test_failure_estimate_workers_invariant(self, make_family):
-        """Lazy kernel path: identical estimates at workers=1 and 4."""
+        """Kernel path: identical estimates at workers=1 and 4."""
         family = make_family()
         instance = DBeta(family.n, 4, reps=2)
         kwargs = dict(epsilon=0.5, trials=24)
@@ -262,8 +281,8 @@ class TestTrialEngineDeterminism:
                                                       monkeypatch):
         """The kernel-backed trial stream equals the pre-kernel one.
 
-        Forcing eager sampling with a stripped kernel reproduces the
-        engine as it was before the matrix-free path existed; the
+        Sampling the explicit matrix with the kernel stripped reproduces
+        the engine as it was before the matrix-free path existed; the
         distortion sequence must be bit-identical.
         """
         import repro.core.tester as tester
@@ -274,11 +293,11 @@ class TestTrialEngineDeterminism:
             family, instance, trials=16, rng=np.random.SeedSequence(12)
         )
 
-        def eager_no_kernel(fam, rng=None, lazy=False):
+        def matrix_only(fam, rng=None):
             sketch = fam.sample(rng)
             return Sketch(sketch.matrix, family=fam)
 
-        monkeypatch.setattr(tester, "sample_sketch", eager_no_kernel)
+        monkeypatch.setattr(tester, "sample_sketch", matrix_only)
         old = distortion_samples(
             family, instance, trials=16, rng=np.random.SeedSequence(12)
         )
@@ -306,13 +325,10 @@ class TestApplyValidation:
         with pytest.raises(ValueError, match="matrix with leading dimension"):
             sketch.apply(np.zeros((16, 4)))
 
-    def test_lazy_sketch_validates_identically(self):
-        lazy = sample_sketch(
-            CountSketch(8, 32), np.random.SeedSequence(0), lazy=True
-        )
+    def test_validation_leaves_matrix_unbuilt(self, sketch):
         with pytest.raises(ValueError, match="vector with leading dimension"):
-            lazy.apply(np.zeros(31))
-        assert not lazy.is_materialized
+            sketch.apply(np.zeros(31))
+        assert not sketch.is_materialized
 
     def test_vector_apply_returns_vector(self, sketch):
         out = sketch.apply(np.ones(32))
@@ -348,19 +364,17 @@ class TestKernelConstruction:
         expected[1, 1], expected[0, 1], expected[2, 0] = 2.0, 3.0, 4.0
         assert np.array_equal(dense, expected)
 
-    def test_type_error_inside_lazy_sample_propagates(self):
-        # sample_sketch no longer retries an eager draw on TypeError: an
-        # error raised inside a family's sampler surfaces, instead of the
-        # family being re-sampled from an already-advanced stream.
+    def test_type_error_inside_sample_propagates(self):
+        # sample_sketch does not retry a draw on TypeError: an error raised
+        # inside a family's sampler surfaces, instead of the family being
+        # re-sampled from an already-advanced stream.
         class Broken(CountSketch):
-            def sample(self, rng=None, lazy=False):
-                sketch = super().sample(rng, lazy=lazy)
-                if lazy:
-                    raise TypeError("broken lazy sampler")
-                return sketch
+            def sample(self, rng=None):
+                super().sample(rng)
+                raise TypeError("broken sampler")
 
-        with pytest.raises(TypeError, match="broken lazy sampler"):
-            sample_sketch(Broken(M, N), np.random.default_rng(0), lazy=True)
+        with pytest.raises(TypeError, match="broken sampler"):
+            sample_sketch(Broken(M, N), np.random.default_rng(0))
 
 
 HASHED_FAMILIES = [
@@ -378,8 +392,7 @@ class TestSupportOnlyHashing:
     @pytest.mark.parametrize("make_family", HASHED_FAMILIES)
     def test_column_gather_is_materialized_slice(self, make_family):
         family = make_family()
-        kernel = sample_sketch(family, np.random.SeedSequence(3),
-                               lazy=True).kernel
+        kernel = sample_sketch(family, np.random.SeedSequence(3)).kernel
         # Unsorted, repeated columns; gathered before the full evaluation.
         idx = np.array([N - 1, 5, 0, 5, 77, 130])
         gathered = kernel.column_gather(idx)
@@ -394,7 +407,7 @@ class TestSupportOnlyHashing:
         batched = family.sample_trial_batch(seeds)
         idx = np.arange(0, N, 7)
         for index, seed in enumerate(seeds):
-            serial = sample_sketch(family, seed, lazy=True).kernel
+            serial = sample_sketch(family, seed).kernel
             got = batched.trial_kernel(index)
             assert got.key == serial.key
             assert np.array_equal(got.column_gather(idx),
@@ -555,10 +568,6 @@ class TestKernelProperties:
         family = CountSketch(m, n)
         instance = DBeta(n, d, reps=reps)
         draw = instance.sample_draw(np.random.SeedSequence(seed))
-        eager = family.sample(np.random.SeedSequence(seed + 1))
-        lazy = sample_sketch(
-            family, np.random.SeedSequence(seed + 1), lazy=True
-        )
-        assert np.array_equal(
-            lazy.basis_image(draw), draw.sketched_basis(eager.matrix)
-        )
+        sketch = sample_sketch(family, np.random.SeedSequence(seed + 1))
+        got = sketch.basis_image(draw)
+        assert np.array_equal(got, draw.sketched_basis(sketch.matrix))

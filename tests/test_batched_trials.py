@@ -302,7 +302,7 @@ class TestPerTrialReconstruction:
         seeds = np.random.SeedSequence(SEED).spawn(6)
         batched = family.sample_trial_batch(seeds)
         for index, seed in enumerate(seeds):
-            serial = sample_sketch(family, seed, lazy=True).kernel
+            serial = sample_sketch(family, seed).kernel
             got = batched.trial_kernel(index).representation()
             want = serial.representation()
             assert np.array_equal(got["rows"], want["rows"])

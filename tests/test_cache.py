@@ -19,7 +19,12 @@ from repro.cache import (
     cache_key,
     canonical_json,
 )
-from repro.core.tester import distortion_samples, failure_estimate, minimal_m
+from repro.core.tester import (
+    ENGINE_VERSION,
+    distortion_samples,
+    failure_estimate,
+    minimal_m,
+)
 from repro.hardinstances.dbeta import DBeta
 from repro.observe.counters import counters
 from repro.observe.ledger import RunLedger
@@ -526,6 +531,42 @@ class TestDistortionSamplesBitIdentity:
         assert warm_values.dtype == np.float64
 
 
+def _estimate(cache, trials=20, epsilon=0.5, fresh_sketch=True):
+    return failure_estimate(_family(), _instance(), epsilon, trials,
+                            np.random.default_rng(13),
+                            fresh_sketch=fresh_sketch, cache=cache)
+
+
+def _samples(cache, trials=12):
+    return distortion_samples(_family(), _instance(), trials,
+                              np.random.default_rng(13), cache=cache)
+
+
+class TestResultShapingInputsInKey:
+    """Every input that shapes a probe's result is part of its cache key:
+    a record stored under one value misses under another.  (``batch``,
+    ``decision`` and the seed have their own tests.)"""
+
+    @pytest.mark.parametrize("probe,field,other", [
+        pytest.param(_estimate, "trials", 21, id="failure_estimate-trials"),
+        pytest.param(_estimate, "epsilon", 0.3,
+                     id="failure_estimate-epsilon"),
+        pytest.param(_estimate, "fresh_sketch", False,
+                     id="failure_estimate-fresh_sketch"),
+        pytest.param(_samples, "trials", 13, id="distortion_samples-trials"),
+    ])
+    def test_other_value_is_a_miss(self, tmp_path, probe, field, other):
+        cache = ProbeCache(tmp_path)
+        probe(cache)
+        before = counters().snapshot()
+        warm = probe(cache, **{field: other})
+        delta = counters().diff(before)
+        assert delta.get("cache_miss") == 1
+        assert "cache_hit" not in delta
+        assert len(cache) == 2
+        np.testing.assert_array_equal(warm, probe(None, **{field: other}))
+
+
 class TestBatchCacheKeys:
     """``batch=1`` is the serial path and must share its cache entries;
     ``batch > 1`` runs different floating-point arithmetic and must not.
@@ -580,8 +621,17 @@ class TestEngineVersionInKey:
     written by an engine whose values differ recomputes each probe once
     instead of replaying them."""
 
-    @staticmethod
-    def _assert_stale_record_misses(tmp_path, batch, engine):
+    # Records of every earlier engine, per-trial (batch None) and batched.
+    # ``None`` is the spec a store written before the version field holds;
+    # engine 2 differs from engine 3 only in batched values.  A version
+    # bump adds its predecessor here through ENGINE_VERSION.
+    @pytest.mark.parametrize("engine,batch", [
+        (None, None), (None, 8), (2, 8),
+        *((engine, batch) for engine in range(3, ENGINE_VERSION)
+          for batch in (None, 8)),
+    ])
+    def test_record_under_earlier_engine_is_a_miss(self, tmp_path, engine,
+                                                   batch):
         from repro.utils.rng import seed_fingerprint
 
         trials = 16
@@ -610,46 +660,7 @@ class TestEngineVersionInKey:
         ))
         assert len(cache) == 2
 
-    @pytest.mark.parametrize("batch", [None, 8])
-    def test_record_under_unversioned_spec_is_a_miss(self, tmp_path, batch):
-        # The spec a store written before the version field holds.
-        self._assert_stale_record_misses(tmp_path, batch, engine=None)
-
-    def test_record_under_engine_2_is_a_miss_batched(self, tmp_path):
-        # Engine 3 moved batched values (isolated-column and Gram
-        # eigenvalue routes), so an engine-2 batched record is stale.
-        self._assert_stale_record_misses(tmp_path, 8, engine=2)
-
-    @pytest.mark.parametrize("batch", [None, 8])
-    def test_record_under_engine_3_is_a_miss(self, tmp_path, batch):
-        # Engine 4 moved every value (counter-based trial streams), so an
-        # engine-3 record of either engine is stale.
-        self._assert_stale_record_misses(tmp_path, batch, engine=3)
-
-    @pytest.mark.parametrize("batch", [None, 8])
-    def test_record_under_engine_4_is_a_miss(self, tmp_path, batch):
-        # Engine 5 runs every family but CountSketch/OSNAP on the
-        # per-trial path under batch > 1 (an engine-4 batched record of
-        # ScaledCountSketch measured plain CountSketch), so both are stale.
-        self._assert_stale_record_misses(tmp_path, batch, engine=4)
-
-    @pytest.mark.parametrize("batch", [None, 8])
-    def test_record_under_engine_5_is_a_miss(self, tmp_path, batch):
-        # Engine 6 builds tall batched chunks' Gram matrices from their
-        # hashed entries (OSNAP values moved by ULPs), so an engine-5
-        # record is stale; a per-trial one shares the key's engine field.
-        self._assert_stale_record_misses(tmp_path, batch, engine=5)
-
-    @pytest.mark.parametrize("batch", [None, 8])
-    def test_record_under_engine_6_is_a_miss(self, tmp_path, batch):
-        # Engine 7 reduces near-square batched chunks (CountSketch) from
-        # their hashed entries (values moved by ULPs), so an engine-6
-        # record is stale; a per-trial one shares the key's engine field.
-        self._assert_stale_record_misses(tmp_path, batch, engine=6)
-
     def test_every_stored_spec_names_the_engine(self, tmp_path):
-        from repro.core.tester import ENGINE_VERSION
-
         cache = ProbeCache(tmp_path)
         for batch in (None, 1, 4):
             distortion_samples(_family(), _instance(), 8,
@@ -839,7 +850,9 @@ class TestCliCacheAndResume:
         assert self._resumed(tmp_path, ["--batch", "8"])
         assert (tmp_path / "resumed" / "E1.json").read_bytes() == batched
 
-    def _assert_other_engine_reruns(self, tmp_path, engine):
+    @pytest.mark.parametrize("engine", range(3, ENGINE_VERSION))
+    def test_resume_of_checkpoint_from_earlier_engine_reruns(self, tmp_path,
+                                                             capsys, engine):
         cache = ["--cache-dir", str(tmp_path / "cache")]
         baseline = self._run(tmp_path, cache, "cold")
         meta_path = tmp_path / "cache" / "checkpoints" / "E1.meta.json"
@@ -849,22 +862,6 @@ class TestCliCacheAndResume:
         assert not self._resumed(tmp_path, [])
         assert (tmp_path / "resumed" / "E1.json").read_bytes() == baseline
         assert self._resumed(tmp_path, [])
-
-    def test_resume_of_checkpoint_from_another_engine_reruns(self, tmp_path,
-                                                             capsys):
-        self._assert_other_engine_reruns(tmp_path, 3)
-
-    def test_resume_of_checkpoint_from_engine_4_reruns(self, tmp_path,
-                                                       capsys):
-        self._assert_other_engine_reruns(tmp_path, 4)
-
-    def test_resume_of_checkpoint_from_engine_5_reruns(self, tmp_path,
-                                                       capsys):
-        self._assert_other_engine_reruns(tmp_path, 5)
-
-    def test_resume_of_checkpoint_from_engine_6_reruns(self, tmp_path,
-                                                       capsys):
-        self._assert_other_engine_reruns(tmp_path, 6)
 
     def test_resume_without_cache_dir_is_usage_error(self, tmp_path, capsys):
         from repro.experiments.__main__ import main

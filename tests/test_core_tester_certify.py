@@ -107,7 +107,7 @@ class TestTrialStreamContract:
             word = _mix64((key + (t + 1) * _PHI) & _U64)
             sketch_key = _mix64((word + _PHI) & _U64)
             instance_key = _mix64((word + 2 * _PHI) & _U64)
-            sketch = self.FAM.sample(KeyedStream(sketch_key), lazy=True)
+            sketch = self.FAM.sample(KeyedStream(sketch_key))
             draw = self.INST.sample_support(KeyedStream(instance_key))
             assert value == distortion_of_product(sketch.basis_image(draw))
 

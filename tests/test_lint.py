@@ -52,10 +52,8 @@ RULE_FIXTURES = {
     "RPL004": LIBRARY_PATH,
     "RPL005": HOT_PATH,
     "RPL006": LIBRARY_PATH,
-    "RPL007": TRIAL_PATH,
     "RPL008": TEST_PATH,
     "RPL101": CACHE_PATH,
-    "RPL102": CACHE_PATH,
     "RPL103": LIBRARY_PATH,
     "RPL104": LIBRARY_PATH,
     "RPL105": TRIAL_PATH,
@@ -119,11 +117,6 @@ class TestRuleFixtures:
         cold = lint_source(source, "src/repro/apps/fixture_module.py")
         assert [v for v in cold if v.code == "RPL005"] == []
 
-    def test_rpl007_only_fires_in_trial_engine_modules(self):
-        source = (FIXTURES / "rpl007_bad.py").read_text(encoding="utf-8")
-        cold = lint_source(source, "src/repro/hardinstances/fixture_module.py")
-        assert [v for v in cold if v.code == "RPL007"] == []
-
     def test_rpl008_only_fires_in_tests(self):
         source = "import numpy as np\ngen = np.random.default_rng()\n"
         in_test = lint_source(source, TEST_PATH)
@@ -141,16 +134,6 @@ class TestRuleFixtures:
         # A sketch module's JSON writes feed nothing durable.
         outside = lint_source(source, HOT_PATH)
         assert [v for v in outside if v.code == "RPL101"] == []
-
-    def test_rpl102_keyword_forwarding_counts_as_spec_coverage(self):
-        # `batch` reaching the spec helper as a keyword argument is
-        # coverage even without a literal spec-dict key.
-        source = (
-            "def cached(probe_cache, trials, batch):\n"
-            "    spec = build_spec(trials=trials, batch=batch)\n"
-            "    return probe_cache.get(spec)\n"
-        )
-        assert lint_source(source, CACHE_PATH) == []
 
     def test_rpl103_spares_the_shard_primitives_themselves(self):
         source = (FIXTURES / "rpl103_bad.py").read_text(encoding="utf-8")
@@ -226,14 +209,14 @@ class TestSuppressions:
             "x = 1  # repro-lint: disable=RPL001,RPL006\n"
             "# repro-lint: disable-next-line=RPL003\n"
             "y = 2\n"
-            "# repro-lint: disable-file=RPL007\n"
+            "# repro-lint: disable-file=RPL005\n"
         )
         assert parsed.is_suppressed(1, "RPL001")
         assert parsed.is_suppressed(1, "RPL006")
         assert not parsed.is_suppressed(1, "RPL003")
         assert parsed.is_suppressed(3, "RPL003")
-        assert parsed.is_suppressed(2, "RPL007")
-        assert parsed.is_suppressed(99, "RPL007")
+        assert parsed.is_suppressed(2, "RPL005")
+        assert parsed.is_suppressed(99, "RPL005")
 
     def test_directive_inside_string_is_ignored(self):
         parsed = parse_suppressions(
@@ -444,7 +427,8 @@ class TestRepoIsClean:
             + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
         )
         result = subprocess.run(
-            [sys.executable, "-m", "repro.lint", "src", "tests", "benchmarks"],
+            [sys.executable, "-m", "repro.lint", "src", "tests", "benchmarks",
+             "perfbench", "examples"],
             cwd=str(REPO_ROOT), env=env,
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         )

@@ -87,7 +87,7 @@ P_FLOOR = 1e-4
 
 def _entries(family, seed=0):
     """Rows and signs ``(s, n)`` of one sampled sketch, hash order."""
-    kernel = family.sample(np.random.SeedSequence(seed), lazy=True).kernel
+    kernel = family.sample(np.random.SeedSequence(seed)).kernel
     rows, values = kernel.entries(np.arange(family.n))
     return rows, np.sign(values)
 
