@@ -192,8 +192,14 @@ class Sketch:
 
     def __repr__(self) -> str:
         origin = f" from {self._family!r}" if self._family is not None else ""
-        lazy = "" if self.is_materialized else ", lazy"
-        return f"Sketch(shape={self.shape}, nnz={self.nnz}{lazy}{origin})"
+        if self.is_materialized:
+            state = f", nnz={self.nnz}"
+        elif self._kernel is not None:
+            state = f", nnz={self.nnz}, lazy"
+        else:
+            # An implicit operator's nnz would build its matrix.
+            state = ", lazy"
+        return f"Sketch(shape={self.shape}{state}{origin})"
 
 
 class SketchFamily(abc.ABC):

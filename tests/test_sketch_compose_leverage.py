@@ -36,6 +36,17 @@ class TestTwoStageSketch:
         x = np.random.default_rng(2).standard_normal((256, 3))
         assert np.allclose(sketch.apply(x), sketch.matrix @ x)
 
+    def test_repr_leaves_matrix_unbuilt(self):
+        fam = TwoStageSketch(CountSketch(m=64, n=256),
+                             GaussianSketch(m=16, n=64))
+        sketch = fam.sample(3)
+        assert ", lazy" in repr(sketch) and "nnz=" not in repr(sketch)
+        assert not sketch.is_materialized
+        matrix = sketch.matrix
+        assert sketch.matrix is matrix
+        assert f"nnz={sketch.nnz}" in repr(sketch)
+        assert ", lazy" not in repr(sketch)
+
     def test_with_m_resizes_outer(self):
         fam = TwoStageSketch(CountSketch(m=64, n=256),
                              GaussianSketch(m=16, n=64))

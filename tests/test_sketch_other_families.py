@@ -99,6 +99,25 @@ class TestSRHT:
         cost = sketch.apply_cost(np.ones((64, 2)))
         assert cost == 64 * 6 * 2
 
+    def test_matrix_built_once_on_first_use(self):
+        sketch = SRHT(m=16, n=64).sample(6)
+        assert not sketch.is_materialized
+        x = np.random.default_rng(7).standard_normal((64, 3))
+        sketch.apply(x)
+        assert not sketch.is_materialized
+        matrix = sketch.matrix
+        assert sketch.is_materialized
+        assert sketch.matrix is matrix
+
+    def test_repr_leaves_matrix_unbuilt(self):
+        # An implicit operator's nnz needs its matrix: repr must not ask.
+        sketch = SRHT(m=16, n=64).sample(8)
+        assert ", lazy" in repr(sketch) and "nnz=" not in repr(sketch)
+        assert not sketch.is_materialized
+        sketch.matrix
+        assert f"nnz={sketch.nnz}" in repr(sketch)
+        assert ", lazy" not in repr(sketch)
+
 
 class TestBlockHadamardMatrix:
     def test_unit_columns(self):
