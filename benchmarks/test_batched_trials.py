@@ -1,4 +1,4 @@
-"""Batched-vs-serial throughput for the Monte-Carlo trial engine.
+"""Entries-engine vs dense per-trial throughput for the Monte-Carlo trials.
 
 Like ``benchmarks/test_apply_kernels.py`` this uses manual
 ``time.perf_counter`` timing so it doubles as a CI smoke test.  Scale via
@@ -8,10 +8,13 @@ assertions are load-bearing and the speedup floor relaxes to a sanity
 threshold.
 
 The measurement is end-to-end :func:`distortion_samples` — seeding, the
-batched sampler, the batch-axis scatter, the BLAS matmul, and the
-gufunc-batched SVD reduction all inside the timer — against the serial
-per-trial kernel path at the same seed.  Reference grid
-(n=16384, d=64, m=1024, s ∈ {1, 4}): the batched path is ≥3× faster.
+batched sampler, the hashed entries, and the reduction from them all
+inside the timer — against the dense per-trial reduction on the same
+trial streams: each trial's sketch sampled on its own, its product
+built through the sketch's kernel (``basis_image``) and reduced by
+:func:`distortion_of_product`, as every path ran CountSketch and OSNAP
+before they ran in chunks by default.  Reference grid (n=16384, d=64,
+m=1024, s ∈ {1, 4}): the entries engine is ≥3× faster.
 """
 
 import os
@@ -22,7 +25,15 @@ import pytest
 
 from repro.core.tester import distortion_samples
 from repro.hardinstances.dbeta import DBeta
-from repro.sketch import OSNAP, CountSketch
+from repro.linalg.distortion import distortion_of_product
+from repro.sketch import OSNAP, CountSketch, sample_sketch
+from repro.utils.rng import (
+    KeyedStream,
+    as_generator,
+    draw_key,
+    spawn_seeds,
+    trial_keys,
+)
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 FULL_FIDELITY = SCALE >= 1.0
@@ -60,8 +71,25 @@ def _run(family, instance, **kwargs):
     )
 
 
+def _dense_run(family, instance):
+    """The same trials through the dense per-trial reduction: the probe
+    key ``_run`` draws, every trial's keys and supports derived at once,
+    then one sketch, product and SVD per trial."""
+    key = draw_key(spawn_seeds(as_generator(np.random.SeedSequence(SEED)),
+                               1)[0])
+    keys = trial_keys(key, 0, TRIALS)
+    draws = instance.sample_supports(keys[:, 1])
+    return np.array([
+        distortion_of_product(
+            sample_sketch(family, KeyedStream(sketch_key)).basis_image(draw)
+        )
+        for sketch_key, draw in zip(keys[:, 0], draws)
+    ])
+
+
 class TestBatchedTrialSpeedup:
-    """The acceptance measurement: distortion_samples, batched vs serial."""
+    """The acceptance measurement: distortion_samples, entries engine vs
+    the dense per-trial reduction."""
 
     @pytest.mark.parametrize("make_family,reps", CASES)
     def test_batched_trials_faster_and_equivalent(self, make_family, reps):
@@ -70,13 +98,13 @@ class TestBatchedTrialSpeedup:
 
         # Warm-up outside the timed region (allocator, BLAS threads).
         _run(family, instance, batch=BATCH)
-        _run(family, instance)
+        _dense_run(family, instance)
 
         t_batched, batched = _best_of(3, _run, family, instance, batch=BATCH)
-        t_serial, serial = _best_of(3, _run, family, instance)
+        t_serial, serial = _best_of(3, _dense_run, family, instance)
 
-        # Same seed, same trial streams: the batched engine must reproduce
-        # the serial values to SVD tolerance at every scale.
+        # Same seed, same trial streams: the entries engine must reproduce
+        # the dense values to SVD tolerance at every scale.
         np.testing.assert_allclose(batched, serial, rtol=1e-9, atol=1e-12)
 
         speedup = t_serial / t_batched
@@ -97,7 +125,7 @@ class TestBatchedTrialSpeedup:
 
     @pytest.mark.parametrize("make_family,reps", CASES)
     def test_batch_one_is_bit_identical_to_serial(self, make_family, reps):
-        """batch=1 delegates to the serial path — bitwise, at every scale."""
+        """batch=1 gives the default path's bits — at every scale."""
         family = make_family()
         instance = DBeta(REF_N, REF_D, reps=reps)
         assert np.array_equal(

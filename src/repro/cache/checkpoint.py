@@ -2,19 +2,20 @@
 
 A checkpoint is the byte-exact ``ExperimentResult.save_json`` payload of a
 *completed* experiment plus a small ``.meta.json`` sidecar recording the
-run configuration it is valid for: seed, scale, the ``--batch`` setting
-(the batched engine's values differ from the serial one's) and the trial
-engine's version (:data:`repro.core.tester.ENGINE_VERSION`, passed in by
-the CLI so this package never imports the engine).  On ``--resume`` the CLI
-skips any experiment with a matching checkpoint and copies the stored
-bytes straight into ``--json-dir``, so a killed-midway run restarted with
+run configuration it is valid for: seed, scale and the trial engine's
+version (:data:`repro.core.tester.ENGINE_VERSION`, passed in by the CLI
+so this package never imports the engine).  Execution knobs such as
+``--workers`` and ``--batch`` change no value, so they are not part of
+it.  On ``--resume`` the CLI skips any experiment with a matching
+checkpoint and copies the stored bytes straight into ``--json-dir``, so
+a killed-midway run restarted with
 ``--resume`` produces JSON artifacts bit-identical to an uninterrupted
 run (result JSON deliberately excludes wall-clock — see
 :meth:`repro.experiments.harness.ExperimentResult.to_dict`).
 
 Both files are written atomically (temp file + ``os.replace``) so a crash
 mid-save can never leave a checkpoint that parses but lies.  Any mismatch
-— different seed, scale, batch or engine, unreadable JSON, missing
+— different seed, scale or engine, unreadable JSON, missing
 sidecar — makes
 :meth:`ExperimentCheckpoint.load` return ``None`` and the experiment
 simply re-runs; a stale checkpoint is never an error.
@@ -61,8 +62,7 @@ class ExperimentCheckpoint:
         return self._directory / f"{experiment_id}.meta.json"
 
     def save(self, result: "ExperimentResult", *, seed: Optional[int],
-             scale: float, batch: Optional[int] = None,
-             engine: Optional[int] = None) -> Path:
+             scale: float, engine: Optional[int] = None) -> Path:
         """Checkpoint a completed result for the given run configuration."""
         self._directory.mkdir(parents=True, exist_ok=True)
         path = self.path_for(result.experiment_id)
@@ -74,7 +74,7 @@ class ExperimentCheckpoint:
         _atomic_write_text(path, payload)
         meta: Dict[str, Any] = {
             "experiment_id": result.experiment_id,
-            **self._config(seed, scale, batch, engine),
+            **self._config(seed, scale, engine),
         }
         _atomic_write_text(
             self._meta_path(result.experiment_id),
@@ -83,21 +83,20 @@ class ExperimentCheckpoint:
         )
         add_count("checkpoint_save")
         emit_event("checkpoint_save", experiment=result.experiment_id,
-                   seed=seed, scale=scale, batch=batch, engine=engine)
+                   seed=seed, scale=scale, engine=engine)
         return path
 
     @staticmethod
-    def _config(seed: Optional[int], scale: float, batch: Optional[int],
+    def _config(seed: Optional[int], scale: float,
                 engine: Optional[int]) -> Dict[str, Any]:
         """The sidecar fields a checkpoint must match to be replayed."""
-        return {"seed": seed, "scale": scale, "batch": batch,
-                "engine": engine}
+        return {"seed": seed, "scale": scale, "engine": engine}
 
     def load(self, experiment_id: str, *, seed: Optional[int],
-             scale: float, batch: Optional[int] = None,
+             scale: float,
              engine: Optional[int] = None) -> Optional["ExperimentResult"]:
-        """Completed result for this exact (seed, scale, batch, engine),
-        else ``None``."""
+        """Completed result for this exact (seed, scale, engine), else
+        ``None``."""
         from ..experiments.harness import ExperimentResult
 
         path = self.path_for(experiment_id)
@@ -108,7 +107,7 @@ class ExperimentCheckpoint:
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
         except (json.JSONDecodeError, OSError):
             return None
-        config = self._config(seed, scale, batch, engine)
+        config = self._config(seed, scale, engine)
         if any(meta.get(name) != value for name, value in config.items()):
             return None
         try:

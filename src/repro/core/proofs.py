@@ -340,3 +340,8 @@ class _FixedFamily:
         from ..sketch.base import Sketch
 
         return Sketch(self._pi)
+
+    def sample_trial_batch(self, streams):
+        # Not a hashed family: the trial engine reduces each trial's
+        # dense product on the one matrix.
+        return None

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from ..observe.counters import add_count, counters
 from ..observe.ledger import emit_event
 from ..observe.trace import trace
 from ..sketch.base import Sketch, SketchFamily, sample_sketch
+from ..sketch.batched import BatchedColumnScatter
 from ..utils.parallel import (
     ShardSpec,
     TrialExecutor,
@@ -64,56 +65,54 @@ class ShardPending(Exception):
     """
 
 
-#: Trials whose keys and supports one derivation call computes at most.
-#: The per-trial engine derives a chunk block by block, so its temporaries
-#: stay bounded however many trials one chunk holds; block edges sit at
-#: multiples of this size, and a trial's streams never depend on them.
-_DERIVE_BLOCK = 128
+#: Trials one block derives and reduces at most.  A chunk is derived and
+#: reduced block by block, so its temporaries stay bounded however many
+#: trials it holds; block edges sit at multiples of this size, and a
+#: trial's value never depends on them.
+_DERIVE_BLOCK = 32
 
 
 def _trial_chunk(family: SketchFamily, instance: HardInstance,
-                 fixed: Optional[Sketch], batched: bool, key: np.uint64,
-                 trials: range) -> List[float]:
+                 fixed: Union[None, Sketch, BatchedColumnScatter],
+                 key: np.uint64, trials: range) -> List[float]:
     """The distortions of trials ``trials`` of the probe keyed by ``key``.
 
     Module-level (not a closure) so :class:`TrialExecutor` can pickle it
     for process-pool workers.  Trial ``t``'s sketch and instance keys are
     lanes of its counter-based word (:func:`~repro.utils.rng.trial_keys`),
-    so its value depends only on ``(key, t)`` — never on the chunk, the
-    worker or the shard that runs it.  The instance draws of a block come
-    from one vectorized :meth:`~repro.hardinstances.dbeta.HardInstance.\
-sample_supports` call.
+    and its value depends only on them — never on the chunk, the block,
+    the worker or the shard that runs it.  The instance draws of a block
+    come from one vectorized :meth:`~repro.hardinstances.dbeta.\
+HardInstance.sample_supports` call, so a structured trial never
+    allocates the dense ``n × d`` matrix.
 
-    The batched engine (``batched``) samples the chunk's sketches with
-    ``sample_trial_batch`` and reduces them as one stack; families
-    without a vectorized sampler (it returns ``None``; all but
-    CountSketch and OSNAP) run the per-trial arithmetic on the same
-    streams, bit-identical to the per-trial engine.  The per-trial engine
-    derives the chunk in blocks of ``_DERIVE_BLOCK`` trials and reduces
-    each trial on its own, on a fresh sketch (a kernel-backed one applied
-    through its kernel) or ``fixed`` when given; the subspace stays a
-    support draw, so a structured trial never allocates the dense
-    ``n × d`` matrix.  A fixed sketch leaves the instance keys untouched,
-    so both paths draw the same subspaces.
+    A hashed family (CountSketch, OSNAP) samples the block's sketches
+    with ``sample_trial_batch`` and reduces them from their hashed
+    entries, each trial by its own route
+    (:func:`~repro.linalg.distortion.distortions_of_products`).  Every
+    other family (``sample_trial_batch`` returns ``None``) reduces each
+    trial's dense product on its own.  ``fixed`` is the probe's fixed
+    sketch when it has one: a hashed family's single key, repeated for
+    every trial of the block, or else a :class:`Sketch`.  A fixed sketch
+    leaves the instance keys untouched, so both draw the same subspaces.
     """
-    if batched:
-        blocks = [(trials.start, trials.stop)]
-    else:
-        edges = range(trials.start - trials.start % _DERIVE_BLOCK
-                      + _DERIVE_BLOCK, trials.stop, _DERIVE_BLOCK)
-        bounds = [trials.start, *edges, trials.stop]
-        blocks = list(zip(bounds[:-1], bounds[1:]))
+    edges = range(trials.start - trials.start % _DERIVE_BLOCK
+                  + _DERIVE_BLOCK, trials.stop, _DERIVE_BLOCK)
+    bounds = [trials.start, *edges, trials.stop]
     values: List[float] = []
-    for start, stop in blocks:
+    for start, stop in zip(bounds[:-1], bounds[1:]):
         keys = trial_keys(key, start, stop)
         draws = instance.sample_supports(keys[:, 1])
         streams = [KeyedStream(sketch_key) for sketch_key in keys[:, 0]]
-        if batched:
+        if fixed is None:
             kernel = family.sample_trial_batch(streams)
-            if kernel is not None:
-                values.extend(float(value)
-                              for value in kernel.distortions(draws))
-                continue
+        elif isinstance(fixed, BatchedColumnScatter):
+            kernel = fixed.repeated(stop - start)
+        else:
+            kernel = None
+        if kernel is not None:
+            values.extend(float(value) for value in kernel.distortions(draws))
+            continue
         for stream, draw in zip(streams, draws):
             sketch = fixed if fixed is not None \
                 else sample_sketch(family, stream)
@@ -123,17 +122,10 @@ sample_supports` call.
     return values
 
 
-def _check_batch(batch: Optional[int], fresh_sketch: bool) -> Optional[int]:
-    """Validate the ``batch`` knob shared by the trial-loop entry points."""
-    if batch is None:
-        return None
-    batch = check_positive_int(batch, "batch")
-    if batch > 1 and not fresh_sketch:
-        raise ValueError(
-            "batch > 1 requires fresh_sketch=True: the batched engine "
-            "samples one sketch per trial"
-        )
-    return batch
+def _check_batch(batch: Optional[int]) -> Optional[int]:
+    """Validate the ``batch`` chunk size shared by the trial-loop entry
+    points."""
+    return None if batch is None else check_positive_int(batch, "batch")
 
 
 #: Version of the trial arithmetic behind every cached probe value; part
@@ -143,9 +135,11 @@ def _check_batch(batch: Optional[int], fresh_sketch: bool) -> Optional[int]:
 #: streams keyed by one probe key; 5: only CountSketch/OSNAP batched,
 #: every other family on the per-trial path under ``batch > 1``; 6: tall
 #: batched chunks' Gram matrices built from their hashed entries; 7: every
-#: batched chunk reduced from its hashed entries, near-square ones too)
+#: batched chunk reduced from its hashed entries, near-square ones too;
+#: 8: CountSketch and OSNAP reduced from their hashed entries on every
+#: path, each trial by its own route and coupled-block shape)
 #: recomputes instead of replaying them.
-ENGINE_VERSION = 7
+ENGINE_VERSION = 8
 
 
 def _probe_spec(family: SketchFamily, instance: HardInstance,
@@ -226,20 +220,13 @@ def _run_probe(kind: str, family: SketchFamily, instance: HardInstance,
     * **full compute** — all trials run and the record is stored.
     """
     trials = check_positive_int(trials, "trials")
-    batch = _check_batch(batch, fresh_sketch)
-    batched = batch is not None and batch > 1
+    batch = _check_batch(batch)
     shard = normalize_shard(shard)
     gen = as_generator(rng)
     spec = None
     if cache is not None:
         fingerprint = seed_fingerprint(gen)
         if fingerprint is not None:
-            if batched:
-                # The batched engine owns a different (canonical)
-                # accumulation order, so its results must not alias the
-                # serial path's; batch=1 delegates to the serial path and
-                # shares its entries.
-                params = dict(params, batch=batch)
             spec = _probe_spec(family, instance, fingerprint, trials,
                                **params)
     # The probe's one spawn, taken after the fingerprint (which names the
@@ -259,8 +246,7 @@ def _run_probe(kind: str, family: SketchFamily, instance: HardInstance,
                 "partials are exchanged through the probe cache, keyed by "
                 "the seed fingerprint"
             )
-        span = shard_spans(trials, shard.count,
-                           step=batch if batched else 1)[shard.index]
+        span = shard_spans(trials, shard.count)[shard.index]
         record_spec = _shard_spec_of(spec, shard, span)
         if cache.peek(kind, record_spec) is not None:
             # This shard's slice is already on disk (resume after a crash
@@ -268,11 +254,14 @@ def _run_probe(kind: str, family: SketchFamily, instance: HardInstance,
             raise _shard_pending(kind, spec, shard, span, computed=False)
     key = draw_key(child)
 
-    def sample_fixed() -> Optional[Sketch]:
-        # The fixed sketch is keyed by the probe's word 0 (trial "-1").
-        return None if fresh_sketch else sample_sketch(
-            family, KeyedStream(trial_keys(key, -1, 0)[0, 0]),
-        )
+    def sample_fixed() -> Union[None, Sketch, BatchedColumnScatter]:
+        # The fixed sketch is keyed by the probe's word 0 (trial "-1"); a
+        # hashed family samples it as a batch of one key.
+        if fresh_sketch:
+            return None
+        stream = KeyedStream(trial_keys(key, -1, 0)[0, 0])
+        kernel = family.sample_trial_batch([stream])
+        return sample_sketch(family, stream) if kernel is None else kernel
 
     if shard is not None and shard.index > 0:
         # Every shard must sample the fixed sketch, but only shard 0's
@@ -283,15 +272,12 @@ def _run_probe(kind: str, family: SketchFamily, instance: HardInstance,
     else:
         before = counters().snapshot()
         fixed = sample_fixed()
-    executor = TrialExecutor(workers=workers,
-                             chunk_size=batch if batched else None)
+    executor = TrialExecutor(workers=workers, chunk_size=batch)
     run = partial(executor.run_chunked,
-                  partial(_trial_chunk, family, instance, fixed, batched,
-                          key),
+                  partial(_trial_chunk, family, instance, fixed, key),
                   range(*span))
     if shard is None:
-        labels = {"batch": batch} if batched else {}
-        with trace(kind, m=family.m, trials=trials, **labels):
+        with trace(kind, m=family.m, trials=trials):
             values = run()
     else:
         # Empty slices (more shards than work units) run nothing.
@@ -342,16 +328,14 @@ def failure_estimate(family: SketchFamily, instance: HardInstance,
     ``count_*`` metrics included.  RNGs without a recorded seed sequence
     are uncacheable and silently bypass the cache.
 
-    ``batch`` switches the trials onto the batched kernel engine
-    (:mod:`repro.sketch.batched`): chunks of ``batch`` trials are sampled,
-    applied, and SVD-reduced in one vectorized call each.  ``None`` or
-    ``1`` keeps the serial per-trial path exactly (so ``batch=1`` is
-    bit-identical to the default).  ``batch > 1`` uses the engine's own
-    canonical accumulation order — deterministic, and bit-identical across
-    serial/parallel and cold/warm-cache runs at a fixed seed, but distinct
-    from the serial stream at the ULP level, which is why the batch size
-    enters the cache key.  Requires ``fresh_sketch=True``; the chunk
-    decomposition is pinned to ``batch``.
+    ``batch`` is the number of trials dispatched as one chunk, like
+    ``workers`` an execution knob only: a trial's value depends only on
+    its own streams, so every ``batch`` gives the same bits and shares one
+    cache entry.  ``None`` lets the executor choose (one chunk in-process,
+    about four per worker on a pool).  Either way a chunk is sampled and
+    reduced in blocks of at most 32 trials; CountSketch and OSNAP reduce
+    a block from its hashed entries (:mod:`repro.sketch.batched`), a fixed
+    sketch included.
 
     ``shard`` (a :class:`~repro.utils.parallel.ShardSpec` or an
     ``(index, count)`` pair) runs this call as one worker of an N-way
@@ -404,9 +388,8 @@ def distortion_samples(family: SketchFamily, instance: HardInstance,
     setting at a fixed seed — and, with ``cache`` given, for cold, warm,
     and cache-off runs (the cached array is stored exactly and a hit
     spawns the same one child a miss does; see :func:`failure_estimate`).
-    ``batch`` selects the batched kernel engine exactly as in
-    :func:`failure_estimate` (``None``/``1`` = serial path, ``> 1`` =
-    vectorized chunks with the batch size in the cache key).  ``shard``
+    ``batch`` is the chunk size, an execution knob only, exactly as in
+    :func:`failure_estimate`.  ``shard``
     runs one slice of an N-way fan-out and raises :class:`ShardPending`
     until a merged cache resolves the probe, exactly as in
     :func:`failure_estimate` (the folded record concatenates slice
@@ -502,8 +485,8 @@ def minimal_m(family: SketchFamily, instance: HardInstance, epsilon: float,
 
     ``workers`` parallelizes each probe's trials over a process pool (see
     :func:`failure_estimate`); the probe sequence itself is adaptive and
-    stays serial.  ``batch`` switches each probe onto the batched kernel
-    engine (see :func:`failure_estimate`).
+    stays serial.  ``batch`` is each probe's chunk size, an execution knob
+    only (see :func:`failure_estimate`).
 
     ``decision`` selects how a probe passes:
 
@@ -549,7 +532,7 @@ def minimal_m(family: SketchFamily, instance: HardInstance, epsilon: float,
         raise ValueError(
             f"decision must be one of {_DECISIONS}, got {decision!r}"
         )
-    batch = _check_batch(batch, fresh_sketch=True)
+    batch = _check_batch(batch)
     shard = normalize_shard(shard)
     if shard is not None and cache is None:
         raise ValueError(

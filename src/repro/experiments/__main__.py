@@ -12,8 +12,8 @@ Usage::
 ``--cache-dir`` enables the content-addressed probe cache and per-
 experiment checkpoints (see :mod:`repro.cache` and docs/caching.md);
 ``--resume`` additionally skips experiments whose checkpoint matches the
-requested seed, scale and ``--batch`` under the current trial engine,
-reusing the checkpointed JSON byte-for-byte.
+requested seed and scale under the current trial engine, reusing the
+checkpointed JSON byte-for-byte.
 Results are bit-identical with the cache on, off, cold, or warm.
 
 ``--shards N`` splits every Monte-Carlo trial budget across N shards and
@@ -115,8 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--resume", action="store_true",
         help="skip experiments already checkpointed in --cache-dir for "
-             "this seed, scale and --batch, reusing their JSON "
-             "byte-for-byte",
+             "this seed and scale, reusing their JSON byte-for-byte",
     )
     parser.add_argument(
         "--shards", type=int, default=None, metavar="N",
@@ -138,10 +137,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--batch", type=int, default=None, metavar="B",
-        help="fuse B sketch draws per dispatch via the batched kernel "
-             "engine (1 is bit-identical to the serial path; larger "
-             "values use the engine's own deterministic accumulation "
-             "order — see docs/perf.md)",
+        help="dispatch trials in chunks of B (results are identical for "
+             "every B; see docs/perf.md)",
     )
     return parser
 
@@ -188,7 +185,7 @@ def main(argv=None) -> int:
     cache_dir = None
     # A checkpoint replays only under the configuration that wrote it.
     checkpoint_config = dict(seed=args.seed, scale=args.scale,
-                             batch=args.batch, engine=ENGINE_VERSION)
+                             engine=ENGINE_VERSION)
     if args.cache_dir is not None:
         from ..cache import ExperimentCheckpoint, ProbeCache
 

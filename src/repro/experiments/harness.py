@@ -230,13 +230,12 @@ class Experiment(abc.ABC):
 
     @property
     def batch(self) -> Optional[int]:
-        """Batched-trial width for this run's trial loops (or ``None``).
+        """Trial chunk size for this run's trial loops (or ``None``).
 
         Experiment implementations forward this as the ``batch=`` argument
-        of ``failure_estimate`` / ``minimal_m``; ``None`` (and ``1``)
-        delegate bitwise to the serial trial path, while ``batch > 1``
-        fuses that many sketch draws per dispatch (a distinct, but still
-        deterministic, accumulation order — see ``docs/perf.md``).
+        of ``failure_estimate`` / ``minimal_m``.  Like ``workers`` it is
+        an execution knob only: every value, ``None`` included, gives the
+        same result bytes (see ``docs/perf.md``).
         """
         return self._batch
 

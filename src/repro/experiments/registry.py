@@ -80,9 +80,8 @@ def run_experiment(experiment_id: str, scale: float = 1.0,
     neither changes any result at a fixed seed.  ``shard`` (a
     :class:`~repro.utils.parallel.ShardSpec` or ``(index, count)`` pair)
     runs one shard pass of an N-way fan-out; see :mod:`repro.shard`.
-    ``batch`` switches Monte-Carlo trial loops onto the batched kernel
-    engine (``None``/``1`` = the serial per-trial path, bit-identically;
-    see :attr:`repro.experiments.harness.Experiment.batch`).
+    ``batch`` is the Monte-Carlo trial loops' chunk size, which changes no
+    result either (see :attr:`repro.experiments.harness.Experiment.batch`).
     """
     return get_experiment(experiment_id).run(
         scale=scale, rng=rng, workers=workers, cache=cache, shard=shard,

@@ -154,7 +154,7 @@ class SparseProducts:
     entry is zero, and a stored one may be zero too (contributions that
     cancelled).  ``shape`` is the stack's uncompacted ``(B, m, d)``.
 
-    This is the form the batched engine hands every chunk of a
+    This is the form the trial engine hands every chunk of a
     column-sparse sketch (CountSketch, OSNAP) to
     :func:`distortions_of_products`: applied to a ``D_β`` draw, such a
     sketch touches at most ``s·reps·d`` of ``m`` rows, and both reducer
@@ -172,9 +172,10 @@ def distortions_of_products(products: Union[np.ndarray, SparseProducts],
                             rows: Optional[int] = None) -> np.ndarray:
     """Per-draw distortions for a stack of products ``(B, k, d)``.
 
-    The reduction step of both trial engines: the batched one
-    (:mod:`repro.sketch.batched`) reduces a chunk's hashed entries, the
-    per-trial one a dense stack of one (see :func:`distortion_of_product`).
+    The reduction step of the trial engine: a chunk of a column-sparse
+    sketch (:mod:`repro.sketch.batched`) arrives as its hashed entries,
+    any other family's trial as a dense stack of one (see
+    :func:`distortion_of_product`).
     A dense ``products`` may hold *row-compacted* sketched bases
     (:func:`compact_rows`): zero rows of ``ΠU`` change no singular value.
     ``rows`` is the true row count ``m`` of the uncompacted products; it
@@ -185,22 +186,27 @@ def distortions_of_products(products: Union[np.ndarray, SparseProducts],
     Each trial's extreme singular values come from one of three routes:
 
     * a dense stack: the rectangular SVD of each product, so the
-      per-trial engine stays the full-precision reference the two entry
-      routes are tested against;
-    * a :class:`SparseProducts` stack whose trials each touch at most
-      ``2d`` rows (near-square, the CountSketch shape): *isolated*
-      columns by their norms, and one rectangular SVD of the *coupled*
-      columns only (:func:`_coupled_extremes`);
-    * a :class:`SparseProducts` stack in which some trial touches more
-      than ``2d`` rows (tall, the OSNAP shape): the symmetric eigenvalues
-      of the ``d × d`` Gram matrices ``(ΠU)ᵀ(ΠU)`` (:func:`_gram_extremes`).
-      The Gram eigenvalues are exactly the squared singular values of
-      ``ΠU``, but squaring halves the working precision near rank
-      deficiency, so any trial whose squared spectrum spans more than
+      per-trial reduction stays the full-precision reference the two
+      entry routes are tested against;
+    * a :class:`SparseProducts` trial that touches at most ``2d`` rows
+      (near-square, the CountSketch shape): *isolated* columns by their
+      norms, and a rectangular SVD of the *coupled* columns only
+      (:func:`_coupled_extremes`);
+    * a :class:`SparseProducts` trial that touches more than ``2d`` rows
+      (tall, the OSNAP shape): the symmetric eigenvalues of its ``d × d``
+      Gram matrix ``(ΠU)ᵀ(ΠU)`` (:func:`_gram_extremes`).  The Gram
+      eigenvalues are exactly the squared singular values of ``ΠU``, but
+      squaring halves the working precision near rank deficiency, so any
+      trial whose squared spectrum spans more than
       :data:`_GRAM_RATIO_FLOOR` (a rounded ``λ_min ≤ 0`` included) is
       recomputed from its rectangular product; in Monte-Carlo runs those
       are the rare annihilation events, so the fallback stays off the hot
       path.
+
+    A :class:`SparseProducts` trial's value depends only on its own
+    entries: neither its route nor any shape it is reduced at depends on
+    the other trials of the stack, so any chunking of a probe's trials
+    gives the same bits.
     """
     if not isinstance(products, SparseProducts):
         products = np.asarray(products, dtype=float)
@@ -232,15 +238,17 @@ def _rectangular_extremes(products: np.ndarray
 
 def _entry_extremes(products: SparseProducts
                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(σ_min, σ_max)`` per trial of a sparse stack, by its route.
+    """``(σ_min, σ_max)`` per trial of a sparse stack, each by its route.
 
     Two things are read from the entries once for the whole stack: each
     ``(trial, column)``'s squared norm, summed in entry order, which is
     the Gram diagonal; and the entries whose row the entry before them in
     the same trial shares, which carry the Gram's off-diagonal support.
     A trial touches as many rows as it has entries that share no row with
-    their predecessor, and the most rows any trial touches picks the
-    route: more than ``2d`` is tall.
+    their predecessor, and the rows it touches pick its route: more than
+    ``2d`` is tall.  A stack that mixes the routes is split into its
+    near-square and its tall trials, so a trial's value never depends on
+    the trials around it.
     """
     batch, _, d = products.shape
     sizes = np.diff(products.starts)
@@ -250,13 +258,30 @@ def _entry_extremes(products: SparseProducts
     shared &= bins[1:] == bins[:-1]
     later = np.flatnonzero(shared) + 1
     touched = sizes - np.diff(np.searchsorted(later, products.starts))
+    tall = touched > 2 * d
+    if tall.any() and not tall.all():
+        lo, hi = np.empty(batch), np.empty(batch)
+        for part in (np.flatnonzero(~tall), np.flatnonzero(tall)):
+            lo[part], hi[part] = _entry_extremes(_trials(products, part))
+        return lo, hi
     bins *= d
     bins += products.cols                   # each entry's (trial, column)
     squares = np.bincount(bins, weights=np.square(products.values),
                           minlength=batch * d).reshape(batch, d)
-    if touched.max(initial=0) > 2 * d:
+    if tall.any():
         return _gram_extremes(products, bins, squares, later)
     return _coupled_extremes(products, bins, squares, later)
+
+
+def _trials(products: SparseProducts, index: np.ndarray) -> SparseProducts:
+    """The sub-stack of trials ``index`` (ascending), entries in order."""
+    sizes = np.diff(products.starts)[index]
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    take = np.arange(starts[-1]) \
+        + np.repeat(products.starts[index] - starts[:-1], sizes)
+    return SparseProducts((index.size, *products.shape[1:]), starts,
+                          products.rows[take], products.cols[take],
+                          products.values[take])
 
 
 def _coupled_extremes(products: SparseProducts, bins: np.ndarray,
@@ -270,12 +295,11 @@ def _coupled_extremes(products: SparseProducts, bins: np.ndarray,
     column, with no entries, is isolated with singular value 0).  For
     CountSketch on ``D_1`` that is Theorem 8's collision-free column.  An
     entry that shares a row couples its column, a stored exact zero
-    included.  The *coupled* columns' entries are placed into one dense
-    stack, each trial's coupled columns in order and zero-padded to the
-    stack's widest coupled set, its touched rows in order, and reduced
-    by one rectangular SVD.  Zero padding only appends zero singular
-    values, so a trial's ``σ_min`` is read at its own coupled-column
-    count, never at the padded width.
+    included.  A trial's *coupled* columns, in order, on its touched
+    rows, in order, form its coupled block, zero-padded to square when it
+    has fewer rows than columns.  Blocks of one exact ``(height, width)``
+    are reduced by one rectangular SVD, so no block is padded to the
+    shape of another trial's.
     """
     batch, d = squares.shape
     coupled = np.zeros(batch * d, dtype=bool)
@@ -285,25 +309,43 @@ def _coupled_extremes(products: SparseProducts, bins: np.ndarray,
     norms = np.sqrt(squares)
     lo = np.where(coupled, np.inf, norms).min(axis=1)
     hi = np.where(coupled, 0.0, norms).max(axis=1)
-    counts = np.count_nonzero(coupled, axis=1)
-    width = int(counts.max(initial=0))
-    if width == 0:
+    widths = np.count_nonzero(coupled, axis=1)
+    if not widths.any():
         return lo, hi
     keep = coupled.ravel()[bins]
     owner, rows = bins[keep] // d, products.rows[keep]
     cols = (np.cumsum(coupled, axis=1) - 1).ravel()[bins[keep]]
+    values = products.values[keep]
     # Each trial's touched rows, ranked in order from 0.
     fresh = np.ones(owner.size, dtype=bool)
     fresh[1:] = (rows[1:] != rows[:-1]) | (owner[1:] != owner[:-1])
     heights = np.bincount(owner[fresh], minlength=batch)
     ranks = np.cumsum(fresh) - 1
     ranks -= (np.cumsum(heights) - heights)[owner]
-    block = np.zeros((batch, max(width, int(heights.max())), width))
-    block[owner, ranks, cols] = products.values[keep]
-    sigma = np.linalg.svd(block, compute_uv=False)
-    own = sigma[np.arange(batch), np.maximum(counts - 1, 0)]
-    lo = np.minimum(lo, np.where(counts > 0, own, np.inf))
-    return lo, np.maximum(hi, sigma[:, 0])
+    shapes = np.maximum(heights, widths) * (d + 1) + widths
+    # The coupled trials and their entries, grouped by shape; a trial's
+    # slot is its place in its group's stack.
+    trials = np.flatnonzero(widths)
+    trials = trials[np.argsort(shapes[trials], kind="stable")]
+    kinds, firsts, sizes = np.unique(shapes[trials], return_index=True,
+                                     return_counts=True)
+    slots = np.empty(batch, dtype=np.int64)
+    slots[trials] = np.arange(trials.size) - np.repeat(firsts, sizes)
+    order = np.argsort(shapes[owner], kind="stable")    # entries by group
+    stops = np.searchsorted(shapes[owner][order], kinds, side="right")
+    slots, ranks = slots[owner][order], ranks[order]
+    cols, values = cols[order], values[order]
+    small, large = np.full(batch, np.inf), np.zeros(batch)
+    start = 0
+    for kind, first, size, stop in zip(kinds, firsts, sizes, stops):
+        block = np.zeros((size, *divmod(int(kind), d + 1)))
+        block[slots[start:stop], ranks[start:stop], cols[start:stop]] = \
+            values[start:stop]
+        sigma = np.linalg.svd(block, compute_uv=False)
+        group = trials[first:first + size]
+        small[group], large[group] = sigma[:, -1], sigma[:, 0]
+        start = stop
+    return np.minimum(lo, small), np.maximum(hi, large)
 
 
 def _gram_extremes(products: SparseProducts, bins: np.ndarray,

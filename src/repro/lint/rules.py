@@ -66,7 +66,7 @@ class FileContext:
     * ``is_hot`` — library module under ``sketch/``, ``core/`` or
       ``linalg/``: RPL005 (sparse work inside loops) applies.
     * ``is_trial_engine`` — library module under ``core/``,
-      ``experiments/`` or ``utils/``: RPL105 (batch/shard identity
+      ``experiments/`` or ``utils/``: RPL105 (shard identity
       delegation) applies.
     * ``is_result_io`` — library module under ``cache/``, ``observe/``,
       ``experiments/`` or ``core/``, whose JSON writes feed caches,
@@ -221,9 +221,9 @@ _RULE_LIST: Tuple[Rule, ...] = (
             "PR 7's shard-span overlap: ad-hoc `shard_index * per_shard` "
             "arithmetic produced overlapping seed slices under uneven "
             "division.  All shard partitioning goes through "
-            "repro.utils.parallel.shard_spans, which is batch-aligned and "
-            "tested for exact tiling; a span's trials draw their streams "
-            "from their indices alone (repro.utils.rng.trial_keys)."
+            "repro.utils.parallel.shard_spans, which is tested for exact "
+            "tiling; a span's trials draw their streams, and so take their "
+            "values, from their indices alone (repro.utils.rng.trial_keys)."
         ),
         scope="library code except the primitives themselves "
               "(utils/parallel.py, utils/rng.py)",
@@ -245,17 +245,16 @@ _RULE_LIST: Tuple[Rule, ...] = (
     ),
     Rule(
         code="RPL105",
-        name="batch-shard-identity-bypass",
-        summary="batch=/shard= parameter used computationally without an "
+        name="shard-identity-bypass",
+        summary="shard= parameter used computationally without an "
                 "identity-case guard",
         rationale=(
-            "batch=None/1 must delegate bitwise to the serial path and "
-            "shard=None to the unsharded one (PR 6/7 contract: the fast "
-            "path may differ in the last ulp only when explicitly opted "
-            "into).  A function that computes with its batch/shard "
-            "parameter must first normalize it (_check_batch, "
-            "normalize_shard, or an explicit None/1 comparison) or purely "
-            "forward it."
+            "shard=None and a one-way fan-out must delegate to the "
+            "unsharded path, which needs no cache.  A function that "
+            "computes with its shard parameter must first normalize it "
+            "(normalize_shard, or an explicit None comparison) or purely "
+            "forward it.  batch= is a chunk size that changes no value, "
+            "so it needs no guard."
         ),
         scope="trial-engine library modules (core/, experiments/, utils/)",
     ),

@@ -93,9 +93,8 @@ _SPARSE_ROOTS = frozenset({"sp", "sparse", "scipy"})
 #: set mirrors ``NON_RESULT_COUNTER_PREFIXES`` in experiments/harness.py.
 _COUNTER_PREFIX_WORDS = ("cache", "checkpoint", "shard")
 
-#: Guard-function name fragments that normalize batch/shard identity
-#: cases (RPL105).
-_IDENTITY_GUARD_FRAGMENTS = ("check_batch", "normalize_shard")
+#: The guard function that normalizes the shard identity case (RPL105).
+_IDENTITY_GUARD = "normalize_shard"
 
 
 def _dotted(node: ast.AST) -> Optional[str]:
@@ -599,57 +598,37 @@ class LintVisitor(ast.NodeVisitor):
                 return
 
     def _check_identity_delegation(self, node: ast.AST) -> None:
-        """RPL105 — batch/shard params need an identity guard or pure
+        """RPL105 — a shard param needs an identity guard or pure
         forwarding."""
         if self.context.is_test or not self.context.is_trial_engine:
             return
-        params = [p for p in _param_names(node) if p in ("batch", "shard")]
-        if not params:
+        if "shard" not in _param_names(node) or self._has_identity_guard(node):
             return
-        for param in params:
-            if self._has_identity_guard(node, param):
-                continue
-            bad = self._computational_use(node, param)
-            if bad is not None:
-                self._report(
-                    bad, "RPL105",
-                    f"`{param}` used computationally without an identity-"
-                    f"case guard; normalize it first (_check_batch / "
-                    f"normalize_shard / explicit None-or-1 comparison) so "
-                    f"batch=None/1 and shard=None delegate to the serial "
-                    f"path bitwise",
-                )
+        bad = self._computational_use(node, "shard")
+        if bad is not None:
+            self._report(
+                bad, "RPL105",
+                "`shard` used computationally without an identity-case "
+                "guard; normalize it first (normalize_shard / explicit "
+                "None comparison) so shard=None delegates to the "
+                "unsharded path",
+            )
 
-    def _has_identity_guard(self, func: ast.AST, param: str) -> bool:
+    @staticmethod
+    def _has_identity_guard(func: ast.AST) -> bool:
         for sub in ast.walk(func):
             if isinstance(sub, ast.Call):
                 dotted = _dotted(sub.func)
-                if dotted is not None and any(
-                    fragment in dotted.split(".")[-1]
-                    for fragment in _IDENTITY_GUARD_FRAGMENTS
-                ):
+                if dotted is not None and \
+                        dotted.split(".")[-1] == _IDENTITY_GUARD:
                     return True
-            if isinstance(sub, ast.Compare) and \
-                    self._is_identity_compare(sub, param):
-                return True
-        return False
-
-    @staticmethod
-    def _is_identity_compare(node: ast.Compare, param: str) -> bool:
-        operands = [node.left] + list(node.comparators)
-        mentions = any(isinstance(o, ast.Name) and o.id == param
-                       for o in operands)
-        if not mentions:
-            return False
-        for operand in operands:
-            if isinstance(operand, ast.Constant) and \
-                    operand.value in (None, 1):
-                return True
-            if isinstance(operand, (ast.Tuple, ast.List, ast.Set)) and all(
-                isinstance(e, ast.Constant) and e.value in (None, 1)
-                for e in operand.elts
-            ):
-                return True
+            if isinstance(sub, ast.Compare):
+                operands = [sub.left, *sub.comparators]
+                if any(isinstance(o, ast.Name) and o.id == "shard"
+                       for o in operands) and any(
+                           isinstance(o, ast.Constant) and o.value is None
+                           for o in operands):
+                    return True
         return False
 
     @staticmethod

@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--batch", type=int, default=8, metavar="B",
-        help="batched-kernel width of the batch candidate (default 8)",
+        help="trial chunk size of the batch candidate (default 8)",
     )
     run.add_argument(
         "--shards", type=int, default=3, metavar="K",

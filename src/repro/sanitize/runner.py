@@ -6,11 +6,11 @@ reference run:
 
 * ``workers=N`` — the process-pool trial engine must derive exactly the
   serial run's child streams and reproduce its result bit for bit.
-* ``batch=B`` — the batched kernel engine owns a *different* (canonical)
-  accumulation order, so its values are not compared against the serial
-  reference; its stream trace must still match (batching may not change
-  which streams are consumed), and its result must be bit-identical
-  across ``workers`` settings.
+* ``batch=B`` — the trial chunk size is an execution knob only: a
+  trial's value depends on its own streams alone, so at one and at
+  ``workers`` workers the result must equal the serial reference's bytes,
+  and the stream trace must match it (chunking may not change which
+  streams are consumed).
 * ``shards=K`` — the full shard/merge/replay protocol of
   :func:`repro.shard.sharded_call`.  Every per-shard pass gets its own
   recorder (rounds re-run the schedule from scratch, so cross-round
@@ -133,7 +133,8 @@ def sanitize_experiment(experiment_id: str, *, scale: float = 0.05,
     axes.append(_axis_entry(
         f"batch={batch}", trace_bn, divergences,
         result_match=(_result_payload(batched_serial)
-                      == _result_payload(batched_pool)),
+                      == _result_payload(batched_pool)
+                      == reference_payload),
     ))
 
     passes: List[Tuple[str, List[Dict[str, Any]]]] = []

@@ -23,11 +23,39 @@ adds availability and warmth, never a different result.  See
 ``docs/serving.md``.
 """
 
+from importlib import import_module
+from typing import TYPE_CHECKING, Any
+
 from .client import ServeClient, ServeError
-from .flight import Draining, Overloaded, SingleFlightGate
-from .http import ServeHTTP
-from .params import BadRequest, family_from_spec, instance_from_spec
-from .service import ENDPOINTS, EstimationService
+
+if TYPE_CHECKING:
+    from .flight import Draining, Overloaded, SingleFlightGate
+    from .http import ServeHTTP
+    from .params import BadRequest, family_from_spec, instance_from_spec
+    from .service import ENDPOINTS, EstimationService
+
+#: The server side's public names, by module.  They are imported on first
+#: use, so a client process (``import repro.serve.client``) loads neither
+#: asyncio nor the experiments the server runs.
+_SERVER_NAMES = {
+    "Draining": "flight",
+    "Overloaded": "flight",
+    "SingleFlightGate": "flight",
+    "ServeHTTP": "http",
+    "BadRequest": "params",
+    "family_from_spec": "params",
+    "instance_from_spec": "params",
+    "ENDPOINTS": "service",
+    "EstimationService": "service",
+}
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _SERVER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_SERVER_NAMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "ENDPOINTS",

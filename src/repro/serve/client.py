@@ -21,7 +21,6 @@ Usage::
 
 from __future__ import annotations
 
-import http.client
 import json
 import urllib.parse
 from typing import Any, Dict, Optional
@@ -67,6 +66,10 @@ class ServeClient:
 
     def _request(self, method: str, path: str,
                  body: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+        # Imported on the first request: a process that imports the
+        # client but never sends one loads no HTTP stack.
+        import http.client
+
         connection = http.client.HTTPConnection(
             self._host, self._port, timeout=self._timeout,
         )

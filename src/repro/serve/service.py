@@ -75,6 +75,13 @@ ENDPOINTS = (
     "run_experiment",
 )
 
+#: Request fields that choose how, not what, a request computes (the
+#: trial chunk size).  An endpoint that reads one validates it, but it
+#: stays out of the request key and the replay, so requests that differ
+#: only in it coalesce onto one computation and one response.
+_EXECUTION_FIELDS = ("batch",)
+
+
 class _Plan(NamedTuple):
     """A validated request: coalescing key, replay envelope, computation."""
 
@@ -216,6 +223,8 @@ class EstimationService:
         if unknown:
             raise BadRequest(f"unknown field(s) for {endpoint}: "
                              f"{', '.join(sorted(unknown))}")
+        normalized = {name: value for name, value in normalized.items()
+                      if name not in _EXECUTION_FIELDS}
         key = cache_key(f"serve:{endpoint}", {
             "params": normalized,
             "seed_fingerprint": fingerprint,

@@ -249,8 +249,8 @@ class SketchFamily(abc.ABC):
         ``sample(streams[i])`` would, so ``trial_kernel(i)`` is the
         serial draw's kernel.  Only families with a vectorized sampler
         override this (CountSketch and OSNAP).  The default returns
-        ``None``: the trial engine then runs the per-trial path on the
-        same streams, bit-identical to ``batch=None``.
+        ``None``: the trial engine then reduces each trial's dense
+        product on its own, on the same streams.
         """
         return None
 

@@ -1,19 +1,19 @@
 """Batched trial kernels: ``B`` sketch draws applied in one vectorized call.
 
-The Monte-Carlo loop in :mod:`repro.core.tester` pays per-trial Python
-overhead for every draw: one sampler call, one scatter, one ``(m, d)`` SVD.
-This module fuses ``B`` trials of the column-scatter families (CountSketch,
-OSNAP).  A :class:`BatchedColumnScatter` holds the ``B`` hash keys of
-independently sampled sketches, hashes the support columns of all ``B``
-structured hard-instance draws in one call, sorts each trial's entries
-by row, and hands the chunk to
+The Monte-Carlo loop in :mod:`repro.core.tester` would pay per-trial
+Python overhead for every draw: one sampler call, one scatter, one
+``(m, d)`` SVD.  For the column-scatter families (CountSketch, OSNAP) it
+runs ``B`` trials at once instead.  A :class:`BatchedColumnScatter` holds
+the ``B`` hash keys of independently sampled sketches, hashes the support
+columns of all ``B`` structured hard-instance draws in one call, sorts
+each trial's entries by row, and hands the chunk to
 :func:`repro.linalg.distortion.distortions_of_products` as its hashed
 entries (:class:`~repro.linalg.distortion.SparseProducts`).  The reducer
-picks the route from the rows they touch: near-square chunks (the
-CountSketch shape) take isolated columns by their norms and coupled
-columns by one gufunc-batched SVD, tall chunks (the OSNAP shape) the
-symmetric eigenvalues of ``d × d`` Gram matrices built in sub-blocks of
-trials.
+picks each trial's route from the rows it touches: a near-square trial
+(the CountSketch shape) takes isolated columns by their norms and
+coupled columns by a gufunc-batched SVD of the chunk's blocks of its
+exact shape, a tall one (the OSNAP shape) the symmetric eigenvalues of
+its ``d × d`` Gram matrix, built in sub-blocks of trials.
 
 Row compaction
 --------------
@@ -27,44 +27,42 @@ OSNAP trial (s=4 on ``D_{1/2}``) has 512 in ``≈417`` rows, so its
 column norms and the entries that share a row.  The true row count
 still decides the ``m < d`` annihilation rule; see
 :func:`repro.linalg.distortion.distortions_of_products`, the reducer the
-per-trial engine shares (it reduces each row-compacted product,
+dense families share (it reduces each row-compacted product,
 :func:`~repro.linalg.distortion.compact_rows`, as a dense stack of one).
 
 Determinism contract
 --------------------
-The batch path owns its accumulation order (it may differ from the serial
-kernels at the ULP level, e.g. for ``reps > SCATTER_MAX_REPS`` where the
-serial path switches to the gather arithmetic), but it is *canonical*:
-a fixed seed gives bit-identical results across serial/parallel execution
-and cold/warm cache, because chunk decomposition is pinned to the batch
-size and every data-dependent choice (the route, group order, and the
-near-square route's coupled-block width — the chunk's largest count of
-columns with an entry that shares a row) is a pure function of the
-chunk's draws.  The per-trial accumulation order actually coincides with
-the serial scatter (entries are inserted selected-column-major with the
-``s`` axis inner, the stable row sort keeps that order within a row, and
-distinct within-column rows mean no position ever receives two entries
-from the same column), so every trial's entries are bit-identical to the
-serial kernels' product on the rows it touches —
-``tests/test_batched_trials.py`` pins this.  Within a tall chunk a
-trial's value does not depend on its chunk-mates: its Gram matrix sums
-its own entries in their own order.
+A trial's value depends only on its own sketch key and draw, never on
+the trials it shares a chunk with: its entries are hashed, sorted and
+summed per trial, its route is chosen from its own entries, its coupled
+block is reduced at its own exact shape, and its Gram matrix sums its
+own entries in their own order.  So any chunking — the ``batch`` chunk
+size, worker count or shard split — gives the same bits, and ``batch``
+is an execution knob only.  The per-trial accumulation order coincides
+with the dense kernels' scatter (entries are inserted
+selected-column-major with the ``s`` axis inner, the stable row sort
+keeps that order within a row, and distinct within-column rows mean no
+position ever receives two entries from the same column), so every
+trial's entries are bit-identical to the kernel's product on the rows it
+touches — ``tests/test_batched_trials.py`` pins this.  Only the
+reduction differs from the dense per-trial SVD, at the ULP level.
 
 Samplers
 --------
 CountSketch and OSNAP override
 :meth:`repro.sketch.base.SketchFamily.sample_trial_batch` to build these
 kernels with *stream-faithful* sampling: it receives one stream per trial
-and consumes each exactly as the serial sampler would, so
+and consumes each exactly as the per-trial sampler would, so
 ``trial_kernel(i)`` reconstructs the very kernel
 ``sample(streams[i])`` would have produced.  In the trial
 engine a trial's stream is a :class:`~repro.utils.rng.KeyedStream`
 holding its sketch key (lane 0 of the trial's counter-based word, see
 :func:`repro.utils.rng.trial_keys`), so the keys are taken as they are —
 no generator is built — and the columns a trial reads are hashed only
-when :meth:`BatchedColumnScatter.sketched_bases` needs them.  Every other
-family keeps the default ``None`` and runs the per-trial path on the same
-streams, bit-identical to ``batch=None``.
+when :meth:`BatchedColumnScatter.sketched_bases` needs them.  A probe's
+fixed sketch is a batch of one key, :meth:`~BatchedColumnScatter.\
+repeated` for every trial.  Every other family keeps the default
+``None`` and reduces each trial's dense product on its own.
 """
 
 from __future__ import annotations
@@ -163,6 +161,16 @@ class BatchedColumnScatter:
         """Exact column sparsity."""
         return self._s
 
+    def repeated(self, count: int) -> "BatchedColumnScatter":
+        """``count`` slots holding this batch's one sketch: a fixed sketch
+        applied to every trial of a block."""
+        if self.batch != 1:
+            raise ValueError(
+                f"only a batch of one sketch repeats, got {self.batch}"
+            )
+        return BatchedColumnScatter(np.repeat(self._keys, count), self._s,
+                                    self.shape, self._variant)
+
     def trial_kernel(self, index: int) -> ColumnScatterKernel:
         """The per-trial kernel for batch slot ``index``, identical to what
         the family's serial ``sample`` would have drawn at the same
@@ -177,7 +185,7 @@ class BatchedColumnScatter:
         runs one vectorized ``sketched_bases`` + batched reduction per
         group in deterministic (sorted-key) order, and scatters the
         results back into trial order.  Unstructured draws fall back to
-        the per-trial kernel apply, bit-identical to the serial path.
+        the trial's own kernel apply and dense reduction.
         """
         if len(draws) != self.batch:
             raise ValueError(

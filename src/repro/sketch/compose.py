@@ -160,7 +160,7 @@ class StackedSketch(SketchFamily):
         scale = 1.0 / np.sqrt(len(self._families))
         blocks = []
         for family in self._families:
-            piece = family.sample(spawn(gen)).matrix
+            piece = sample_sketch(family, spawn(gen)).matrix
             blocks.append(
                 piece.multiply(scale) if sp.issparse(piece)
                 else piece * scale

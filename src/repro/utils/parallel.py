@@ -141,33 +141,27 @@ def normalize_shard(shard: Any) -> Optional[ShardSpec]:
     return None if shard.count == 1 else shard
 
 
-def shard_spans(total: int, count: int, step: int = 1) -> List[Tuple[int, int]]:
+def shard_spans(total: int, count: int) -> List[Tuple[int, int]]:
     """Contiguous trial spans assigning ``total`` trials to ``count`` shards.
 
     The spans tile ``[0, total)`` exactly — disjoint, ordered, complete —
     so shard ``k`` owns trials ``spans[k][0] .. spans[k][1] - 1`` and the
-    union over shards is precisely the serial trial range.  The split is
-    balanced in units of ``step`` trials: with ``step > 1`` (the batched
-    engine's chunk size) every span boundary falls on a multiple of
-    ``step``, so each shard's chunk decomposition coincides with the
-    serial run's and chunk-composition-dependent arithmetic stays
-    bit-identical.  Shards beyond the available units receive empty spans
-    rather than raising — a shard with nothing to do is valid.
+    union over shards is precisely the serial trial range; the first
+    ``total % count`` spans hold one trial more.  A trial's value depends
+    only on its index, so any boundary gives the serial values.  Shards
+    beyond the available trials receive empty spans rather than raising
+    — a shard with nothing to do is valid.
     """
     if total < 0:
         raise ValueError(f"total must be nonnegative, got {total}")
     count = check_positive_int(count, "count")
-    step = check_positive_int(step, "step")
-    units = -(-total // step) if total else 0
-    base, extra = divmod(units, count)
+    base, extra = divmod(total, count)
     spans: List[Tuple[int, int]] = []
-    unit = 0
+    lo = 0
     for index in range(count):
-        size = base + (1 if index < extra else 0)
-        lo = min(unit * step, total)
-        unit += size
-        hi = min(unit * step, total)
+        hi = lo + base + (1 if index < extra else 0)
         spans.append((lo, hi))
+        lo = hi
     return spans
 
 
@@ -266,14 +260,11 @@ class TrialExecutor:
         as a ``range`` whatever its size.  Splits the units into the same
         chunks :meth:`run_seeded` would dispatch, but hands each chunk to
         ``fn`` *whole* — the probe engine derives and reduces it in
-        vectorized calls.  Serial and parallel execution use the identical
-        chunk decomposition, so a chunk function whose output depends on
-        chunk composition (batched kernels pad data-dependently within a
-        chunk) is still bit-identical across ``workers`` settings
-        **provided ``chunk_size`` is pinned**; with ``chunk_size=None``
-        the heuristic chunking depends on the worker count, and only
-        per-trial-independent chunk functions are reproducible across
-        configurations.
+        vectorized calls.  The chunking depends on ``chunk_size`` and,
+        when that is ``None``, on the worker count; the results are the
+        same for every chunking as long as ``fn``'s value for a unit does
+        not depend on the other units of its chunk, which the probe
+        engine's chunk function guarantees.
         """
         return self._dispatch(fn, units)
 

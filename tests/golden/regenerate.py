@@ -27,12 +27,11 @@ from repro.sketch import (
 )
 
 GOLDEN_PATH = Path(__file__).with_name("distortion_streams.json")
-BATCHED_PATH = Path(__file__).with_name("batched_streams.json")
 SHARD_PATH = Path(__file__).with_name("shard_streams.json")
 GOLDEN_SEED = 20220620  # PODS'22 vintage
 GOLDEN_TRIALS = 24
-#: Batch size for the batched-engine pins; deliberately not a divisor of
-#: GOLDEN_TRIALS so the trailing partial chunk stays covered.
+#: A chunk size the pins are also checked at; deliberately not a divisor
+#: of GOLDEN_TRIALS so the trailing partial chunk stays covered.
 GOLDEN_BATCH = 5
 #: Per-probe trial budget of the sharded-search pins; deliberately not a
 #: multiple of SHARD_COUNT so span boundaries land off the even split.
@@ -101,18 +100,12 @@ def main():
     from repro.shard import sharded_call
 
     streams = {}
-    batched = {}
     for name, family, instance in cases():
         values = distortion_samples(
             family, instance, trials=GOLDEN_TRIALS,
             rng=np.random.SeedSequence(GOLDEN_SEED),
         )
         streams[name] = [float(v) for v in values]
-        values = distortion_samples(
-            family, instance, trials=GOLDEN_TRIALS,
-            rng=np.random.SeedSequence(GOLDEN_SEED), batch=GOLDEN_BATCH,
-        )
-        batched[name] = [float(v) for v in values]
     payload = {
         "seed": GOLDEN_SEED,
         "trials": GOLDEN_TRIALS,
@@ -120,14 +113,6 @@ def main():
     }
     GOLDEN_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {GOLDEN_PATH} ({len(streams)} streams)")
-    payload = {
-        "seed": GOLDEN_SEED,
-        "trials": GOLDEN_TRIALS,
-        "batch": GOLDEN_BATCH,
-        "streams": batched,
-    }
-    BATCHED_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {BATCHED_PATH} ({len(batched)} streams)")
     searches = {}
     for name, family, instance in shard_cases():
         with tempfile.TemporaryDirectory() as workdir:

@@ -1,9 +1,9 @@
-# Fixture: triggers RPL105 — `batch` used computationally with no
-# identity-case guard, so batch=None/1 never reaches the serial path.
+# Fixture: triggers RPL105 — `shard` used computationally with no
+# identity-case guard, so shard=None never reaches the unsharded path.
 # Linted under a virtual src/repro/core/... path by tests/test_lint.py.
 
 
-def run_batched(family, instance, trials, batch):
-    chunks = trials // batch
-    leftover = trials - chunks * batch
-    return chunks, leftover
+def run_sharded(family, instance, trials, shard):
+    if shard[1] > 1:
+        return sharded_run(family, instance, trials, shard)
+    return serial_run(family, instance, trials)

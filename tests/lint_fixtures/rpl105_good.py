@@ -1,9 +1,11 @@
-# Fixture: clean counterpart to rpl105_bad.py — the identity cases are
-# normalized before any arithmetic, and shard= is purely forwarded.
+# Fixture: clean counterpart to rpl105_bad.py — the identity case is
+# normalized before `shard` is read, and batch=, a chunk size that
+# changes no value, is used as it is.
 
 
-def run_batched(family, instance, trials, batch=None, shard=None):
-    if batch in (None, 1):
-        return serial_run(family, instance, trials, shard=shard)
-    chunks = trials // batch
-    return batched_run(family, instance, chunks, batch, shard=shard)
+def run_sharded(family, instance, trials, batch=None, shard=None):
+    shard = normalize_shard(shard)
+    chunks = -(-trials // (batch or trials))
+    if shard is None:
+        return serial_run(family, instance, trials, chunks)
+    return sharded_run(family, instance, trials, chunks, shard)

@@ -3,13 +3,15 @@
 The contracts under test (see :mod:`repro.sketch.batched` and the
 ``batch`` knob in :mod:`repro.core.tester`):
 
-* ``batch=1`` (and ``batch=None``) delegate to the serial per-trial path
-  **bit for bit** — no array may differ in a single ULP;
-* ``batch > 1`` batches only CountSketch and OSNAP, which own a canonical
-  accumulation order: their values agree with the serial stream to tight
-  relative tolerance, and are themselves bit-identical across
-  serial/parallel execution and cold/warm cache; every other family runs
-  the per-trial path, bit-identical to ``batch=None``;
+* ``batch`` is a chunk size only: ``None``, ``1`` and any larger value
+  give the same values **bit for bit**, for every family, with a fresh
+  or a fixed sketch, and share one cache entry;
+* CountSketch and OSNAP reduce every chunk from its hashed entries: their
+  values agree with the dense per-trial reduction
+  (``distortion_of_product(sketch.basis_image(draw))`` on each trial's
+  own sketch, computed here independently of the engine) to tight
+  relative tolerance; every other family runs that dense reduction, so
+  its values equal the reference bit for bit;
 * per-trial reconstruction (``trial_kernel``, compacted products) matches
   the serial samplers exactly, because the batched samplers consume the
   same per-trial sub-streams;
@@ -51,7 +53,14 @@ from repro.sketch import (
 from repro.sketch.base import SketchFamily
 from repro.sketch.batched import BatchedColumnScatter
 from repro.sketch.hadamard_block import HadamardBlockSketch
-from repro.utils.rng import KeyedStream, trial_keys
+from repro.observe.counters import counters
+from repro.utils.rng import (
+    KeyedStream,
+    as_generator,
+    draw_key,
+    spawn_seeds,
+    trial_keys,
+)
 from repro.utils.stats import BernoulliEstimate
 
 pytestmark = pytest.mark.kernels
@@ -85,6 +94,32 @@ CASES = [
 ]
 
 
+def _probe_key(seed):
+    """The probe key a cache-off probe at ``SeedSequence(seed)`` draws:
+    one spawned child, then one 64-bit word."""
+    return draw_key(spawn_seeds(as_generator(np.random.SeedSequence(seed)),
+                                1)[0])
+
+
+def _dense_reference(family, instance, trials=TRIALS, seed=SEED,
+                     fixed=False):
+    """Each trial's value from the dense per-trial reduction on its own
+    sketch (the probe's one sketch when ``fixed``), on the streams the
+    engine hands trial ``t``: lanes of ``(probe key, t)``."""
+    key = _probe_key(seed)
+    keys = trial_keys(key, 0, trials)
+    if fixed:
+        keys[:, 0] = trial_keys(key, -1, 0)[0, 0]
+    return np.array([
+        distortion_of_product(
+            family.sample(KeyedStream(sketch_key)).basis_image(
+                instance.sample_support(KeyedStream(instance_key))
+            )
+        )
+        for sketch_key, instance_key in keys
+    ])
+
+
 def _serial_and_batched(family, instance, batch, trials=TRIALS, seed=SEED):
     serial = distortion_samples(
         family, instance, trials=trials, rng=np.random.SeedSequence(seed)
@@ -96,8 +131,18 @@ def _serial_and_batched(family, instance, batch, trials=TRIALS, seed=SEED):
     return serial, batched
 
 
+def _reference_and_batched(family, instance, batch, trials=TRIALS,
+                           seed=SEED):
+    """The dense per-trial reference and the engine's values at ``batch``."""
+    return (_dense_reference(family, instance, trials, seed),
+            distortion_samples(family, instance, trials=trials,
+                               rng=np.random.SeedSequence(seed),
+                               batch=batch))
+
+
 class TestBatchDelegation:
-    """batch in {None, 1} must be the serial path, bit for bit."""
+    """Every ``batch`` gives the same bits; the hashed families agree with
+    the dense per-trial reduction to tolerance."""
 
     @pytest.mark.parametrize("make_family,reps", CASES)
     def test_batch_one_is_bit_identical(self, make_family, reps):
@@ -108,8 +153,10 @@ class TestBatchDelegation:
     @pytest.mark.parametrize("make_family,reps", CASES)
     def test_batch_matches_serial_to_tolerance(self, make_family, reps):
         instance = DBeta(N, 6, reps=reps)
-        serial, batched = _serial_and_batched(make_family(), instance, 4)
-        np.testing.assert_allclose(batched, serial, rtol=1e-9, atol=1e-12)
+        reference, batched = _reference_and_batched(make_family(), instance,
+                                                    4)
+        np.testing.assert_allclose(batched, reference, rtol=1e-9,
+                                   atol=1e-12)
 
     def test_kernel_less_fallback_is_bit_identical(self):
         # Gaussian sketches carry no kernel, so even batch > 1 must fall
@@ -123,34 +170,33 @@ class TestBatchDelegation:
     def test_failure_counts_agree(self):
         family = OSNAP(M, N, s=4)
         instance = DBeta(N, 6, reps=2)
-        serial = failure_estimate(
-            family, instance, epsilon=0.6, trials=24,
-            rng=np.random.SeedSequence(SEED),
-        )
+        reference = _dense_reference(family, instance, trials=24)
         batched = failure_estimate(
             family, instance, epsilon=0.6, trials=24,
             rng=np.random.SeedSequence(SEED), batch=8,
         )
-        assert (serial.successes, serial.trials) \
+        assert (int(np.sum(reference > 0.6)), 24) \
             == (batched.successes, batched.trials)
 
     def test_mixture_mixed_reps_groups(self):
         mixture = MixtureInstance(
             [DBeta(N, 6, reps=1), DBeta(N, 6, reps=2)], weights=[0.5, 0.5]
         )
-        serial, batched = _serial_and_batched(
+        reference, batched = _reference_and_batched(
             OSNAP(M, N, s=4), mixture, 4, trials=TRIALS
         )
-        np.testing.assert_allclose(batched, serial, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(batched, reference, rtol=1e-9,
+                                   atol=1e-12)
 
     def test_trailing_partial_chunk(self):
         # trials not divisible by batch: the last chunk is smaller and
         # must still line up trial for trial.
         instance = DBeta(N, 6, reps=2)
-        serial, batched = _serial_and_batched(
+        reference, batched = _reference_and_batched(
             OSNAP(M, N, s=4), instance, 5, trials=13
         )
-        np.testing.assert_allclose(batched, serial, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(batched, reference, rtol=1e-9,
+                                   atol=1e-12)
 
 
 def _sketch_family_classes():
@@ -191,8 +237,9 @@ VECTORIZED = {CountSketch, OSNAP}
 
 
 class TestBatchContractConformance:
-    """batch > 1 batches only the vectorized samplers; every other
-    family runs the per-trial path, bit for bit."""
+    """Only the vectorized samplers run the entries engine; every other
+    family runs the dense per-trial reduction, bit for bit.  No family's
+    values depend on ``batch``."""
 
     def test_every_family_has_a_factory(self):
         missing = _sketch_family_classes() - set(FAMILY_FACTORIES)
@@ -207,12 +254,16 @@ class TestBatchContractConformance:
         family = make_family()
         assert type(family) is cls
         instance = DBeta(family.n, 6, reps=2)
-        serial, batched = _serial_and_batched(family, instance, 4)
+        reference, batched = _reference_and_batched(family, instance, 4)
         if cls in VECTORIZED:
-            np.testing.assert_allclose(batched, serial, rtol=1e-9,
+            np.testing.assert_allclose(batched, reference, rtol=1e-9,
                                        atol=1e-12)
         else:
-            assert np.array_equal(serial, batched)
+            assert np.array_equal(reference, batched)
+        for batch in (None, 1, 5):
+            assert np.array_equal(
+                batched, _serial_and_batched(family, instance, batch)[1]
+            )
 
 
 class TestBatchDeterminism:
@@ -249,24 +300,29 @@ class TestBatchDeterminism:
         assert np.array_equal(off, cold)
         assert np.array_equal(cold, warm)
 
-    def test_batch_size_enters_cache_key(self, tmp_path):
-        # A serial entry must never satisfy a batched lookup (different
-        # accumulation order) — distinct batch settings get distinct keys.
+    def test_batch_size_stays_out_of_the_cache_key(self, tmp_path):
+        # The chunk size changes no value, so a record stored at one
+        # batch is a hit at every other.
         from repro.cache.probes import ProbeCache
 
         family = OSNAP(M, N, s=4)
         instance = DBeta(N, 6, reps=2)
         cache = ProbeCache(tmp_path / "cache")
+        values = []
         for batch in (None, 2, 4):
-            distortion_samples(
+            before = counters().snapshot()
+            values.append(distortion_samples(
                 family, instance, trials=8,
                 rng=np.random.SeedSequence(5), batch=batch, cache=cache,
-            )
+            ))
+            delta = counters().diff(before)
+            assert delta.get("cache_hit", 0) == (batch is not None)
         from repro.cache.store import JsonlStore
 
         records = [r for r in JsonlStore(cache.path).load()
                    if r.get("kind") == "distortion_samples"]
-        assert len(records) == 3
+        assert len(records) == 1
+        assert all(np.array_equal(values[0], other) for other in values)
 
     def test_batch_one_aliases_serial_cache_entry(self, tmp_path):
         # batch=1 delegates to the serial path, so it shares the serial
@@ -410,14 +466,50 @@ def _reference_chunk_peak(family, reps):
         tracemalloc.stop()
 
 
-class TestBatchedKernelValidation:
-    def test_batch_requires_fresh_sketch(self):
-        with pytest.raises(ValueError, match="fresh_sketch"):
-            failure_estimate(
-                CountSketch(M, N), DBeta(N, 6, reps=1), epsilon=0.5,
-                trials=4, rng=np.random.SeedSequence(0),
-                fresh_sketch=False, batch=4,
+class TestFixedSketch:
+    """A fixed hashed sketch runs in chunks as one key repeated."""
+
+    @pytest.mark.parametrize("make_family,reps", CASES[:3])
+    def test_fixed_sketch_is_one_key_repeated(self, make_family, reps):
+        family = make_family()
+        instance = DBeta(N, 6, reps=reps)
+        key = _probe_key(SEED)
+        fixed = family.sample_trial_batch(
+            [KeyedStream(trial_keys(key, -1, 0)[0, 0])]
+        )
+        values = tester._trial_chunk(family, instance, fixed, key,
+                                     range(TRIALS))
+        np.testing.assert_allclose(
+            values, _dense_reference(family, instance, fixed=True),
+            rtol=1e-9, atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("make_family", [
+        pytest.param(lambda: CountSketch(M, N), id="countsketch"),
+        pytest.param(lambda: GaussianSketch(48, N), id="gaussian"),
+    ])
+    def test_fixed_sketch_counts_one_sample_at_any_batch(self,
+                                                         make_family):
+        estimates = set()
+        for batch in (None, 1, 4):
+            before = counters().snapshot()
+            est = failure_estimate(
+                make_family(), DBeta(N, 6, reps=1), epsilon=0.1,
+                trials=10, rng=np.random.SeedSequence(0),
+                fresh_sketch=False, batch=batch,
             )
+            assert counters().diff(before)["sketch_samples"] == 1
+            estimates.add((est.successes, est.trials))
+        assert len(estimates) == 1
+
+
+class TestBatchedKernelValidation:
+    def test_repeat_needs_a_batch_of_one(self):
+        batched = CountSketch(M, N).sample_trial_batch(
+            np.random.SeedSequence(0).spawn(2)
+        )
+        with pytest.raises(ValueError, match="batch of one"):
+            batched.repeated(3)
 
     def test_batch_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ import pytest
 
 from repro.core import tester
 from repro.hardinstances.dbeta import DBeta
-from repro.sketch import CountSketch
+from repro.sketch import CountSketch, GaussianSketch
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 TRIALS = 16
@@ -74,12 +74,25 @@ def test_every_seam_resolves(tracing):
 
 
 def test_serial_probe_lands_in_the_per_trial_layers(tracing):
-    calls = _spans_per_layer(tracing, lambda: _probe(None))
+    # A dense family's default probe reduces each trial on its own.
+    calls = _spans_per_layer(tracing, lambda: tester.distortion_samples(
+        GaussianSketch(16, 512), DBeta(512, 8, reps=1), TRIALS, rng=3,
+    ))
     assert calls["linalg.distortion_of_product"] == TRIALS
     assert calls["sketch.basis_image"] == TRIALS
     # The per-trial reduction's SVD is timed as distortion_of_product,
     # not a second time under the batched reducer's layer.
     assert calls["linalg.distortions_of_products"] == 0
+
+
+def test_default_probe_of_a_hashed_family_lands_in_the_batched_reducer(
+        tracing):
+    # One block of TRIALS trials, reduced from its hashed entries.
+    calls = _spans_per_layer(tracing, lambda: _probe(None))
+    assert calls["linalg.distortions_of_products"] == 1
+    assert calls["sketch.sample_trial_batch"] == 1
+    assert calls["linalg.distortion_of_product"] == 0
+    assert calls["sketch.basis_image"] == 0
 
 
 def test_batched_probe_lands_in_the_batched_reducer(tracing):

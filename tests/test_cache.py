@@ -568,9 +568,8 @@ class TestResultShapingInputsInKey:
 
 
 class TestBatchCacheKeys:
-    """``batch=1`` is the serial path and must share its cache entries;
-    ``batch > 1`` runs different floating-point arithmetic and must not.
-    """
+    """``batch`` is a chunk size that changes no value, so every setting
+    shares one cache entry."""
 
     def _samples(self, cache, batch, seed=11):
         gen = np.random.default_rng(seed)
@@ -605,15 +604,18 @@ class TestBatchCacheKeys:
         assert "cache_miss" not in delta
         assert (cold.successes, cold.trials) == (warm.successes, warm.trials)
 
-    def test_larger_batch_never_consumes_serial_entry(self, tmp_path):
+    @pytest.mark.parametrize("first,second", [(None, 4), (4, None), (8, 3)])
+    def test_any_batch_hits_the_entry_of_another(self, tmp_path, first,
+                                                 second):
         cache = ProbeCache(tmp_path)
-        self._samples(cache, None)  # warm serial entry
+        cold = self._samples(cache, first)
         before = counters().snapshot()
-        self._samples(cache, 4)
+        warm = self._samples(cache, second)
         delta = counters().diff(before)
-        assert delta.get("cache_miss") == 1
-        assert "cache_hit" not in delta
-        assert len(cache) == 2  # batched entry stored beside the serial one
+        assert delta.get("cache_hit") == 1
+        assert "cache_miss" not in delta
+        np.testing.assert_array_equal(cold, warm)
+        assert len(cache) == 1
 
 
 class TestEngineVersionInKey:
@@ -741,14 +743,14 @@ class TestExperimentCheckpoint:
         ckpt.save(self._result(), seed=0, scale=0.1)
         assert ckpt.load("ET", seed=seed, scale=scale) is None
 
-    @pytest.mark.parametrize("batch,engine", [(8, 4), (None, 3), (None, None)])
-    def test_batch_or_engine_mismatch_reruns(self, tmp_path, batch, engine):
+    @pytest.mark.parametrize("engine", [3, None])
+    def test_engine_mismatch_reruns(self, tmp_path, engine):
         ckpt = ExperimentCheckpoint(tmp_path)
-        ckpt.save(self._result(), seed=0, scale=0.1, batch=None, engine=4)
-        assert ckpt.load("ET", seed=0, scale=0.1, batch=None,
-                         engine=4) is not None
-        assert ckpt.load("ET", seed=0, scale=0.1, batch=batch,
-                         engine=engine) is None
+        ckpt.save(self._result(), seed=0, scale=0.1, engine=4)
+        assert ckpt.load("ET", seed=0, scale=0.1, engine=4) is not None
+        assert ckpt.load("ET", seed=0, scale=0.1, engine=engine) is None
+        meta = json.loads((tmp_path / "ET.meta.json").read_text())
+        assert "batch" not in meta  # a chunk size changes no value
 
     def test_corrupt_checkpoint_reruns_not_raises(self, tmp_path):
         ckpt = ExperimentCheckpoint(tmp_path)
@@ -834,21 +836,15 @@ class TestCliCacheAndResume:
                  for line in ledger.read_text().splitlines()]
         return "experiment_resumed" in kinds
 
-    def test_resume_under_another_batch_reruns(self, tmp_path, capsys):
-        # A checkpoint written with --batch 8 must not stand in for a
-        # serial run (its metrics name the batched kernel), nor the
-        # reverse; each resume recomputes and writes its own bytes.
+    def test_resume_under_another_batch_replays(self, tmp_path, capsys):
+        # --batch is a chunk size: a run with it writes the serial bytes,
+        # and a checkpoint written without it replays under it.
         cache = ["--cache-dir", str(tmp_path / "cache")]
         serial = self._run(tmp_path, [], "serial")
-        batched = self._run(tmp_path, ["--batch", "8"], "batched")
-        self._run(tmp_path, cache + ["--batch", "8"], "cold")
-        assert not self._resumed(tmp_path, [])
-        assert (tmp_path / "resumed" / "E1.json").read_bytes() == serial
-        assert not self._resumed(tmp_path, ["--batch", "8"])
-        assert (tmp_path / "resumed" / "E1.json").read_bytes() == batched
-        # Same configuration again: now it replays the stored bytes.
+        assert self._run(tmp_path, ["--batch", "8"], "batched") == serial
+        self._run(tmp_path, cache, "cold")
         assert self._resumed(tmp_path, ["--batch", "8"])
-        assert (tmp_path / "resumed" / "E1.json").read_bytes() == batched
+        assert (tmp_path / "resumed" / "E1.json").read_bytes() == serial
 
     @pytest.mark.parametrize("engine", range(3, ENGINE_VERSION))
     def test_resume_of_checkpoint_from_earlier_engine_reruns(self, tmp_path,

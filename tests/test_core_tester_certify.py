@@ -96,7 +96,6 @@ class TestTrialStreamContract:
                                   rng=np.random.default_rng(17), **kwargs)
 
     def test_trials_are_lanes_of_the_probe_key(self):
-        from repro.core.tester import distortion_of_product
         from repro.utils.rng import KeyedStream
 
         child = np.random.SeedSequence(17).spawn(1)[0]
@@ -107,9 +106,10 @@ class TestTrialStreamContract:
             word = _mix64((key + (t + 1) * _PHI) & _U64)
             sketch_key = _mix64((word + _PHI) & _U64)
             instance_key = _mix64((word + 2 * _PHI) & _U64)
-            sketch = self.FAM.sample(KeyedStream(sketch_key))
+            kernel = self.FAM.sample_trial_batch([KeyedStream(sketch_key)])
             draw = self.INST.sample_support(KeyedStream(instance_key))
-            assert value == distortion_of_product(sketch.basis_image(draw))
+            # A trial's value is its value reduced alone.
+            assert value == kernel.distortions([draw])[0]
 
     def test_value_independent_of_chunking_and_workers(self):
         # Two workers split the 24 trials into 8 chunks of 3.
@@ -129,10 +129,9 @@ class TestTrialStreamContract:
         from repro.core.tester import _trial_chunk
 
         key = np.uint64(0x0123456789ABCDEF)
-        full = _trial_chunk(self.FAM, self.INST, None, False, key,
-                            range(0, 24))
+        full = _trial_chunk(self.FAM, self.INST, None, key, range(0, 24))
         for lo, hi in [(0, 7), (7, 8), (8, 24), (5, 19)]:
-            assert _trial_chunk(self.FAM, self.INST, None, False, key,
+            assert _trial_chunk(self.FAM, self.INST, None, key,
                                 range(lo, hi)) == full[lo:hi]
 
     def test_batch_one_is_bit_identical_to_serial(self):

@@ -1,18 +1,18 @@
 """Property-based tests for the batched distortion reduction.
 
 :func:`repro.linalg.distortion.distortions_of_products` is the reduction
-step of both trial engines and owns four internal regimes:
+step of the trial engine and owns four internal regimes:
 
-* a dense stack (the per-trial engine's stack of one) — rectangular
+* a dense stack (a dense family's trial, a stack of one) — rectangular
   gufunc SVD directly;
-* a :class:`~repro.linalg.distortion.SparseProducts` stack whose trials
-  each touch at most ``2d`` rows (near-square, CountSketch's shape) —
-  isolated columns by their norms, one rectangular SVD of the
-  zero-padded coupled columns;
-* a :class:`~repro.linalg.distortion.SparseProducts` stack in which some
-  trial touches more than ``2d`` rows (tall, OSNAP's shape) — symmetric
-  eigenvalues of the ``d x d`` Gram matrices built from the entries that
-  share a row (squared spectrum), in sub-blocks of trials;
+* a :class:`~repro.linalg.distortion.SparseProducts` trial that touches
+  at most ``2d`` rows (near-square, CountSketch's shape) — isolated
+  columns by their norms, one rectangular SVD per exact shape of the
+  chunk's coupled blocks;
+* a :class:`~repro.linalg.distortion.SparseProducts` trial that touches
+  more than ``2d`` rows (tall, OSNAP's shape) — symmetric eigenvalues of
+  its ``d x d`` Gram matrix built from the entries that share a row
+  (squared spectrum), in sub-blocks of trials;
 * rank-deficient trials inside the Gram route — squared-spectrum ratio
   below ``_GRAM_RATIO_FLOOR``, or a rounded eigenvalue ``<= 0`` —
   recomputed from their dense rectangular product.
@@ -26,7 +26,9 @@ regime included; hashed collisions and exact cancellations, chunks
 crossing a sub-block edge), and checks the values against the
 full-height rectangular SVD of every product
 (:func:`singular_interval_of_product`) at the 1e-9 relative tolerance
-the golden pins use for cross-BLAS SVD agreement.  The per-trial
+the golden pins use for cross-BLAS SVD agreement.  A trial's value must
+also be bitwise its value in a chunk of one, at any chunk size and
+offset, on mixed-route and mixed-shape chunks.  The per-trial
 :func:`distortion_of_product` is a stack of one through the same
 reduction, so it is checked against that reference too, never used as
 one.
@@ -34,10 +36,11 @@ one.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.hardinstances.dbeta import DBeta, SupportDraw
+from repro.hardinstances.mixtures import MixtureInstance
 from repro.linalg.distortion import (
     _GRAM_BLOCK_BYTES,
     _GRAM_RATIO_FLOOR,
@@ -46,8 +49,10 @@ from repro.linalg.distortion import (
     distortions_of_products,
     singular_interval_of_product,
 )
+from repro.sketch import OSNAP, CountSketch
 from repro.sketch.batched import BatchedColumnScatter
 from repro.sketch.hashing import column_hash
+from repro.utils.rng import KeyedStream, trial_keys
 
 pytestmark = pytest.mark.kernels
 
@@ -687,3 +692,58 @@ class TestZeroRowInsertion:
             distortion_of_product(product), _full_svd_distortion(product),
             rtol=RTOL, atol=ATOL,
         )
+
+
+def _probe_chunk(family, instance, key, start, stop):
+    """Trials ``start .. stop - 1`` of the probe keyed by ``key``, sampled
+    and reduced as one chunk, on the trial engine's streams."""
+    keys = trial_keys(np.uint64(key), start, stop)
+    kernel = family.sample_trial_batch(
+        [KeyedStream(sketch_key) for sketch_key in keys[:, 0]]
+    )
+    return kernel.distortions(instance.sample_supports(keys[:, 1]))
+
+
+_PROBE_N = 4096
+
+
+def _probe_instance(kind, d):
+    if kind == "D_1":
+        return DBeta(_PROBE_N, d, reps=1)
+    if kind == "D_1/2":
+        return DBeta(_PROBE_N, d, reps=2)
+    return MixtureInstance([DBeta(_PROBE_N, d, reps=1),
+                            DBeta(_PROBE_N, d, reps=2)], weights=[0.5, 0.5])
+
+
+class TestChunkIndependence:
+    """A trial's value is its value in a chunk of one, whatever chunk of a
+    probe it is reduced in: its route and every shape it is reduced at
+    come from its own entries.  The examples mix near-square coupled
+    blocks of several shapes (CountSketch on ``D_{1/2}`` and a mixture,
+    OSNAP ``s = 2``) and both routes in one chunk (OSNAP ``s = 3``)."""
+
+    @given(
+        s=st.sampled_from([1, 2, 3, 4]),
+        d=st.sampled_from([4, 16, 32, 64]),
+        m=st.integers(min_value=4, max_value=512),
+        kind=st.sampled_from(["D_1", "D_1/2", "mixture"]),
+        key=st.integers(min_value=0, max_value=2**64 - 1),
+        size=st.sampled_from([2, 7, 32]),
+        offset=st.integers(min_value=0, max_value=10**6),
+    )
+    @example(s=1, d=32, m=256, kind="D_1/2", key=6, size=32, offset=0)
+    @example(s=1, d=32, m=512, kind="mixture", key=1, size=32, offset=0)
+    @example(s=2, d=16, m=40, kind="D_1", key=284, size=32, offset=0)
+    @example(s=2, d=64, m=256, kind="D_1", key=100, size=32, offset=0)
+    @example(s=3, d=64, m=200, kind="D_1", key=0, size=32, offset=0)
+    @settings(max_examples=40, **COMMON)
+    def test_value_equals_its_value_alone(self, s, d, m, kind, key, size,
+                                          offset):
+        family = CountSketch(m, _PROBE_N) if s == 1 \
+            else OSNAP(m, _PROBE_N, s=s)
+        instance = _probe_instance(kind, d)
+        chunk = _probe_chunk(family, instance, key, offset, offset + size)
+        alone = [_probe_chunk(family, instance, key, t, t + 1)[0]
+                 for t in range(offset, offset + size)]
+        np.testing.assert_array_equal(chunk, alone)

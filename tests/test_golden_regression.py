@@ -3,9 +3,8 @@
 ``tests/golden/distortion_streams.json`` records, for each sketch family,
 the exact distortion sequence produced by :func:`distortion_samples` at a
 fixed ``SeedSequence``.  Any change to RNG consumption, trial seeding, the
-kernel dispatch, or the distortion arithmetic shows up here as a diff —
-the values were recorded from the materialized-matmul engine, so they also
-re-certify the kernels' bit-identity contract on every run.
+kernel dispatch, or the distortion arithmetic shows up here as a diff.
+The same pins hold at any ``batch`` chunk size, bit for bit.
 
 ``tests/golden/shard_streams.json`` additionally pins a ``minimal_m``
 search per sketch family as recorded through a 3-shard
@@ -15,8 +14,8 @@ search, the shard layer's core invariance.
 
 Comparison uses a tight relative tolerance (1e-9) rather than exact
 equality only to absorb BLAS/LAPACK differences across platforms in the
-SVD inside ``distortion_of_product``; everything upstream of the SVD is
-required to be bit-identical (see tests/test_apply_kernels.py).
+SVD (or the Gram eigenvalues) of the reduction; everything upstream of it
+is required to be bit-identical (see tests/test_apply_kernels.py).
 
 To regenerate after an *intentional* change to the trial stream::
 
@@ -31,7 +30,6 @@ import pytest
 from repro.core.tester import distortion_samples
 
 from golden.regenerate import (
-    BATCHED_PATH,
     GOLDEN_BATCH,
     GOLDEN_PATH,
     GOLDEN_SEED,
@@ -51,12 +49,6 @@ pytestmark = pytest.mark.kernels
 @pytest.fixture(scope="module")
 def golden():
     with open(GOLDEN_PATH) as handle:
-        return json.load(handle)
-
-
-@pytest.fixture(scope="module")
-def golden_batched():
-    with open(BATCHED_PATH) as handle:
         return json.load(handle)
 
 
@@ -83,53 +75,24 @@ def test_golden_metadata_matches_parameters(golden):
     assert golden["trials"] == GOLDEN_TRIALS
 
 
-def test_batched_golden_file_covers_every_case(golden_batched):
-    assert sorted(golden_batched["streams"]) == sorted(
-        name for name, _, _ in cases()
-    )
-
-
 @pytest.mark.parametrize(
     "name,family,instance",
     [pytest.param(*case, id=case[0]) for case in cases()],
 )
-def test_batched_stream_unchanged(name, family, instance, golden_batched):
-    """Pin the batched engine's stream at a batch size with a partial tail."""
-    recorded = np.asarray(golden_batched["streams"][name], dtype=float)
+def test_batched_stream_unchanged(name, family, instance, golden):
+    """The pins hold at a chunk size with a partial tail, bit for bit
+    equal to the default run: ``batch`` changes no value."""
+    recorded = np.asarray(golden["streams"][name], dtype=float)
     current = distortion_samples(
         family, instance, trials=GOLDEN_TRIALS,
         rng=np.random.SeedSequence(GOLDEN_SEED), batch=GOLDEN_BATCH,
     )
     assert current.shape == recorded.shape
     np.testing.assert_allclose(current, recorded, rtol=1e-9, atol=0.0)
-
-
-@pytest.mark.parametrize(
-    "name,family,instance",
-    [pytest.param(*case, id=case[0]) for case in cases()],
-)
-def test_batched_stream_matches_serial_pins(name, family, instance, golden):
-    """The batched engine reproduces the *serial* pins to SVD tolerance.
-
-    Everything upstream of the SVD (seeding, sampling, the scatter) is
-    stream-faithful by construction; only the reduction differs (batched
-    Gram SVD vs per-trial rectangular SVD), so the recorded serial values
-    bound the batched ones at the same 1e-9 used for cross-platform BLAS —
-    plus an absolute floor for distortions that are exactly 0 in one
-    reduction and one ULP away in the other.
-    """
-    recorded = np.asarray(golden["streams"][name], dtype=float)
-    current = distortion_samples(
+    np.testing.assert_array_equal(current, distortion_samples(
         family, instance, trials=GOLDEN_TRIALS,
-        rng=np.random.SeedSequence(GOLDEN_SEED), batch=GOLDEN_BATCH,
-    )
-    np.testing.assert_allclose(current, recorded, rtol=1e-9, atol=1e-12)
-
-
-def test_batched_golden_metadata_matches_parameters(golden_batched):
-    assert golden_batched["seed"] == GOLDEN_SEED
-    assert golden_batched["trials"] == GOLDEN_TRIALS
-    assert golden_batched["batch"] == GOLDEN_BATCH
+        rng=np.random.SeedSequence(GOLDEN_SEED),
+    ))
 
 
 @pytest.fixture(scope="module")

@@ -142,10 +142,18 @@ class TestRuleFixtures:
 
     def test_rpl105_guard_helper_call_is_sufficient(self):
         source = (
-            "from repro.core.batched import _check_batch\n"
-            "def run(trials, batch=None):\n"
-            "    size = _check_batch(batch)\n"
-            "    return trials // size\n"
+            "from repro.utils.parallel import normalize_shard\n"
+            "def run(trials, shard=None):\n"
+            "    shard = normalize_shard(shard)\n"
+            "    return trials // shard.count\n"
+        )
+        assert lint_source(source, TRIAL_PATH) == []
+
+    def test_rpl105_leaves_the_batch_chunk_size_alone(self):
+        # batch= changes no value, so computing with it needs no guard.
+        source = (
+            "def run(trials, batch):\n"
+            "    return -(-trials // batch)\n"
         )
         assert lint_source(source, TRIAL_PATH) == []
 

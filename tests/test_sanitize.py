@@ -34,6 +34,7 @@ from repro.sanitize import (
 )
 from repro.sanitize.__main__ import main as sanitize_main
 from repro.sketch.countsketch import CountSketch
+from repro.sketch.osnap import OSNAP
 from repro.sketch.gaussian import GaussianSketch
 from repro.hardinstances.dbeta import DBeta
 from repro.utils.parallel import ShardSpec
@@ -319,6 +320,57 @@ class TestFaultInjection:
         result.metrics["exponent"] = float("nan")
         with pytest.raises(ValueError):
             result.save_json(tmp_path / "result.json")
+
+
+def _probe_experiment(batch_shapes_result):
+    """A ``run_experiment`` stand-in: one real probe, whose result bytes
+    depend on ``batch`` only when ``batch_shapes_result`` (the fault)."""
+
+    def run(experiment_id, scale, rng, workers=1, cache=None, shard=None,
+            batch=None):
+        values = distortion_samples(
+            OSNAP(m=40, n=64, s=2), _instance(), 12,
+            np.random.default_rng(rng), workers=workers, cache=cache,
+            shard=shard, batch=batch,
+        )
+        result = ExperimentResult(experiment_id=experiment_id,
+                                  title="probe")
+        result.metrics["mean"] = float(values.mean())
+        if batch_shapes_result and batch is not None:
+            result.metrics["mean"] += 1e-16 * batch
+        return result
+
+    return run
+
+
+class TestBatchAxis:
+    """The ``batch`` axis compares result bytes with the serial
+    reference, not only among its own worker counts."""
+
+    def _axes(self, monkeypatch, tmp_path, fault):
+        from repro.sanitize import runner
+
+        monkeypatch.setattr(runner, "run_experiment",
+                            _probe_experiment(fault))
+        report = runner.sanitize_experiment("EX", workers=2, batch=5,
+                                            shards=2, shard_dir=tmp_path)
+        return report, {axis["axis"]: axis for axis in report["axes"]}
+
+    def test_chunk_size_reproduces_the_serial_bytes(self, monkeypatch,
+                                                    tmp_path):
+        report, axes = self._axes(monkeypatch, tmp_path, fault=False)
+        assert report["status"] == "ok"
+        assert axes["batch=5"]["result_match"]
+
+    def test_batch_dependent_result_is_caught(self, monkeypatch, tmp_path):
+        # Same bytes at one and at two workers, and the serial stream
+        # trace: only the comparison with the reference can catch it.
+        report, axes = self._axes(monkeypatch, tmp_path, fault=True)
+        assert report["status"] == "divergent"
+        assert not axes["batch=5"]["result_match"]
+        assert not axes["batch=5"]["divergences"]
+        assert all(entry["result_match"] for name, entry in axes.items()
+                   if name != "batch=5")
 
 
 class TestCli:

@@ -283,6 +283,43 @@ class TestServiceIdentity:
         assert replay["params"]["family"] == CountSketch(16, 64).spec()
         service.close()
 
+    def test_batch_is_a_chunk_size_outside_the_key(self, tmp_path):
+        # Requests that differ only in batch share one key and replay,
+        # and a record computed at one batch is a hit at another.
+        service = EstimationService(tmp_path / "cache")
+        plans = [service._plan("failure_estimate",
+                               dict(ESTIMATE_REQUEST, batch=batch))
+                 for batch in (8, 3)]
+        plans.append(service._plan("failure_estimate", ESTIMATE_REQUEST))
+        assert len({plan.key for plan in plans}) == 1
+        assert all(plan.replay == plans[0].replay for plan in plans)
+        assert "batch" not in plans[0].replay["params"]
+        cold = asyncio.run(service.handle(
+            "failure_estimate", dict(ESTIMATE_REQUEST, batch=8),
+        ))
+        warm = asyncio.run(
+            service.handle("failure_estimate", ESTIMATE_REQUEST)
+        )
+        assert warm["cache"] == {"hits": 1, "misses": 0}
+        assert cold["result"] == warm["result"]
+        with pytest.raises(BadRequest):
+            service._plan("failure_estimate",
+                          dict(ESTIMATE_REQUEST, batch=0))
+        service.close()
+
+    def test_client_import_leaves_the_server_unloaded(self):
+        # The client is importable on its own: neither asyncio nor the
+        # experiments the server runs come with it.
+        import subprocess
+
+        probe = ("import sys, repro.serve.client; "
+                 "print('asyncio' in sys.modules, "
+                 "'repro.serve.service' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True,
+                             env=TestKilledServerRestart._env())
+        assert out.stdout.split() == ["False", "False"]
+
     def test_spawn_key_changes_the_stream(self, tmp_path):
         service = EstimationService(tmp_path / "cache")
         base = asyncio.run(

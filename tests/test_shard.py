@@ -118,17 +118,11 @@ class TestShardSpans:
     def test_more_shards_than_trials(self):
         assert shard_spans(2, 4) == [(0, 1), (1, 2), (2, 2), (2, 2)]
 
-    def test_step_aligns_boundaries_to_batch_multiples(self):
-        spans = shard_spans(24, 3, step=5)
-        assert spans == [(0, 10), (10, 20), (20, 24)]
-        for lo, _ in spans:
-            assert lo % 5 == 0
-
-    @pytest.mark.parametrize("total,count,step", [
-        (1, 1, 1), (17, 4, 1), (17, 4, 3), (100, 7, 8), (5, 9, 2),
+    @pytest.mark.parametrize("total,count", [
+        (1, 1), (17, 4), (100, 7), (5, 9), (0, 3),
     ])
-    def test_spans_tile_exactly(self, total, count, step):
-        spans = shard_spans(total, count, step=step)
+    def test_spans_tile_exactly(self, total, count):
+        spans = shard_spans(total, count)
         assert len(spans) == count
         cursor = 0
         for lo, hi in spans:
@@ -169,22 +163,23 @@ class TestShardSpanStreams:
 
     @pytest.mark.parametrize("batch", [None, 4])
     def test_span_slices_concatenate_to_serial_values(self, batch):
-        # Batched chunks are ``batch`` trials each, as the executor cuts
-        # them; shard spans are batch-aligned, so they cut the same ones.
+        # Chunks are ``batch`` trials each from a span's start, as the
+        # executor cuts them, so a shard cuts other chunks than the serial
+        # run; a trial's value does not depend on its chunk.
         from repro.core.tester import _trial_chunk
 
-        key, step = np.uint64(77), batch or 1
+        key = np.uint64(77)
 
         def run(lo, hi):
             return [value for start in range(lo, hi, batch or hi - lo)
                     for value in _trial_chunk(
-                        _family(), _instance(), None, batch is not None,
-                        key, range(start, min(start + (batch or hi), hi)),
+                        _family(), _instance(), None, key,
+                        range(start, min(start + (batch or hi), hi)),
                     )]
 
         serial = run(0, 10)
         for count in (2, 3, 4):
-            sliced = [value for lo, hi in shard_spans(10, count, step=step)
+            sliced = [value for lo, hi in shard_spans(10, count)
                       if lo < hi for value in run(lo, hi)]
             assert sliced == serial
 
@@ -221,11 +216,40 @@ class TestShardedFailureEstimate:
         assert sharded_call(fn, shards, tmp_path) == fn(None, None)
 
     def test_batched_matches_serial_batched(self, tmp_path):
-        # batch=7 with trials=30: span boundaries align to batch
-        # multiples, so the sharded chunk decomposition (and its
-        # canonical accumulation order) is the serial one.
+        # batch=7 with trials=30: the spans (10 trials each) cut other
+        # chunks than the serial run, and the values are the serial ones.
         fn = _samples_fn(batch=7, trials=30)
         assert sharded_call(fn, 3, tmp_path) == fn(None, None)
+        assert fn(None, None) == _samples_fn(trials=30)(None, None)
+
+    def test_batch_workers_and_shards_give_one_set_of_values(self,
+                                                            tmp_path):
+        # OSNAP s=3 on a mixture of D_1 and D_{1/2}: chunks mix
+        # near-square and tall trials and coupled blocks of many shapes,
+        # and no chunking, worker count or shard split moves a bit.
+        from repro.hardinstances.mixtures import MixtureInstance
+        from repro.sketch.osnap import OSNAP
+
+        family = OSNAP(m=30, n=128, s=3)
+        instance = MixtureInstance([DBeta(128, 6, reps=1),
+                                    DBeta(128, 6, reps=2)],
+                                   weights=[0.5, 0.5])
+
+        def fn(batch, workers):
+            def run(cache, shard):
+                return distortion_samples(
+                    family, instance, 20, np.random.default_rng(4),
+                    workers=workers, cache=cache, batch=batch, shard=shard,
+                ).tolist()
+            return run
+
+        reference = fn(None, 1)(None, None)
+        for batch in (None, 1, 8):
+            for workers in (1, 2):
+                run = fn(batch, workers)
+                assert run(None, None) == reference
+                directory = tmp_path / f"{batch}-{workers}"
+                assert sharded_call(run, 3, directory) == reference
 
     def test_final_replay_counter_delta_matches_serial(self, tmp_path):
         # The aggregate over all shard passes legitimately exceeds the

@@ -105,6 +105,21 @@ class TestStackedSketch:
                              CountSketch(m=8, n=64)])
         assert sp.issparse(fam.sample(1).matrix)
 
+    def test_each_block_counts_as_a_sketch_sample(self):
+        # The stack and each of its blocks are one sketch_samples each,
+        # as a two-stage sketch counts itself and its two stages.
+        from repro.observe.counters import counters
+        from repro.sketch import sample_sketch
+
+        counts = []
+        for fam in (StackedSketch([CountSketch(m=8, n=64)] * 2),
+                    TwoStageSketch(CountSketch(m=16, n=64),
+                                   CountSketch(m=8, n=16))):
+            before = counters().snapshot()
+            sample_sketch(fam, np.random.default_rng(0))
+            counts.append(counters().diff(before).get("sketch_samples"))
+        assert counts == [3, 3]
+
     def test_mixed_stack_densifies(self):
         fam = StackedSketch([CountSketch(m=8, n=64),
                              GaussianSketch(m=8, n=64)])
