@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..linalg.subspace import exact_leverage_scores
 from ..sketch.base import SketchFamily
 from ..utils.rng import RngLike, as_generator
 from ..utils.validation import check_matrix
@@ -22,14 +23,6 @@ __all__ = [
     "LeverageResult",
     "sketched_leverage_scores",
 ]
-
-
-def exact_leverage_scores(a: np.ndarray) -> np.ndarray:
-    """Exact leverage scores of the rows of ``a`` (sums to rank(a))."""
-    a = check_matrix(a, "a")
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > s[0] * 1e-12)) if s.size else 0
-    return np.sum(u[:, :rank] ** 2, axis=1)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ See :doc:`docs/caching` for the design.
 from .checkpoint import ExperimentCheckpoint
 from .keys import cache_key, canonical_json
 from .merge import MergeConflict, MergeReport, merge_stores
-from .probes import CachedProbe, ProbeCache, ScopedProbeCache, TieredProbeCache
+from .probes import CachedProbe, ProbeCache, ScopedProbeCache
 from .store import JsonlStore
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "MergeReport",
     "ProbeCache",
     "ScopedProbeCache",
-    "TieredProbeCache",
     "cache_key",
     "canonical_json",
     "merge_stores",

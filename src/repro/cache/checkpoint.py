@@ -15,10 +15,10 @@ run (result JSON deliberately excludes wall-clock — see
 
 Both files are written atomically (temp file + ``os.replace``) so a crash
 mid-save can never leave a checkpoint that parses but lies.  Any mismatch
-— different seed, scale or engine, unreadable JSON, missing
-sidecar — makes
-:meth:`ExperimentCheckpoint.load` return ``None`` and the experiment
-simply re-runs; a stale checkpoint is never an error.
+— different seed, scale or engine, unreadable JSON, JSON of the wrong
+shape, missing sidecar — makes :meth:`ExperimentCheckpoint.load` return
+``None`` and the experiment simply re-runs; a stale checkpoint is never
+an error.
 """
 
 from __future__ import annotations
@@ -66,12 +66,9 @@ class ExperimentCheckpoint:
         """Checkpoint a completed result for the given run configuration."""
         self._directory.mkdir(parents=True, exist_ok=True)
         path = self.path_for(result.experiment_id)
-        # Must match ExperimentResult.save_json byte-for-byte, since
         # --resume copies these bytes into --json-dir.
-        payload = json.dumps(
-            result.to_dict(), indent=2, allow_nan=False, default=json_default,
-        )
-        _atomic_write_text(path, payload)
+        os.replace(result.save_json(path.with_name(path.name + ".tmp")),
+                   path)
         meta: Dict[str, Any] = {
             "experiment_id": result.experiment_id,
             **self._config(seed, scale, engine),
@@ -103,17 +100,17 @@ class ExperimentCheckpoint:
         meta_path = self._meta_path(experiment_id)
         if not path.exists() or not meta_path.exists():
             return None
+        config = self._config(seed, scale, engine)
+        # Valid JSON of the wrong shape (a list sidecar, a number where
+        # the tables go) is as stale as unreadable JSON.
         try:
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, OSError):
-            return None
-        config = self._config(seed, scale, engine)
-        if any(meta.get(name) != value for name, value in config.items()):
-            return None
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            result = ExperimentResult.from_dict(payload)
-        except (json.JSONDecodeError, OSError, KeyError, ValueError):
+            if any(meta.get(name) != value
+                   for name, value in config.items()):
+                return None
+            result = ExperimentResult.from_dict(
+                json.loads(path.read_text(encoding="utf-8")))
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
             return None
         if result.experiment_id != experiment_id:
             return None

@@ -20,9 +20,11 @@ whose records a serial run can replay:
   disagreeing on the shard count) raise :class:`MergeConflict` instead of
   silently folding wrong numbers.
 
-The output file is written atomically with records sorted by key, so
-merging the same inputs in any order produces identical bytes and the
-output may safely be one of the inputs (in-place re-merge).
+The output is written in one write to a temporary file, in the store's
+own line encoding with records sorted by key, and moved into place with
+``os.replace``, so merging the same inputs in any order produces
+identical bytes and the output may safely be one of the inputs
+(in-place re-merge).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .keys import cache_key, canonical_json
 from .probes import ProbeCache
-from .store import JsonlStore
+from .store import JsonlStore, encode_record
 
 __all__ = ["MergeConflict", "MergeReport", "merge_stores"]
 
@@ -239,13 +241,7 @@ def merge_stores(inputs: Sequence[Union[str, Path]],
     report.pending_keys.sort()
     out_path.parent.mkdir(parents=True, exist_ok=True)
     tmp = out_path.with_name(out_path.name + ".tmp")
-    writer = JsonlStore(tmp)
-    try:
-        for key in sorted(merged):
-            writer.append(merged[key])
-    finally:
-        writer.close()
-    if not tmp.exists():
-        tmp.write_text("", encoding="utf-8")
+    tmp.write_bytes(b"".join(encode_record(merged[key])
+                             for key in sorted(merged)))
     os.replace(tmp, out_path)
     return report

@@ -17,9 +17,13 @@ ledger's ``cache_hit``/``cache_miss`` events betray the difference.
 Every lookup is reported through :mod:`repro.observe`: a ``cache_hit`` or
 ``cache_miss`` ledger event plus ``cache_hit``/``cache_miss`` counters
 (excluded from result metrics — see
-:data:`repro.experiments.harness.NON_RESULT_COUNTER_PREFIXES`), which is
+:data:`repro.observe.counters.NON_RESULT_COUNTER_PREFIXES`), which is
 how ``python -m repro.observe summarize`` computes hit rates and how the
 tests certify that a warm re-run executed zero new trials.
+
+A shard pass (:mod:`repro.shard`) opens one :class:`ProbeCache` over its
+own store with the merged store as a ``read_only`` store: one index
+answers from both, and only the shard's own store is appended to.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
-from ..observe.counters import add_count
+from ..observe.counters import NON_RESULT_COUNTER_PREFIXES, add_count
 from ..observe.ledger import emit_event
 from ..utils.rng import record_cache_event
 from .keys import canonical_json, canonical_key
@@ -37,12 +41,7 @@ __all__ = [
     "CachedProbe",
     "ProbeCache",
     "ScopedProbeCache",
-    "TieredProbeCache",
 ]
-
-#: Counter names that describe the caching machinery itself; never stored
-#: in cached records (merging them back would double-count bookkeeping).
-_BOOKKEEPING_PREFIXES = ("cache_", "checkpoint_", "shard_")
 
 
 class CachedProbe(NamedTuple):
@@ -58,50 +57,43 @@ class CachedProbe(NamedTuple):
 _Entry = Tuple[Any, Dict[str, Any], Dict[str, int]]
 
 
-def _observed_get(cache: Any, kind: str,
-                  spec: Dict[str, Any]) -> Optional[CachedProbe]:
-    """One logical lookup, reported as a ``cache_hit``/``cache_miss``.
-
-    ``spec`` is canonicalized once; the key, every tier's lookup and the
-    corruption check all reuse that string.
-    """
-    key, hit = cache._lookup(kind, canonical_json(spec))
-    name = "cache_hit" if hit is not None else "cache_miss"
-    add_count(name)
-    emit_event(name, cache_kind=kind, key=key[:16],
-               m=spec.get("m"), trials=spec.get("trials"))
-    record_cache_event(name, cache_kind=kind, key=key)
-    return hit
-
-
 class ProbeCache:
-    """Content-addressed probe store over an append-only JSONL file.
+    """Content-addressed probe store over append-only JSONL files.
 
     Parameters
     ----------
     directory:
         Cache directory; the record file is ``<directory>/probes.jsonl``.
         Created on first use.
+    read_only:
+        Further cache directories whose records are looked up but never
+        written, such as a shard run's merged store.
 
-    The in-memory index is loaded at construction; records appended by
-    *this* process are indexed as they are written.  It keeps only each
-    record's spec, value and counters, and a spec only as its canonical
-    JSON string once a lookup has compared it (records written here are
-    indexed that way from the start).  Records that other
-    processes append later — a CLI sweep or shard pass writing into a
-    running server's directory — are picked up on the next lookup miss:
-    the index follows ``probes.jsonl`` from the byte offset it last read
-    (:meth:`JsonlStore.read_new`), indexing only complete
-    (``\\n``-terminated) lines, so a miss costs one ``fstat`` when nothing
-    is new and a half-written record is indexed only once its newline
-    lands.
+    The in-memory index is loaded at construction, from ``directory``'s
+    store and then each ``read_only`` store; records appended by *this*
+    process are indexed as they are written, and only into
+    ``directory``'s store.  It keeps only each record's spec, value and
+    counters, and a spec only as its canonical JSON string once a lookup
+    has compared it (records written here are indexed that way from the
+    start).  Records that other processes append later — a CLI sweep or
+    shard pass writing into a running server's directory, or a merge
+    rewriting a read-only store — are picked up on the next lookup miss:
+    the index follows each ``probes.jsonl`` from the byte offset it last
+    read (:meth:`JsonlStore.read_new`), indexing only complete
+    (``\\n``-terminated) lines, so a miss costs one ``fstat`` per store
+    when nothing is new and a half-written record is indexed only once
+    its newline lands.
     """
 
     FILENAME = "probes.jsonl"
 
-    def __init__(self, directory: Union[str, Path]) -> None:
+    def __init__(self, directory: Union[str, Path],
+                 read_only: Sequence[Union[str, Path]] = ()) -> None:
         self._directory = Path(directory)
         self._store = JsonlStore(self._directory / self.FILENAME)
+        self._stores = [self._store] + [
+            JsonlStore(Path(other) / self.FILENAME) for other in read_only
+        ]
         self._index: Dict[str, _Entry] = {}
         self._follow()
 
@@ -109,18 +101,19 @@ class ProbeCache:
         """Index the complete records appended since the last read.
 
         A key already indexed keeps its entry: a content address names
-        one record, and this process's own appends come back here on the
-        next miss, where re-indexing them would replace each slim entry
-        with the parsed record.
+        one record, whichever store holds it, and this process's own
+        appends come back here on the next miss, where re-indexing them
+        would replace each slim entry with the parsed record.
         """
-        for record in self._store.read_new():
-            key = record.get("key")
-            if isinstance(key, str) and key not in self._index:
-                self._index[key] = (
-                    record.get("spec"), record.get("value", {}),
-                    {str(name): int(count) for name, count
-                     in record.get("counters", {}).items()},
-                )
+        for store in self._stores:
+            for record in store.read_new():
+                key = record.get("key")
+                if isinstance(key, str) and key not in self._index:
+                    self._index[key] = (
+                        record.get("spec"), record.get("value", {}),
+                        {str(name): int(count) for name, count
+                         in record.get("counters", {}).items()},
+                    )
 
     @property
     def directory(self) -> Path:
@@ -128,7 +121,7 @@ class ProbeCache:
 
     @property
     def path(self) -> Path:
-        """The JSONL record file."""
+        """The JSONL record file this cache appends to."""
         return self._store.path
 
     def _lookup(self, kind: str,
@@ -167,7 +160,13 @@ class ProbeCache:
 
     def get(self, kind: str, spec: Dict[str, Any]) -> Optional[CachedProbe]:
         """Look up a probe; emits ``cache_hit``/``cache_miss`` either way."""
-        return _observed_get(self, kind, spec)
+        key, hit = self._lookup(kind, canonical_json(spec))
+        name = "cache_hit" if hit is not None else "cache_miss"
+        add_count(name)
+        emit_event(name, cache_kind=kind, key=key[:16],
+                   m=spec.get("m"), trials=spec.get("trials"))
+        record_cache_event(name, cache_kind=kind, key=key)
+        return hit
 
     def put(self, kind: str, spec: Dict[str, Any], value: Dict[str, Any],
             counters: Optional[Dict[str, int]] = None) -> None:
@@ -176,7 +175,7 @@ class ProbeCache:
         key = canonical_key(kind, canonical)
         stored_counters = {
             name: int(count) for name, count in (counters or {}).items()
-            if not name.startswith(_BOOKKEEPING_PREFIXES)
+            if not name.startswith(NON_RESULT_COUNTER_PREFIXES)
         }
         self._index[key] = (canonical, value, stored_counters)
         self._store.append({
@@ -208,13 +207,10 @@ class ProbeCache:
 
 
 class ScopedProbeCache:
-    """A probe-cache view whose specs carry extra scope fields.
+    """A view of a :class:`ProbeCache` whose specs carry extra scope
+    fields."""
 
-    ``base`` is any object with the probe-cache ``get``/``put`` surface —
-    a :class:`ProbeCache` or a :class:`TieredProbeCache`.
-    """
-
-    def __init__(self, base: Any, extra: Dict[str, Any]) -> None:
+    def __init__(self, base: ProbeCache, extra: Dict[str, Any]) -> None:
         self._base = base
         self._extra = dict(extra)
 
@@ -243,61 +239,3 @@ class ScopedProbeCache:
 
     def __repr__(self) -> str:
         return f"ScopedProbeCache({self._base!r}, extra={self._extra})"
-
-
-class TieredProbeCache:
-    """A writable :class:`ProbeCache` layered over read-only base stores.
-
-    The shard runner's cache view (:mod:`repro.shard`): each shard writes
-    its own records into ``write`` (its private shard store) while also
-    seeing everything already folded into a merged base store — full
-    records resolved by previous merge rounds resolve probes without
-    re-executing trials.  Lookups consult ``write`` first, then each base
-    in order; exactly one ``cache_hit``/``cache_miss`` is reported per
-    logical lookup regardless of how many tiers were consulted.
-    """
-
-    def __init__(self, write: ProbeCache,
-                 read_only: Sequence[ProbeCache] = ()) -> None:
-        self._write = write
-        self._read_only = list(read_only)
-
-    @property
-    def write_cache(self) -> ProbeCache:
-        """The tier that receives :meth:`put` records."""
-        return self._write
-
-    def _lookup(self, kind: str,
-                canonical: str) -> Tuple[str, Optional[CachedProbe]]:
-        """Lookup across all tiers, write tier first."""
-        for tier in [self._write, *self._read_only]:
-            key, hit = tier._lookup(kind, canonical)
-            if hit is not None:
-                return key, hit
-        return key, None
-
-    def peek(self, kind: str, spec: Dict[str, Any]) -> Optional[CachedProbe]:
-        """Silent lookup across all tiers, write tier first."""
-        return self._lookup(kind, canonical_json(spec))[1]
-
-    def get(self, kind: str, spec: Dict[str, Any]) -> Optional[CachedProbe]:
-        """Tiered lookup reporting one ``cache_hit``/``cache_miss``."""
-        return _observed_get(self, kind, spec)
-
-    def put(self, kind: str, spec: Dict[str, Any], value: Dict[str, Any],
-            counters: Optional[Dict[str, int]] = None) -> None:
-        """Record into the write tier only."""
-        self._write.put(kind, spec, value, counters)
-
-    def scoped(self, **extra: Any) -> ScopedProbeCache:
-        """A scoped view over the whole tier stack."""
-        return ScopedProbeCache(self, extra)
-
-    def close(self) -> None:
-        self._write.close()
-        for tier in self._read_only:
-            tier.close()
-
-    def __repr__(self) -> str:
-        return (f"TieredProbeCache(write={self._write!r}, "
-                f"read_only={len(self._read_only)})")

@@ -3,8 +3,9 @@
 The store holds one JSON object per line and only ever *appends*: records
 are immutable facts ("probe X evaluated to Y"), so there is nothing to
 update in place and a crash can at worst leave one torn trailing line,
-which :meth:`JsonlStore.load` tolerates exactly like the run ledger's
-:func:`repro.observe.ledger.read_events`.
+which :meth:`JsonlStore.read_new` never reads: it and the run ledger's
+:func:`repro.observe.ledger.read_events` share one complete-lines rule
+(:func:`repro.utils.appendfile.parse_complete_lines`).
 
 Safety under the :class:`~repro.utils.parallel.TrialExecutor` process
 pool comes from two properties:
@@ -22,7 +23,7 @@ pool comes from two properties:
   worker and a CLI run, or N shard passes) append atomically and can
   never tear or glue each other's lines.  The run ledger appends through
   the same helper.  Duplicate keys are harmless — both lines hold the
-  same value by construction and the loader keeps the last.
+  same value by construction and the probe index keeps the first.
 
 Within one process, the helper serializes the descriptor's lifecycle for
 the server's ``asyncio.to_thread`` workers appending through one store,
@@ -35,16 +36,31 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..utils.appendfile import AppendOnlyFile
+from ..utils.appendfile import AppendOnlyFile, parse_complete_lines
 from ..utils.serialization import json_default
 
-__all__ = ["JsonlStore"]
+__all__ = ["JsonlStore", "encode_record"]
+
+
+def encode_record(record: Dict[str, Any]) -> bytes:
+    """One record's line: sorted-key JSON and its newline.
+
+    Serialized strictly: numpy scalars/arrays are converted via
+    :func:`repro.utils.serialization.json_default`, and non-finite floats
+    raise ``ValueError`` instead of writing ``NaN``/``Infinity`` tokens —
+    those are not JSON, and only Python's lenient parser would ever read
+    the line back (``canonical_json`` already rejects them on the key
+    side).
+    """
+    line = json.dumps(record, sort_keys=True, allow_nan=False,
+                      default=json_default)
+    return (line + "\n").encode("utf-8")
 
 
 class JsonlStore:
-    """Append-only JSONL file with torn-trailing-line-tolerant loading."""
+    """Append-only JSONL file, loaded by complete lines."""
 
     def __init__(self, path: Union[str, Path]) -> None:
         self._path = Path(path)
@@ -91,30 +107,15 @@ class JsonlStore:
                     offset = 0
                 handle.seek(offset)
                 data = handle.read(stat.st_size - offset)
-            end = data.rfind(b"\n") + 1
+            records, end = parse_complete_lines(
+                data, f"{self._path} (from byte {offset})")
             self._follow_at = (stat.st_ino, offset + end)
-        records: List[Dict[str, Any]] = []
-        for number, line in enumerate(data[:end].splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                raise ValueError(
-                    f"{self._path}: unparseable cache line {number} (from "
-                    f"byte {offset}): {line[:80]!r}"
-                ) from None
         return records
 
     def append(self, record: Dict[str, Any]) -> None:
         """Append one record; a no-op in forked child processes.
 
-        Serialized strictly: numpy scalars/arrays are converted via
-        :func:`repro.utils.serialization.json_default`, and non-finite
-        floats raise ``ValueError`` instead of writing ``NaN``/``Infinity``
-        tokens — those are not JSON, and only Python's lenient parser
-        would ever read the line back (``canonical_json`` already rejects
-        them on the key side).  The line is serialized *before* touching
+        The line (:func:`encode_record`) is serialized *before* touching
         the file, so a rejected record leaves the store unchanged.
 
         The line is appended whole by
@@ -126,18 +127,13 @@ class JsonlStore:
         """
         if os.getpid() != self._pid:
             return
-        line = json.dumps(record, sort_keys=True, allow_nan=False,
-                          default=json_default)
-        data = (line + "\n").encode("utf-8")
+        data = encode_record(record)
         self._path.parent.mkdir(parents=True, exist_ok=True)
         self._file.append(data)
 
     def close(self) -> None:
         """Release the append descriptor (idempotent; reopened on demand)."""
         self._file.close()
-
-    def __iter__(self) -> Iterator[Dict[str, Any]]:
-        return iter(self.load())
 
     def __repr__(self) -> str:
         return f"JsonlStore({self._path})"

@@ -181,7 +181,7 @@ def _shard_pending(probe: str, spec: Dict[str, Any], shard: ShardSpec,
 
     The ``shard_pending`` counter is how drivers (:mod:`repro.shard`)
     detect that a round left unresolved probes; it is bookkeeping, never
-    stored into cached deltas (see ``_BOOKKEEPING_PREFIXES``).
+    stored into cached deltas (see ``NON_RESULT_COUNTER_PREFIXES``).
     """
     add_count("shard_pending")
     emit_event(

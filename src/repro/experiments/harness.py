@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..observe.counters import counters
+from ..observe.counters import NON_RESULT_COUNTER_PREFIXES, counters
 from ..observe.ledger import emit_event
 from ..utils.parallel import ShardSpec, normalize_shard
 from ..utils.rng import RngLike, as_generator
@@ -32,14 +32,6 @@ __all__ = [
     "NON_RESULT_COUNTER_PREFIXES",
     "scaled_int",
 ]
-
-#: Counter-name prefixes describing caching/checkpoint bookkeeping rather
-#: than the computation itself.  Excluded from ``count_*`` result metrics:
-#: a warm-cache run hits where a cold run misses, and metrics must stay
-#: bit-identical across cold, warm, and cache-off runs (and across
-#: sharded-and-merged vs serial runs — ``shard_`` counters exist only in
-#: shard passes).
-NON_RESULT_COUNTER_PREFIXES = ("cache_", "checkpoint_", "shard_")
 
 
 def scaled_int(base: int, scale: float, minimum: int = 1) -> int:

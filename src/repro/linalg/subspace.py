@@ -22,6 +22,7 @@ __all__ = [
     "coherent_subspace",
     "spanning_isometry",
     "subspace_angle",
+    "exact_leverage_scores",
 ]
 
 #: Default tolerance for isometry checks; scaled by matrix size internally.
@@ -126,3 +127,11 @@ def subspace_angle(u: np.ndarray, v: np.ndarray) -> float:
     sigma = np.linalg.svd(u.T @ v, compute_uv=False)
     smallest = float(np.clip(sigma.min() if sigma.size else 0.0, -1.0, 1.0))
     return float(np.arccos(smallest))
+
+
+def exact_leverage_scores(a: np.ndarray) -> np.ndarray:
+    """Exact leverage scores of the rows of ``a`` (sums to rank(a))."""
+    a = check_matrix(a, "a")
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    rank = int(np.sum(s > s[0] * 1e-12)) if s.size else 0
+    return np.sum(u[:, :rank] ** 2, axis=1)

@@ -237,7 +237,7 @@ _RULE_LIST: Tuple[Rule, ...] = (
             "count_* metrics on ExperimentResult must stay bit-identical "
             "across cache states and shard layouts, so bookkeeping counters "
             "are excluded by name prefix (cache_, checkpoint_, shard_ — "
-            "NON_RESULT_COUNTER_PREFIXES in experiments/harness.py).  A "
+            "NON_RESULT_COUNTER_PREFIXES in observe/counters.py).  A "
             "counter named `hits_cache` or `count_shard_x` dodges the "
             "filter and leaks execution-dependent values into results."
         ),

@@ -35,6 +35,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ..observe.counters import NON_RESULT_COUNTER_PREFIXES
 from .rules import FileContext, Violation, is_shard_primitive_module
 
 __all__ = ["LintVisitor", "ModuleSummary", "collect_violations",
@@ -89,9 +90,10 @@ _SPARSE_FACTORY_FUNCS = frozenset({
 _NUMPY_ROOTS = frozenset({"np", "numpy"})
 _SPARSE_ROOTS = frozenset({"sp", "sparse", "scipy"})
 
-#: Counter words with a canonical ``<word>_`` prefix (RPL104); the prefix
-#: set mirrors ``NON_RESULT_COUNTER_PREFIXES`` in experiments/harness.py.
-_COUNTER_PREFIX_WORDS = ("cache", "checkpoint", "shard")
+#: Counter words with a canonical ``<word>_`` prefix (RPL104).
+_COUNTER_PREFIX_WORDS = tuple(
+    prefix.rstrip("_") for prefix in NON_RESULT_COUNTER_PREFIXES
+)
 
 #: The guard function that normalizes the shard identity case (RPL105).
 _IDENTITY_GUARD = "normalize_shard"

@@ -32,7 +32,21 @@ import contextlib
 import contextvars
 from typing import Dict, Iterator, Mapping, Optional
 
-__all__ = ["Counters", "counters", "add_count", "use_counters"]
+__all__ = [
+    "NON_RESULT_COUNTER_PREFIXES",
+    "Counters",
+    "counters",
+    "add_count",
+    "use_counters",
+]
+
+#: Counter-name prefixes describing caching/checkpoint bookkeeping rather
+#: than the computation itself.  Excluded from ``count_*`` result metrics
+#: and never stored in cached probe records: a warm-cache run hits where a
+#: cold run misses, and metrics must stay bit-identical across cold, warm,
+#: and cache-off runs (and across sharded-and-merged vs serial runs —
+#: ``shard_`` counters exist only in shard passes).
+NON_RESULT_COUNTER_PREFIXES = ("cache_", "checkpoint_", "shard_")
 
 
 class Counters:

@@ -45,7 +45,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
-from ..utils.appendfile import AppendOnlyFile
+from ..utils.appendfile import AppendOnlyFile, parse_complete_lines
 from ..utils.serialization import json_default
 
 __all__ = [
@@ -267,24 +267,13 @@ def deterministic_view(events: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
 def read_events(path: Union[str, Path]) -> List[Dict[str, Any]]:
     """Parse a JSON-lines ledger file back into event dictionaries.
 
-    A torn trailing line (crash mid-write) is tolerated and skipped; any
-    earlier unparseable line raises, since that indicates corruption
-    rather than an interrupted run.
+    Only ``\\n``-terminated lines are read, the probe store's rule
+    (:func:`repro.utils.appendfile.parse_complete_lines`): a torn final
+    line (crash mid-write) is skipped, and an unparseable complete line
+    raises, since that indicates corruption rather than an interrupted
+    run.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    events: List[Dict[str, Any]] = []
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError:
-            if number == len(lines):
-                break
-            raise ValueError(
-                f"{path}: unparseable ledger line {number}: {line[:80]!r}"
-            ) from None
-    return events
+    return parse_complete_lines(Path(path).read_bytes(), str(path))[0]
 
 
 def read_event_segments(

@@ -40,9 +40,10 @@ Layout under ``directory``::
     ...
     merged/probes.jsonl     folded store; the final replay reads this
 
-Each shard pass reads through a :class:`~repro.cache.TieredProbeCache`
-(its own store first, then the merged store), so re-runs and later
-rounds never recompute a stored slice.
+Each shard pass reads through one :class:`~repro.cache.ProbeCache` that
+indexes its own store and, read-only, the merged store, so re-runs and
+later rounds never recompute a stored slice, and every lookup is a
+``ProbeCache.get`` or ``peek``.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Callable, Optional, Tuple, Union
 
-from .cache import ProbeCache, TieredProbeCache, merge_stores
+from .cache import ProbeCache, merge_stores
 from .core.tester import ShardPending
 from .observe.counters import counters
 from .observe.ledger import emit_event
@@ -88,17 +89,14 @@ def shard_store_dir(directory: Union[str, Path], index: int) -> Path:
     return Path(directory) / f"shard-{index:02d}"
 
 
-def open_shard_cache(directory: Union[str, Path],
-                     index: int) -> TieredProbeCache:
-    """The cache view one shard pass works through.
+def open_shard_cache(directory: Union[str, Path], index: int) -> ProbeCache:
+    """The cache one shard pass works through.
 
-    Writes land in the shard's own store; lookups fall back to the merged
+    Writes land in the shard's own store; lookups also see the merged
     store, so probes folded by earlier rounds resolve without recomputing.
     """
-    return TieredProbeCache(
-        ProbeCache(shard_store_dir(directory, index)),
-        [ProbeCache(merged_dir(directory))],
-    )
+    return ProbeCache(shard_store_dir(directory, index),
+                      read_only=[merged_dir(directory)])
 
 
 def shard_pass(fn: ShardedFn, shard: Any,

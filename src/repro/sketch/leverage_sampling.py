@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..apps.leverage import exact_leverage_scores
+from ..linalg.subspace import exact_leverage_scores
 from ..utils.rng import RngLike, as_generator
 from ..utils.validation import check_matrix, check_positive_int
 from .base import Sketch, SketchFamily

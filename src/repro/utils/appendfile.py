@@ -1,11 +1,10 @@
-"""Whole-line appends to a file shared by processes and threads.
+"""Whole-line appends to, and complete-line reads of, shared JSON-lines files.
 
 The probe store (:class:`repro.cache.store.JsonlStore`) and the run ledger
 (:class:`repro.observe.ledger.RunLedger`) are JSON-lines files that
 several writers may extend at once — a server's compute threads, a CLI
-run or N shard passes on the same directory — and whose readers skip
-only a torn *final* line.  :class:`AppendOnlyFile` is the discipline
-both follow:
+run or N shard passes on the same directory.  :class:`AppendOnlyFile` is
+the append discipline both follow:
 
 * each append is **one ``os.write`` of whole ``\\n``-terminated lines to
   an ``O_APPEND`` descriptor**, so concurrent appenders land as whole
@@ -20,17 +19,23 @@ both follow:
 * within one process, a lock serializes the descriptor's lifecycle, so
   two first appends cannot both open a descriptor (leaking one) and a
   ``close`` cannot pull it from under a write.
+
+:func:`parse_complete_lines` is the matching read rule: a line counts
+once its newline lands, so a final line without one (a writer
+mid-append, or a dead writer's fragment the next append trims) is never
+read, and a complete line that does not parse is corruption and raises.
 """
 
 from __future__ import annotations
 
 import fcntl
+import json
 import os
 import threading
 from pathlib import Path
-from typing import Optional, Union
+from typing import Any, List, Optional, Tuple, Union
 
-__all__ = ["AppendOnlyFile"]
+__all__ = ["AppendOnlyFile", "parse_complete_lines"]
 
 
 class AppendOnlyFile:
@@ -95,3 +100,25 @@ class AppendOnlyFile:
             if self._fd is not None:
                 os.close(self._fd)
                 self._fd = None
+
+
+def parse_complete_lines(data: bytes, source: str) -> Tuple[List[Any], int]:
+    """The JSON values of ``data``'s ``\\n``-terminated lines, and their
+    byte length.
+
+    Bytes after the last newline are left unread; blank lines are
+    skipped.  A complete line that does not parse raises ``ValueError``
+    naming ``source`` and the line's number within ``data``.
+    """
+    end = data.rfind(b"\n") + 1
+    values: List[Any] = []
+    for number, line in enumerate(data[:end].splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            values.append(json.loads(line))
+        except json.JSONDecodeError:
+            raise ValueError(
+                f"{source}: unparseable line {number}: {line[:80]!r}"
+            ) from None
+    return values, end

@@ -18,6 +18,8 @@ import pytest
 
 from repro.core import tester
 from repro.hardinstances.dbeta import DBeta
+from repro.observe import counters
+from repro.shard import sharded_call
 from repro.sketch import CountSketch, GaussianSketch
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -99,3 +101,23 @@ def test_batched_probe_lands_in_the_batched_reducer(tracing):
     calls = _spans_per_layer(tracing, lambda: _probe(BATCH))
     assert calls["linalg.distortions_of_products"] == TRIALS // BATCH
     assert calls["linalg.distortion_of_product"] == 0
+
+
+def test_shard_pass_lookups_land_in_the_cache_layers(tracing, tmp_path):
+    # Every lookup of a shard pass, its merges and its final replay is a
+    # ProbeCache.get (one per cache_hit/cache_miss) or a ProbeCache.peek
+    # (whether a shard's slice is already stored).
+    def search(cache, shard):
+        return tester.minimal_m(
+            CountSketch(4, 64), DBeta(64, 4, reps=1), 0.5, 0.3, trials=15,
+            m_min=4, m_max=256, rng=3, cache=cache, shard=shard,
+        )
+
+    before = counters().snapshot()
+    calls = _spans_per_layer(
+        tracing, lambda: sharded_call(search, 3, tmp_path))
+    delta = counters().diff(before)
+    lookups = delta.get("cache_hit", 0) + delta.get("cache_miss", 0)
+    assert lookups > 0
+    assert calls["cache.get"] == lookups
+    assert calls["cache.peek"] > 0

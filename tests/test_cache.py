@@ -27,7 +27,7 @@ from repro.core.tester import (
 )
 from repro.hardinstances.dbeta import DBeta
 from repro.observe.counters import counters
-from repro.observe.ledger import RunLedger
+from repro.observe.ledger import RunLedger, read_events
 from repro.sketch.countsketch import CountSketch
 
 pytestmark = pytest.mark.cache
@@ -165,6 +165,37 @@ class TestJsonlStore:
             (worker, i)
             for worker in range(workers) for i in range(per_worker)
         }
+
+
+#: Bytes on disk -> what both JSON-lines readers make of them: the
+#: complete lines' records, or the message of the ``ValueError`` raised.
+_LINE_RULE_CASES = {
+    "parseable-tail-without-newline": (
+        b'{"kind": "a"}\n{"kind": "b"}', [{"kind": "a"}]),
+    "corrupt-complete-final-line": (
+        b'{"kind": "a"}\n{"kind": "b"\n', "line 2"),
+    "corrupt-middle-line": (
+        b'{"kind": "a"}\nnot json\n{"kind": "b"}\n', "line 2"),
+    "blank-lines": (b'\n{"kind": "a"}\n\n', [{"kind": "a"}]),
+}
+
+
+class TestOneLineRule:
+    """The probe store and the run ledger read a file the same way."""
+
+    @pytest.mark.parametrize("reader", ["store", "ledger"])
+    @pytest.mark.parametrize("case", sorted(_LINE_RULE_CASES))
+    def test_store_and_ledger_agree(self, tmp_path, reader, case):
+        data, expected = _LINE_RULE_CASES[case]
+        path = tmp_path / "lines.jsonl"
+        path.write_bytes(data)
+        read = {"store": lambda: JsonlStore(path).read_new(),
+                "ledger": lambda: read_events(path)}[reader]
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=expected):
+                read()
+        else:
+            assert read() == expected
 
 
 #: An appender paused mid-line: it takes the store's shared append lock,
@@ -758,6 +789,29 @@ class TestExperimentCheckpoint:
         ckpt.path_for("ET").write_text("{ corrupt")
         assert ckpt.load("ET", seed=0, scale=0.1) is None
 
+    @pytest.mark.parametrize("name,text", [
+        ("ET.json", '{"experiment_id": "ET", "title": "t", "tables": 5}'),
+        ("ET.json", '{"experiment_id": "ET", "title": "t", '
+                    '"tables": ["x"]}'),
+        ("ET.json", '["x"]'),
+        ("ET.meta.json", '["x"]'),
+        ("ET.meta.json", '5'),
+    ], ids=["number-tables", "string-table", "list-payload", "list-sidecar",
+            "number-sidecar"])
+    def test_wrong_shaped_checkpoint_reruns_not_raises(self, tmp_path, name,
+                                                       text):
+        # Valid JSON of the wrong shape is as stale as unreadable JSON.
+        ckpt = ExperimentCheckpoint(tmp_path)
+        ckpt.save(self._result(), seed=0, scale=0.1)
+        (tmp_path / name).write_text(text)
+        assert ckpt.load("ET", seed=0, scale=0.1) is None
+
+    def test_save_leaves_no_temporary_file(self, tmp_path):
+        ExperimentCheckpoint(tmp_path).save(self._result(), seed=0,
+                                            scale=0.1)
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "ET.json", "ET.meta.json"]
+
     def test_bytes_match_save_json(self, tmp_path):
         result = self._result()
         ckpt = ExperimentCheckpoint(tmp_path / "c")
@@ -857,6 +911,22 @@ class TestCliCacheAndResume:
         meta_path.write_text(json.dumps(meta))
         assert not self._resumed(tmp_path, [])
         assert (tmp_path / "resumed" / "E1.json").read_bytes() == baseline
+        assert self._resumed(tmp_path, [])
+
+    @pytest.mark.parametrize("name,text", [
+        ("E1.json", '{"experiment_id": "E1", "title": "t", "tables": 5}'),
+        ("E1.meta.json", '["x"]'),
+    ], ids=["number-tables", "list-sidecar"])
+    def test_resume_of_wrong_shaped_checkpoint_reruns(self, tmp_path,
+                                                      capsys, name, text):
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        baseline = self._run(tmp_path, cache, "cold")
+        checkpoints = tmp_path / "cache" / "checkpoints"
+        (checkpoints / name).write_text(text)
+        assert not self._resumed(tmp_path, [])
+        assert (tmp_path / "resumed" / "E1.json").read_bytes() == baseline
+        # The re-run rewrote the checkpoint, which now replays.
+        assert (checkpoints / "E1.json").read_bytes() == baseline
         assert self._resumed(tmp_path, [])
 
     def test_resume_without_cache_dir_is_usage_error(self, tmp_path, capsys):

@@ -140,6 +140,23 @@ class TestRuleFixtures:
         primitive = lint_source(source, "src/repro/utils/parallel.py")
         assert [v for v in primitive if v.code == "RPL103"] == []
 
+    def test_rpl104_words_are_the_non_result_counter_prefixes(self):
+        from repro.experiments import harness
+        from repro.lint.visitor import _COUNTER_PREFIX_WORDS
+        from repro.observe.counters import NON_RESULT_COUNTER_PREFIXES
+
+        assert harness.NON_RESULT_COUNTER_PREFIXES \
+            is NON_RESULT_COUNTER_PREFIXES
+        assert tuple(word + "_" for word in _COUNTER_PREFIX_WORDS) \
+            == NON_RESULT_COUNTER_PREFIXES
+        for prefix in NON_RESULT_COUNTER_PREFIXES:
+            source = (
+                "from repro.observe import add_count\n"
+                f"add_count('hits_{prefix}x')\n"
+            )
+            assert [v.code for v in lint_source(source, LIBRARY_PATH)] \
+                == ["RPL104"]
+
     def test_rpl105_guard_helper_call_is_sufficient(self):
         source = (
             "from repro.utils.parallel import normalize_shard\n"

@@ -442,6 +442,24 @@ class TestMergeStores:
         merge_stores([b, a], tmp_path / "out")  # re-merge, swapped order
         assert merged.read_bytes() == first
 
+    def test_output_is_the_stores_own_lines_in_key_order(self, tmp_path):
+        a = _write_store(tmp_path / "a", [self._fe(0, (0, 5), 2)])
+        b = _write_store(tmp_path / "b", [self._fe(1, (5, 10), 3)])
+        merge_stores([a, b], tmp_path / "out")
+        records = JsonlStore(tmp_path / "out" / ProbeCache.FILENAME).load()
+        assert [r["key"] for r in records] == sorted(r["key"]
+                                                     for r in records)
+        expected = _write_store(tmp_path / "appended", records)
+        assert (tmp_path / "out" / ProbeCache.FILENAME).read_bytes() \
+            == (expected / ProbeCache.FILENAME).read_bytes()
+
+    def test_empty_merge_leaves_an_empty_store(self, tmp_path):
+        report = merge_stores([tmp_path / "absent"], tmp_path / "out")
+        assert report.records_in == 0
+        assert (tmp_path / "out" / ProbeCache.FILENAME).read_bytes() == b""
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) \
+            == [ProbeCache.FILENAME]
+
     def test_conflicting_payloads_raise(self, tmp_path):
         a = _write_store(tmp_path / "a", [self._fe(0, (0, 5), 2)])
         b = _write_store(tmp_path / "b", [self._fe(0, (0, 5), 4)])
@@ -524,17 +542,34 @@ class TestOpenShardCache:
         merged.put("failure_estimate", spec,
                    {"successes": 1, "trials": 2, "confidence": 0.95})
         merged.close()
-        tiered = open_shard_cache(tmp_path, 0)
-        assert tiered.get("failure_estimate", spec) is not None
+        cache = open_shard_cache(tmp_path, 0)
+        assert cache.get("failure_estimate", spec) is not None
         # Writes land in the shard's own store, not the merged one.
-        tiered.put("failure_estimate", {"m": 5}, {"successes": 0})
-        tiered.close()
+        cache.put("failure_estimate", {"m": 5}, {"successes": 0})
+        cache.close()
         assert ProbeCache(merged_dir(tmp_path)).get(
             "failure_estimate", {"m": 5}
         ) is None
         assert ProbeCache(shard_store_dir(tmp_path, 0)).get(
             "failure_estimate", {"m": 5}
         ) is not None
+
+    def test_miss_reads_a_merge_that_replaced_the_merged_store(self,
+                                                               tmp_path):
+        parent = TestMergeStores.PARENT
+        a = _write_store(tmp_path / "a",
+                         [TestMergeStores()._fe(0, (0, 5), 2)])
+        b = _write_store(tmp_path / "b",
+                         [TestMergeStores()._fe(1, (5, 10), 3)])
+        merge_stores([a], merged_dir(tmp_path))
+        cache = open_shard_cache(tmp_path, 0)
+        assert cache.peek("failure_estimate", parent) is None
+        merge_stores([a, b], merged_dir(tmp_path))
+        hit = cache.get("failure_estimate", parent)
+        assert hit.value["successes"] == 5
+        # Three records, each indexed once, and the shard store untouched.
+        assert len(cache) == 3
+        assert not cache.path.exists()
 
 
 class TestCliShards:
