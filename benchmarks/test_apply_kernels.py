@@ -30,7 +30,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.hardinstances.dbeta import DBeta, HardDraw
+from repro.hardinstances.dbeta import DBeta
 from repro.linalg.sparse_ops import from_triplets
 from repro.sketch import CountSketch, OSNAP, sample_sketch
 from repro.sketch.base import Sketch
@@ -112,19 +112,9 @@ class TestTrialPathSpeedup:
         family = make_family()
         instance = DBeta(REF_N, REF_D, reps=reps)
         # Neither timed route reads ``draw.u`` (the structured path works
-        # from rows/signs alone), so swap each 8 MB ``U`` for a
-        # zero-stride broadcast — keeping 30 of them alive would thrash
-        # the cache and time memory pressure instead of the kernels.
-        draws = [
-            HardDraw(
-                u=np.broadcast_to(0.0, (REF_N, REF_D)),
-                rows=drawn.rows, signs=drawn.signs, reps=drawn.reps,
-            )
-            for drawn in (
-                instance.sample_draw(seed)
-                for seed in np.random.SeedSequence(99).spawn(TRIALS)
-            )
-        ]
+        # from rows/signs alone), so no draw builds its 8 MB ``U``.
+        draws = [instance.sample_draw(seed)
+                 for seed in np.random.SeedSequence(99).spawn(TRIALS)]
         reprs = _sample_representations(family, TRIALS)
 
         # Warm-up outside the timed region (allocator, caches).

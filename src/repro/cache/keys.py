@@ -14,7 +14,7 @@ import hashlib
 import json
 from typing import Any, Dict
 
-from ..utils.serialization import to_builtin
+from ..utils.serialization import json_default
 
 __all__ = ["canonical_json", "cache_key", "canonical_key"]
 
@@ -22,16 +22,17 @@ __all__ = ["canonical_json", "cache_key", "canonical_key"]
 def canonical_json(spec: Dict[str, Any]) -> str:
     """Serialize ``spec`` into a canonical JSON string.
 
-    Numpy scalars/arrays are coerced to builtins first, keys are sorted,
-    and separators are fixed, so logically equal specs produce identical
-    strings regardless of construction order or numeric wrapper types.
-    Non-finite floats are rejected: a spec containing NaN cannot compare
-    equal to itself and would poison the key space.
+    Keys are sorted and separators fixed, and numpy scalars and arrays
+    encode as their builtin values (the store's rule,
+    :func:`~repro.utils.serialization.json_default`), so logically equal
+    specs produce identical strings regardless of construction order or
+    numeric wrapper types.  Non-finite floats are rejected: a spec
+    containing NaN cannot compare equal to itself and would poison the
+    key space.  Dictionary keys must already be strings (or builtin
+    scalars); a numpy key raises :class:`TypeError`.
     """
-    return json.dumps(
-        to_builtin(spec), sort_keys=True, separators=(",", ":"),
-        allow_nan=False,
-    )
+    return json.dumps(spec, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False, default=json_default)
 
 
 def cache_key(kind: str, spec: Dict[str, Any]) -> str:

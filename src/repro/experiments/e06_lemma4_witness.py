@@ -80,9 +80,7 @@ def planted_pi_and_draw(case: str, lam: float, epsilon: float, n: int,
         rows[4:] = np.arange(4, count)
         p, q = 0, 2
     signs = rng.choice((-1.0, 1.0), size=count)
-    u = np.zeros((n, d))  # placeholder; structured path never touches it
-    draw = HardDraw(u=u, rows=rows, signs=signs, reps=reps,
-                    component=f"planted[{case}]")
+    draw = HardDraw(n, d, rows, signs, reps, component=f"planted[{case}]")
     return pi, draw, p, q
 
 

@@ -190,9 +190,9 @@ class Experiment(abc.ABC):
         """Worker processes available to this run's trial loops.
 
         Experiment implementations pass this to ``failure_estimate`` /
-        ``minimal_m`` / ``estimate_probability``; results are bit-identical
-        across ``workers`` settings at a fixed seed (the trial engine
-        derives per-trial seeds up front — see :mod:`repro.utils.parallel`).
+        ``distortion_samples`` / ``minimal_m``; results are bit-identical
+        across ``workers`` settings at a fixed seed (trial ``t``'s streams
+        are a pure function of ``t`` — see :mod:`repro.utils.parallel`).
         """
         return self._workers
 

@@ -25,7 +25,6 @@ the trial engine draws a whole chunk of trials at once.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence
 
 import numpy as np
@@ -33,8 +32,7 @@ import numpy as np
 from ..utils.rng import KeyedStream, RngLike, draw_key, keyed_sample
 from ..utils.validation import check_positive_int
 
-__all__ = ["HardInstance", "HardDraw", "SupportDraw", "DBeta",
-           "assemble_basis"]
+__all__ = ["HardInstance", "HardDraw", "DBeta", "assemble_basis"]
 
 
 def assemble_basis(n: int, d: int, rows: np.ndarray,
@@ -44,8 +42,6 @@ def assemble_basis(n: int, d: int, rows: np.ndarray,
     Equivalent to ``V @ W`` but linear-time: column ``i`` receives
     ``signs[j]/√reps`` at row ``rows[j]`` for each ``j`` in block ``i``.
     Coinciding rows within a block accumulate, matching ``U = VW``.
-    Shared by the eager draw path and :class:`SupportDraw`'s lazy
-    assembly so both produce bit-identical matrices.
     """
     u = np.zeros((n, d))
     scale = 1.0 / np.sqrt(reps)
@@ -54,14 +50,13 @@ def assemble_basis(n: int, d: int, rows: np.ndarray,
     return u
 
 
-@dataclass(frozen=True)
 class HardDraw:
-    """A sampled hard-instance matrix with its generating randomness.
+    """One draw from a hard instance, fixed by its support.
 
     Attributes
     ----------
-    u:
-        The ``n × d`` matrix ``U = VW``.
+    n, d:
+        The shape of ``U``.
     rows:
         Array of shape ``(reps * d,)``: ``rows[j]`` is the (single) nonzero
         row of column ``j`` of ``V`` — the indices the paper calls
@@ -72,24 +67,38 @@ class HardDraw:
         Copies of the identity, ``1/β``.
     component:
         Label of the mixture component this draw came from (or ``None``).
+    structured:
+        True when ``U = VW`` is fixed by the support, which lets a sketch
+        compute ``ΠU`` from the ``reps·d`` columns of ``Π`` that ``V``
+        selects.  A draw is structured exactly when it is built without
+        ``u``: :attr:`u` then assembles ``VW`` with
+        :func:`assemble_basis` on first access.  An instance whose matrix
+        the support does not fix (:class:`~repro.hardinstances.identity.\
+SpikedSubspace` below ``α = 1``) passes its ``u``.
     """
 
-    u: np.ndarray
-    rows: np.ndarray
-    signs: np.ndarray
-    reps: int
-    component: Optional[str] = None
-    #: True when ``u`` is fully determined by ``rows``/``signs``/``reps``
-    #: (the ``D_β`` structure), enabling the fast sketched-basis path.
-    structured: bool = True
+    __slots__ = ("n", "d", "rows", "signs", "reps", "component",
+                 "structured", "_u")
+
+    def __init__(self, n: int, d: int, rows: np.ndarray, signs: np.ndarray,
+                 reps: int, component: Optional[str] = None,
+                 u: Optional[np.ndarray] = None) -> None:
+        self.n = int(n)
+        self.d = int(d)
+        self.rows = rows
+        self.signs = signs
+        self.reps = int(reps)
+        self.component = component
+        self.structured = u is None
+        self._u = u
 
     @property
-    def n(self) -> int:
-        return self.u.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.u.shape[1]
+    def u(self) -> np.ndarray:
+        """The ``n × d`` matrix ``U``, assembled on first access."""
+        if self._u is None:
+            self._u = assemble_basis(self.n, self.d, self.rows, self.signs,
+                                     self.reps)
+        return self._u
 
     @property
     def beta(self) -> float:
@@ -146,66 +155,6 @@ class HardDraw:
         return scaled.reshape(m, self.d, self.reps).sum(axis=2)
 
 
-class SupportDraw:
-    """A structured ``D_β`` draw that materializes ``u`` only on demand.
-
-    Duck-type compatible with :class:`HardDraw` (``rows``/``signs``/
-    ``reps``/``structured`` plus the sketched-basis arithmetic), but the
-    ``n × d`` matrix — the one allocation a structured trial never needs —
-    is assembled lazily on first access to :attr:`u`.  The batched trial
-    engine samples these so a chunk of ``B`` draws costs ``B`` small index
-    arrays instead of ``B`` dense matrices.
-
-    Assembling on access uses :func:`assemble_basis`, so a ``SupportDraw``
-    and a :class:`HardDraw` from the same stream hold bit-identical
-    matrices.
-    """
-
-    #: Same flag :class:`HardDraw` carries: ``u`` is fully determined by
-    #: ``rows``/``signs``/``reps``, enabling the fast sketched-basis path.
-    structured = True
-
-    def __init__(self, n: int, d: int, rows: np.ndarray, signs: np.ndarray,
-                 reps: int, component: Optional[str] = None) -> None:
-        self._n = int(n)
-        self._d = int(d)
-        self.rows = rows
-        self.signs = signs
-        self.reps = int(reps)
-        self.component = component
-        self._u: Optional[np.ndarray] = None
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def d(self) -> int:
-        return self._d
-
-    @property
-    def beta(self) -> float:
-        """The distribution parameter ``β = 1/reps``."""
-        return 1.0 / self.reps
-
-    @property
-    def u(self) -> np.ndarray:
-        """The ``n × d`` matrix ``U = VW``, assembled on first access."""
-        if self._u is None:
-            self._u = assemble_basis(
-                self._n, self._d, self.rows, self.signs, self.reps
-            )
-        return self._u
-
-    # The pinned sketched-basis arithmetic is shared with HardDraw by
-    # reusing its (plain-function) methods: they only touch the duck
-    # interface above, and sharing rules out bit-level divergence.
-    v_matrix = HardDraw.v_matrix
-    w_matrix = HardDraw.w_matrix
-    sketched_basis = HardDraw.sketched_basis
-    combine_sketched_columns = HardDraw.combine_sketched_columns
-
-
 class HardInstance(abc.ABC):
     """A distribution over ``n × d`` test matrices (hard instances)."""
 
@@ -239,19 +188,16 @@ class HardInstance(abc.ABC):
     def sample_draw(self, rng: RngLike = None) -> HardDraw:
         """Draw a matrix together with its generating randomness."""
 
-    def sample_support(self, rng: RngLike = None):
-        """Draw only the generating randomness, deferring ``u`` if possible.
+    def sample_support(self, rng: RngLike = None) -> HardDraw:
+        """The same draw as :meth:`sample_draw`, under the name the trial
+        engine's per-key default (:meth:`sample_supports`) calls.
 
-        Consumes **exactly** the same random variates as
-        :meth:`sample_draw` at the same stream (matrix assembly never
-        draws randomness), so the two are interchangeable seed-for-seed.
-        Structured instances override to return a :class:`SupportDraw`
-        that skips the dense ``n × d`` allocation; this default simply
-        falls back to the full draw.
+        Every draw carries its support, and a structured draw builds
+        ``u`` only on first use, so there is nothing left to defer.
         """
         return self.sample_draw(rng)
 
-    def sample_supports(self, keys: Sequence[Any]) -> List[Any]:
+    def sample_supports(self, keys: Sequence[Any]) -> List[HardDraw]:
         """One :meth:`sample_support` draw per uint64 key, in key order.
 
         Draw ``i`` is ``sample_support(KeyedStream(keys[i]))``.  The trial
@@ -332,20 +278,15 @@ class DBeta(HardInstance):
         return cls(n=n, d=d, reps=reps, distinct_rows=distinct_rows)
 
     def sample_draw(self, rng: RngLike = None) -> HardDraw:
-        support = self.sample_support(rng)
-        return HardDraw(u=support.u, rows=support.rows, signs=support.signs,
-                        reps=self._reps, component=self.name)
-
-    def sample_support(self, rng: RngLike = None) -> SupportDraw:
-        """Structured draw without the dense ``U`` (see :class:`SupportDraw`).
-
-        Draws one key from ``rng`` and derives the support from it exactly
-        as :meth:`sample_supports` does; :meth:`sample_draw` is this draw
-        plus the eager matrix assembly (which consumes no randomness).
-        """
+        """Draw one key from ``rng`` and derive its support exactly as
+        :meth:`sample_supports` does; ``u`` is built on first use."""
         return self.sample_supports([draw_key(rng)])[0]
 
-    def sample_supports(self, keys: Sequence[Any]) -> List[SupportDraw]:
+    # The same draw under its own name: the benchmark's tracer times
+    # ``DBeta.sample_support`` as a seam of its own.
+    sample_support = sample_draw
+
+    def sample_supports(self, keys: Sequence[Any]) -> List[HardDraw]:
         """The supports of all ``keys`` in one vectorized derivation.
 
         Key ``k`` gives the ``reps·d`` rows and signs of
@@ -357,6 +298,6 @@ class DBeta(HardInstance):
         rows, signs = keyed_sample(np.asarray(keys, dtype=np.uint64),
                                    self._reps * self._d, self._n,
                                    self._distinct_rows)
-        return [SupportDraw(n=self._n, d=self._d, rows=row, signs=sign,
-                            reps=self._reps, component=self.name)
+        return [HardDraw(self._n, self._d, row, sign, self._reps,
+                         component=self.name)
                 for row, sign in zip(rows, signs)]

@@ -67,15 +67,14 @@ class SpikedSubspace(HardInstance):
         gen = as_generator(rng)
         rows = gen.choice(self.n, size=self.d, replace=False)
         signs = gen.choice((-1.0, 1.0), size=self.d)
+        if self._alpha >= 1.0:
+            # The coherent extreme is the spike itself: D_1's structure.
+            return HardDraw(self.n, self.d, rows, signs, 1,
+                            component=self.name)
         spike = np.zeros((self.n, self.d))
         spike[rows, np.arange(self.d)] = signs
-        if self._alpha >= 1.0:
-            u = spike
-        else:
-            g = gen.standard_normal((self.n, self.d))
-            g /= np.linalg.norm(g, axis=0, keepdims=True)
-            mixed = np.sqrt(self._alpha) * spike + np.sqrt(1 - self._alpha) * g
-            u = orthonormal_basis(mixed)
-        return HardDraw(u=u, rows=rows, signs=signs, reps=1,
-                        component=self.name,
-                        structured=self._alpha >= 1.0)
+        g = gen.standard_normal((self.n, self.d))
+        g /= np.linalg.norm(g, axis=0, keepdims=True)
+        mixed = np.sqrt(self._alpha) * spike + np.sqrt(1 - self._alpha) * g
+        return HardDraw(self.n, self.d, rows, signs, 1, component=self.name,
+                        u=orthonormal_basis(mixed))

@@ -91,13 +91,6 @@ class MixtureInstance(HardInstance):
         index = int(gen.choice(len(self._components), p=self._weights))
         return self._components[index].sample_draw(gen)
 
-    def sample_support(self, rng: RngLike = None):
-        """Support-only draw: same component pick, then the component's
-        own ``sample_support`` — stream-identical to :meth:`sample_draw`."""
-        gen = as_generator(rng)
-        index = int(gen.choice(len(self._components), p=self._weights))
-        return self._components[index].sample_support(gen)
-
 
 def section3_mixture(n: int, d: int, epsilon: float) -> MixtureInstance:
     """Section 3's hard distribution for ``s = 1``.

@@ -15,13 +15,6 @@ Programmatic use::
     violations, files = lint_paths(["src", "tests"])
 """
 
-from .baseline import (
-    DEFAULT_BASELINE_NAME,
-    fingerprint_violations,
-    load_baseline,
-    partition_by_baseline,
-    write_baseline,
-)
 from .cli import main
 from .engine import (
     DEFAULT_EXCLUDES,
@@ -35,7 +28,6 @@ from .suppressions import Directive, Suppressions, parse_suppressions
 from .visitor import ModuleSummary, summarize_module
 
 __all__ = [
-    "DEFAULT_BASELINE_NAME",
     "DEFAULT_EXCLUDES",
     "Directive",
     "FileContext",
@@ -46,15 +38,11 @@ __all__ = [
     "Violation",
     "all_codes",
     "classify_path",
-    "fingerprint_violations",
     "iter_python_files",
     "lint_file",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "main",
     "parse_suppressions",
-    "partition_by_baseline",
     "summarize_module",
-    "write_baseline",
 ]

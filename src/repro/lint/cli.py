@@ -1,23 +1,16 @@
 """Command-line interface: ``python -m repro.lint [paths...]``.
 
-Exit codes: ``0`` — no new violations; ``1`` — new violations found (or a
-file failed to parse); ``2`` — usage error (bad flags, unknown rule code,
-missing path, unreadable baseline).
+Exit codes: ``0`` — no violations; ``1`` — violations found (or a file
+failed to parse); ``2`` — usage error (bad flags, unknown rule code,
+missing path).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import IO, List, Optional
 
-from .baseline import (
-    DEFAULT_BASELINE_NAME,
-    load_baseline,
-    partition_by_baseline,
-    write_baseline,
-)
 from .engine import DEFAULT_EXCLUDES, lint_paths
 from .reporter import report_json, report_text
 from .rules import RULES, all_codes, normalize_codes
@@ -44,22 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline", default=DEFAULT_BASELINE_NAME, metavar="FILE",
-        help=(
-            f"baseline file of grandfathered violations "
-            f"(default: {DEFAULT_BASELINE_NAME}; a missing file is an "
-            f"empty baseline)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline file and report every violation",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="grandfather all current violations into the baseline and exit 0",
     )
     parser.add_argument(
         "--select", metavar="CODES",
@@ -141,24 +118,6 @@ def main(argv: Optional[List[str]] = None,
         err.write(f"error: {exc}\n")
         return USAGE_ERROR
 
-    baseline_path = Path(options.baseline)
-    if options.write_baseline:
-        count = write_baseline(baseline_path, violations)
-        out.write(
-            f"wrote {count} grandfathered violation(s) to {baseline_path}\n"
-        )
-        return 0
-
-    if options.no_baseline:
-        new, grandfathered = list(violations), []
-    else:
-        try:
-            entries = load_baseline(baseline_path)
-        except ValueError as exc:
-            err.write(f"error: {exc}\n")
-            return USAGE_ERROR
-        new, grandfathered = partition_by_baseline(violations, entries)
-
     reporter = report_json if options.format == "json" else report_text
-    reporter(new, grandfathered, out, files_checked=files_checked)
-    return 1 if new else 0
+    reporter(violations, out, files_checked=files_checked)
+    return 1 if violations else 0

@@ -11,15 +11,16 @@ from .rules import RULES, Violation
 __all__ = ["report_text", "report_json"]
 
 
-def report_text(new: List[Violation], grandfathered: List[Violation],
-                stream: IO[str], *, files_checked: int) -> None:
+def report_text(violations: List[Violation], stream: IO[str], *,
+                files_checked: int) -> None:
     """Human-readable report: one line per violation plus a summary."""
-    for violation in sorted(new, key=lambda v: (v.path, v.line, v.col, v.code)):
+    for violation in sorted(violations,
+                            key=lambda v: (v.path, v.line, v.col, v.code)):
         stream.write(violation.render() + "\n")
         if violation.source_line.strip():
             stream.write(f"    {violation.source_line.strip()}\n")
     stale = sorted(
-        (v for v in new if v.code == "RPL901"),
+        (v for v in violations if v.code == "RPL901"),
         key=lambda v: (v.path, v.line, v.col),
     )
     if stale:
@@ -29,24 +30,19 @@ def report_text(new: List[Violation], grandfathered: List[Violation],
         for violation in stale:
             stream.write(f"  {violation.path}:{violation.line}: "
                          f"{violation.source_line.strip()}\n")
-    counts = Counter(violation.code for violation in new)
+    counts = Counter(violation.code for violation in violations)
     summary = ", ".join(f"{code}×{n}" for code, n in sorted(counts.items()))
-    if new:
+    if violations:
         stream.write(
-            f"\n{len(new)} violation(s) in {files_checked} file(s)"
+            f"\n{len(violations)} violation(s) in {files_checked} file(s)"
             f" [{summary}]\n"
         )
     else:
         stream.write(f"0 violations in {files_checked} file(s)\n")
-    if grandfathered:
-        stream.write(
-            f"{len(grandfathered)} grandfathered violation(s) suppressed by "
-            f"the baseline\n"
-        )
 
 
-def report_json(new: List[Violation], grandfathered: List[Violation],
-                stream: IO[str], *, files_checked: int) -> None:
+def report_json(violations: List[Violation], stream: IO[str], *,
+                files_checked: int) -> None:
     """Machine-readable report mirroring the text reporter's content."""
 
     def as_dict(violation: Violation) -> dict:
@@ -65,10 +61,10 @@ def report_json(new: List[Violation], grandfathered: List[Violation],
         "files_checked": files_checked,
         "violations": [
             as_dict(v)
-            for v in sorted(new, key=lambda v: (v.path, v.line, v.col, v.code))
+            for v in sorted(violations,
+                            key=lambda v: (v.path, v.line, v.col, v.code))
         ],
-        "grandfathered": len(grandfathered),
-        "counts": dict(Counter(v.code for v in new)),
+        "counts": dict(Counter(v.code for v in violations)),
     }
     json.dump(payload, stream, indent=2, sort_keys=True)
     stream.write("\n")

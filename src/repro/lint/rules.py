@@ -4,8 +4,7 @@ Each rule encodes one determinism or sparse-efficiency failure mode that
 was actually hit (and fixed) in this repository's history — see
 ``docs/static_analysis.md`` for the full catalog with the originating bug
 per rule.  Rules are identified by a stable ``RPLnnn`` code used in
-reports, ``# repro-lint: disable=CODE`` suppressions, and the baseline
-file.
+reports and ``# repro-lint: disable=CODE`` suppressions.
 """
 
 from __future__ import annotations

@@ -167,7 +167,7 @@ class Sketch:
         kernel = self._kernel
         if kernel is not None:
             add_count("kernel_applies")
-            if getattr(draw, "structured", False):
+            if draw.structured:
                 return kernel.sketched_basis(draw)
             return np.asarray(kernel.apply(draw.u), dtype=float)
         add_count("matrix_applies")

@@ -194,7 +194,7 @@ class BatchedColumnScatter:
         out = np.empty(len(draws))
         groups: Dict[Tuple[int, int], List[int]] = {}
         for index, draw in enumerate(draws):
-            if getattr(draw, "structured", False):
+            if draw.structured:
                 key = (int(draw.reps), int(draw.d))
                 groups.setdefault(key, []).append(index)
             else:

@@ -1,12 +1,11 @@
 """Shared utilities: RNG plumbing, validation, statistics, grids, tables."""
 
 from .grids import dyadic_grid, geometric_grid, log_int_grid
-from .parallel import TrialExecutor, resolve_workers, run_trials
+from .parallel import TrialExecutor, resolve_workers
 from .rng import RngLike, as_generator, spawn, spawn_many, spawn_seeds, stream
 from .serialization import json_default, to_builtin
 from .stats import (
     BernoulliEstimate,
-    estimate_probability,
     fit_power_law,
     geometric_mean,
     wilson_interval,
@@ -31,9 +30,7 @@ __all__ = [
     "stream",
     "TrialExecutor",
     "resolve_workers",
-    "run_trials",
     "BernoulliEstimate",
-    "estimate_probability",
     "fit_power_law",
     "geometric_mean",
     "wilson_interval",

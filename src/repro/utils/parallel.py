@@ -1,23 +1,25 @@
 """Deterministic parallel Monte-Carlo trial engine.
 
 Every trial loop in this library (failure-rate estimation, distortion
-sampling, generic event probabilities) has the same shape: run ``trials``
-independent experiments, each consuming its own random stream, and combine
-the per-trial results.  :class:`TrialExecutor` factors that shape out and
-makes it parallel-safe:
+sampling) has the same shape: run ``trials`` independent experiments,
+each consuming its own random stream, and combine the per-trial results.
+:class:`TrialExecutor` factors that shape out and makes it parallel-safe:
 
 * trial ``t``'s randomness is a pure function of ``t`` and the caller's
   RNG — a counter-based stream of one probe key (see
-  :func:`repro.utils.rng.trial_keys`) for the probe engine, a child
-  :class:`~numpy.random.SeedSequence` derived up front (see
-  :func:`repro.utils.rng.spawn_seeds`) for :meth:`TrialExecutor.run` —
-  so trial ``t`` sees the same stream no matter which worker runs it, in
-  what order, or in which chunk;
+  :func:`repro.utils.rng.trial_keys`) — so trial ``t`` sees the same
+  stream no matter which worker runs it, in what order, or in which
+  chunk;
 * results are reassembled in trial order, so serial (``workers=1``) and
   parallel (``workers>1``) runs of the same seed are **bit-identical**;
 * the process-pool backend ships chunks of trial indices (a ``range``)
-  or of seed sequences — cheap and picklable — rather than generators,
-  keeping dispatch overhead small.
+  — cheap and picklable — rather than generators, keeping dispatch
+  overhead small.
+
+:meth:`TrialExecutor.run_seeded` maps a per-trial function over given
+seed sequences through the same dispatch.  No library code calls it; it
+stays because the benchmark's tracer (``perfbench/tracing.py``) times it
+as a seam.
 
 The trial function must be picklable for ``workers > 1`` — a module-level
 function, or a :func:`functools.partial` of one over picklable arguments.
@@ -37,7 +39,6 @@ import numpy as np
 
 from ..observe.counters import counters
 from ..observe.ledger import emit_event
-from .rng import RngLike, spawn_seeds
 from .validation import check_positive_int
 
 __all__ = [
@@ -46,7 +47,6 @@ __all__ = [
     "available_cpus",
     "normalize_shard",
     "resolve_workers",
-    "run_trials",
     "shard_spans",
 ]
 
@@ -219,12 +219,12 @@ class TrialExecutor:
 
     Determinism
     -----------
-    For a fixed ``rng``, :meth:`run` returns the same list — element for
-    element, bit for bit — for every ``workers`` and ``chunk_size``
-    setting, because trial ``t`` always consumes child seed ``t`` of the
-    caller's seed sequence and nothing else.  The probe engine's chunk
-    function (:meth:`run_chunked` over trial indices) gives the same
-    guarantee, because trial ``t``'s streams are a pure function of ``t``.
+    :meth:`run_seeded` returns the same list — element for element, bit
+    for bit — for every ``workers`` and ``chunk_size`` setting, because
+    trial ``t`` consumes seed ``t`` and nothing else.  The probe engine's
+    chunk function (:meth:`run_chunked` over trial indices) gives the
+    same guarantee, because trial ``t``'s streams are a pure function of
+    ``t``.
 
     There is one dispatch path: :meth:`run_chunked` hands each chunk to a
     chunk-level function, and :meth:`run_seeded` is the same dispatch with
@@ -241,11 +241,6 @@ class TrialExecutor:
             )
         if self.chunk_size is not None:
             check_positive_int(self.chunk_size, "chunk_size")
-
-    def run(self, fn: TrialFn, trials: int, rng: RngLike = None) -> list:
-        """Run ``fn`` on ``trials`` child seeds of ``rng``, in trial order."""
-        trials = check_positive_int(trials, "trials")
-        return self.run_seeded(fn, spawn_seeds(rng, trials))
 
     def run_seeded(self, fn: TrialFn,
                    seeds: Sequence[np.random.SeedSequence]) -> list:
@@ -322,11 +317,3 @@ class TrialExecutor:
             size = max(1, -(-len(units) // per))
         return [units[i:i + size] for i in range(0, len(units), size)]
 
-
-def run_trials(fn: TrialFn, trials: int, rng: RngLike = None,
-               workers: Optional[int] = 1,
-               chunk_size: Optional[int] = None) -> list:
-    """One-shot convenience wrapper around :class:`TrialExecutor`."""
-    return TrialExecutor(workers=workers, chunk_size=chunk_size).run(
-        fn, trials, rng
-    )

@@ -11,20 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..observe.trace import trace
-from .parallel import TrialExecutor
-from .rng import RngLike, as_generator
 from .validation import check_nonnegative_int, check_positive_int
 
 __all__ = [
     "BernoulliEstimate",
     "wilson_interval",
-    "estimate_probability",
     "fit_power_law",
     "geometric_mean",
 ]
@@ -154,32 +149,6 @@ class BernoulliEstimate:
             f"{self.point:.4f} [{lo:.4f}, {hi:.4f}] "
             f"({self.successes}/{self.trials})"
         )
-
-
-def _event_trial(event: Callable[[np.random.Generator], bool],
-                 seed: np.random.SeedSequence) -> bool:
-    """One event trial seeded by its own child sequence (picklable)."""
-    return bool(event(as_generator(seed)))
-
-
-def estimate_probability(event: Callable[[np.random.Generator], bool],
-                         trials: int,
-                         rng: RngLike = None,
-                         confidence: float = 0.95,
-                         workers: Optional[int] = 1) -> BernoulliEstimate:
-    """Estimate ``P[event]`` with ``trials`` independent Monte-Carlo trials.
-
-    ``event`` receives a fresh child generator per trial and returns a bool.
-    ``workers`` distributes trials over a process pool (``None``/``0`` =
-    all CPUs) with bit-identical results across ``workers`` settings at a
-    fixed seed; ``event`` must then be picklable (a module-level function,
-    not a lambda or closure).
-    """
-    trials = check_positive_int(trials, "trials")
-    executor = TrialExecutor(workers=workers)
-    with trace("estimate_probability", trials=trials):
-        outcomes = executor.run(partial(_event_trial, event), trials, rng)
-    return BernoulliEstimate(sum(outcomes), trials, confidence)
 
 
 def fit_power_law(x: Sequence[float], y: Sequence[float]) -> Tuple[float, float]:

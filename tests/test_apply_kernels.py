@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.tester import distortion_samples, failure_estimate
-from repro.hardinstances.dbeta import DBeta
+from repro.hardinstances.dbeta import DBeta, HardDraw
 from repro.linalg.sparse_ops import sketch_apply_cost
 from repro.sketch import (
     OSNAP,
@@ -238,10 +238,8 @@ class TestBasisImage:
         family = make_family()
         instance = DBeta(family.n, 8, reps=2)
         draw = instance.sample_draw(np.random.SeedSequence(6))
-        unstructured = type(draw)(
-            u=draw.u, rows=draw.rows, signs=draw.signs, reps=draw.reps,
-            structured=False,
-        )
+        unstructured = HardDraw(draw.n, draw.d, draw.rows, draw.signs,
+                                draw.reps, u=draw.u)
         sketch = sample_sketch(family, np.random.SeedSequence(2))
         got = sketch.basis_image(unstructured)
         expected = unstructured.sketched_basis(sketch.matrix)

@@ -31,7 +31,7 @@ from repro.core.tester import (
     minimal_m,
 )
 from repro.experiments.e03_column_norms import ScaledCountSketch
-from repro.hardinstances.dbeta import DBeta, SupportDraw
+from repro.hardinstances.dbeta import DBeta, HardDraw
 from repro.hardinstances.mixtures import MixtureInstance
 from repro.linalg.distortion import (
     _GRAM_BLOCK_BYTES,
@@ -414,7 +414,7 @@ class TestTallChunks:
             rows, signs = draw.rows.copy(), draw.signs.copy()
             rows[reps:2 * reps] = rows[:reps]
             signs[reps:2 * reps] = signs[:reps]
-            draws.append(SupportDraw(n, d, rows, signs, reps))
+            draws.append(HardDraw(n, d, rows, signs, reps))
         # Each trial touches more than 2d rows: the chunk is tall.
         products = batched.sketched_bases(draws)
         assert all(

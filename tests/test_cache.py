@@ -60,6 +60,45 @@ class TestCanonicalKeys:
         with pytest.raises(ValueError):
             canonical_json({"x": float("nan")})
 
+    @pytest.mark.parametrize("spec", [
+        pytest.param({"m": np.int64(7), "n": np.int32(-3),
+                      "u": np.uint64(2**64 - 1)}, id="numpy-ints"),
+        pytest.param({"eps": np.float64(0.1), "x": np.float64(-0.0),
+                      "big": np.float64(1e300)}, id="numpy-float64"),
+        pytest.param({"eps": np.float32(0.1), "tiny": np.float32(1e-30)},
+                     id="numpy-float32"),
+        pytest.param({"yes": np.bool_(True), "no": np.bool_(False),
+                      "plain": True}, id="numpy-bools"),
+        pytest.param({"a": np.arange(4), "b": np.array([[0.5, 1.5]]),
+                      "c": np.array(3.25), "e": np.array([], dtype=float)},
+                     id="arrays"),
+        pytest.param({"t": (1, np.int64(2), (np.float32(0.5),)),
+                      "l": [np.bool_(True), None, "s"]}, id="tuples"),
+        pytest.param({"z": {"y": {"x": [np.int16(1), {"w": np.float64(2)}]}},
+                      "a": {"b": [np.array([1, 2]), ()]}}, id="nested"),
+        pytest.param({"s": np.str_("text"), np.str_("key"): 1.0},
+                     id="numpy-str"),
+    ])
+    def test_encoder_matches_the_builtin_walk(self, spec):
+        # The numpy-aware encoder gives the strings (and so the keys) of
+        # a full to_builtin rebuild followed by the plain encoder.
+        from repro.utils.serialization import to_builtin
+
+        walked = json.dumps(to_builtin(spec), sort_keys=True,
+                            separators=(",", ":"), allow_nan=False)
+        assert canonical_json(spec) == walked
+
+    @pytest.mark.parametrize("value", [np.float64("nan"), np.float32("inf"),
+                                       np.array([1.0, np.nan])])
+    def test_non_finite_numpy_values_rejected(self, value):
+        with pytest.raises(ValueError):
+            canonical_json({"x": value})
+
+    def test_numpy_dict_key_rejected(self):
+        # No spec has one; a numpy key raises rather than being coerced.
+        with pytest.raises(TypeError):
+            canonical_json({np.int64(1): "x"})
+
     def test_stream_version_only_in_hashed_family_specs(self):
         # CountSketch/OSNAP are defined by a versioned column hash, so
         # their keys name the version and entries cached under another

@@ -36,7 +36,7 @@ def planted(case, lam, epsilon, n=128, d=4, seed=0):
         rows[0], rows[1] = 0, 1  # both in block 0
         p, q = 0, 1
     signs = rng.choice((-1.0, 1.0), size=count)
-    draw = HardDraw(u=np.zeros((n, d)), rows=rows, signs=signs, reps=reps)
+    draw = HardDraw(n, d, rows, signs, reps)
     return pi, draw, p, q
 
 

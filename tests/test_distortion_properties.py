@@ -39,7 +39,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from repro.hardinstances.dbeta import DBeta, SupportDraw
+from repro.hardinstances.dbeta import DBeta, HardDraw
 from repro.hardinstances.mixtures import MixtureInstance
 from repro.linalg.distortion import (
     _GRAM_BLOCK_BYTES,
@@ -581,7 +581,7 @@ class TestSparseGramRoute:
         draw_signs = gen.choice([-1.0, 1.0], size=reps * d)
         draw_signs[1] = draw_signs[0] * sign_a * sign_b * (-1 if cancel
                                                            else 1)
-        draws[0] = SupportDraw(n, d, support, draw_signs, reps)
+        draws[0] = HardDraw(n, d, support, draw_signs, reps)
         products = kernel.sketched_bases(draws)
         if s == 1:
             assert _most_rows(products) <= 2 * d

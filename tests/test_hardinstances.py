@@ -6,7 +6,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hardinstances.dbeta import DBeta
+from repro.core.tester import distortion_samples
+from repro.experiments.e06_lemma4_witness import planted_pi_and_draw
+from repro.hardinstances import dbeta
+from repro.hardinstances.dbeta import DBeta, HardDraw
 from repro.hardinstances.identity import PermutedIdentity, SpikedSubspace
 from repro.hardinstances.mixtures import (
     MixtureInstance,
@@ -15,6 +18,14 @@ from repro.hardinstances.mixtures import (
     section5_mixture,
 )
 from repro.linalg.subspace import is_isometry
+from repro.sketch import (
+    OSNAP,
+    SRHT,
+    CountSketch,
+    GaussianSketch,
+    RowSampling,
+    SparseJL,
+)
 from repro.utils.rng import KeyedStream
 
 _U64 = (1 << 64) - 1
@@ -270,3 +281,97 @@ class TestSpikedSubspace:
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
             SpikedSubspace(n=50, d=4, alpha=1.5)
+
+
+def _instances():
+    n, d = 64, 4
+    for reps in (1, 2, 8):
+        for distinct_rows in (True, False):
+            yield pytest.param(
+                DBeta(n, d, reps=reps, distinct_rows=distinct_rows),
+                id=f"dbeta-reps{reps}-{'distinct' if distinct_rows else 'iid'}",
+            )
+    yield pytest.param(section3_mixture(n, d, 0.05), id="section3")
+    yield pytest.param(section5_mixture(n, d, 0.01), id="section5")
+    yield pytest.param(PermutedIdentity(n, d), id="permuted-identity")
+    for alpha in (0.0, 0.5, 1.0):
+        yield pytest.param(SpikedSubspace(n, d, alpha=alpha),
+                           id=f"spiked-{alpha:g}")
+
+
+class TestOneDrawType:
+    """A draw is its support; a structured draw builds ``u`` on first use."""
+
+    @pytest.mark.parametrize("instance", list(_instances()))
+    def test_draw_and_support_agree_bit_for_bit(self, instance):
+        for seed in range(4):
+            draw = instance.sample_draw(seed)
+            support = instance.sample_support(seed)
+            assert type(draw) is type(support) is HardDraw
+            assert np.array_equal(draw.rows, support.rows)
+            assert np.array_equal(draw.signs, support.signs)
+            assert draw.structured == support.structured
+            assert draw.u.tobytes() == support.u.tobytes()
+            assert draw.u.shape == (instance.n, instance.d)
+            if draw.structured:
+                assert np.array_equal(draw.u,
+                                      draw.v_matrix() @ draw.w_matrix())
+
+    def test_u_is_assembled_once_on_first_use(self, monkeypatch):
+        calls = []
+        original = dbeta.assemble_basis
+        monkeypatch.setattr(dbeta, "assemble_basis",
+                            lambda *args: calls.append(args) or
+                            original(*args))
+        draw = DBeta(64, 4, reps=2).sample_draw(0)
+        assert calls == []
+        assert draw.u is draw.u
+        assert len(calls) == 1
+
+    def test_explicit_u_makes_an_unstructured_draw(self):
+        lazy = DBeta(64, 4, reps=2).sample_draw(1)
+        given_u = np.ones((64, 4))
+        draw = HardDraw(64, 4, lazy.rows, lazy.signs, 2, u=given_u)
+        assert lazy.structured and not draw.structured
+        assert draw.u is given_u
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_coherent_spike_is_the_eager_spike(self, seed):
+        # The spike SpikedSubspace built eagerly at alpha = 1, from the
+        # same stream: rows, then signs, and nothing else.
+        n, d = 50, 4
+        gen = np.random.default_rng(seed)
+        rows = gen.choice(n, size=d, replace=False)
+        signs = gen.choice((-1.0, 1.0), size=d)
+        spike = np.zeros((n, d))
+        spike[rows, np.arange(d)] = signs
+        draw = SpikedSubspace(n, d, alpha=1.0).sample_draw(seed)
+        assert draw.structured
+        assert draw.u.tobytes() == spike.tobytes()
+
+    @pytest.mark.parametrize("case",
+                             ["distinct", "same_block", "distinct_noisy"])
+    def test_planted_draws_carry_their_own_basis(self, case):
+        _, draw, _, _ = planted_pi_and_draw(case, 3.0, 0.05, 256, 6,
+                                            np.random.default_rng(0))
+        assert draw.structured
+        assert np.array_equal(draw.u, draw.v_matrix() @ draw.w_matrix())
+        assert is_isometry(draw.u)
+
+    @pytest.mark.parametrize("family", [
+        pytest.param(CountSketch(64, 256), id="countsketch"),
+        pytest.param(OSNAP(64, 256, s=4), id="osnap"),
+        pytest.param(GaussianSketch(32, 256), id="gaussian"),
+        pytest.param(SRHT(32, 256), id="srht"),
+        pytest.param(SparseJL(64, 256), id="sparse-jl"),
+        pytest.param(RowSampling(64, 256), id="row-sampling"),
+    ])
+    def test_probes_never_build_u(self, family, monkeypatch):
+        calls = []
+        original = dbeta.assemble_basis
+        monkeypatch.setattr(dbeta, "assemble_basis",
+                            lambda *args: calls.append(args) or
+                            original(*args))
+        values = distortion_samples(family, DBeta(256, 4, reps=2), 6, rng=2)
+        assert values.shape == (6,)
+        assert calls == []

@@ -3,8 +3,8 @@
 Every rule is exercised against one triggering and one non-triggering
 fixture from ``tests/lint_fixtures/``, linted under a *virtual path* so
 path-scoped rules (library vs. tests, hot modules, trial engines) can be
-driven from the fixture directory.  Suppression directives, baseline
-round-trips and CLI exit codes are covered below.
+driven from the fixture directory.  Suppression directives and CLI exit
+codes are covered below.
 
 Run in isolation with ``pytest -m lint``.
 """
@@ -19,17 +19,13 @@ from pathlib import Path
 import pytest
 
 from repro.lint import (
-    DEFAULT_BASELINE_NAME,
     RULES,
     all_codes,
     classify_path,
     iter_python_files,
     lint_source,
-    load_baseline,
     main,
     parse_suppressions,
-    partition_by_baseline,
-    write_baseline,
 )
 
 pytestmark = pytest.mark.lint
@@ -250,61 +246,6 @@ class TestSuppressions:
         assert not parsed.is_suppressed(1, "RPL001")
 
 
-class TestBaseline:
-    BAD = (
-        "import scipy.sparse as sp\n"
-        "def f(m):\n"
-        "    return m.todense()\n"
-    )
-
-    def test_round_trip(self, tmp_path):
-        target = tmp_path / "module.py"
-        target.write_text(self.BAD, encoding="utf-8")
-        violations = lint_source(self.BAD, str(target))
-        assert [v.code for v in violations] == ["RPL003"]
-
-        baseline = tmp_path / DEFAULT_BASELINE_NAME
-        write_baseline(baseline, violations)
-        entries = load_baseline(baseline)
-        assert len(entries) == 1
-
-        new, old = partition_by_baseline(violations, entries)
-        assert new == [] and len(old) == 1
-
-    def test_new_violation_not_grandfathered(self, tmp_path):
-        target = tmp_path / "module.py"
-        target.write_text(self.BAD, encoding="utf-8")
-        baseline = tmp_path / DEFAULT_BASELINE_NAME
-        write_baseline(baseline, lint_source(self.BAD, str(target)))
-
-        grown = self.BAD + "def g(m):\n    return m.todense().T\n"
-        new, old = partition_by_baseline(
-            lint_source(grown, str(target)), load_baseline(baseline)
-        )
-        assert len(old) == 1
-        assert len(new) == 1 and new[0].line == 5
-
-    def test_identical_lines_fingerprint_separately(self, tmp_path):
-        doubled = self.BAD + "def g(m):\n    return m.todense()\n"
-        target = tmp_path / "module.py"
-        target.write_text(doubled, encoding="utf-8")
-        violations = lint_source(doubled, str(target))
-        assert len(violations) == 2
-        baseline = tmp_path / DEFAULT_BASELINE_NAME
-        assert write_baseline(baseline, violations) == 2
-        new, old = partition_by_baseline(violations, load_baseline(baseline))
-        assert new == [] and len(old) == 2
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "absent.json") == {}
-
-    def test_malformed_baseline_rejected(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("[1, 2, 3]", encoding="utf-8")
-        with pytest.raises(ValueError):
-            load_baseline(bad)
-
-
 class TestDiscovery:
     def test_lint_fixtures_excluded_by_default(self):
         found = list(iter_python_files([str(FIXTURES.parent)]))
@@ -367,6 +308,7 @@ class TestCli:
         assert payload["files_checked"] == 1
         assert payload["counts"] == {"RPL003": 1}
         assert payload["violations"][0]["rule"] == "todense-call"
+        assert "grandfathered" not in payload
 
     def test_select_and_ignore(self, tmp_path):
         bad = tmp_path / "bad.py"
@@ -376,21 +318,18 @@ class TestCli:
         code, _, _ = run_cli(["--ignore", "RPL003,RPL006", str(bad)])
         assert code == 0
 
-    def test_write_baseline_then_clean(self, tmp_path):
+    @pytest.mark.parametrize("flags", [
+        ["--baseline", "lint-baseline.json"], ["--no-baseline"],
+        ["--write-baseline"],
+    ], ids=["baseline", "no-baseline", "write-baseline"])
+    def test_baseline_flags_are_unknown(self, tmp_path, flags, capsys):
+        # Every violation is reported; nothing can be grandfathered.
         bad = tmp_path / "bad.py"
         bad.write_text("m.todense()\n", encoding="utf-8")
-        baseline = tmp_path / DEFAULT_BASELINE_NAME
-        code, out, _ = run_cli(
-            ["--baseline", str(baseline), "--write-baseline", str(bad)]
-        )
-        assert code == 0 and baseline.exists()
-        code, out, _ = run_cli(["--baseline", str(baseline), str(bad)])
-        assert code == 0
-        assert "grandfathered" in out
-        code, out, _ = run_cli(
-            ["--baseline", str(baseline), "--no-baseline", str(bad)]
-        )
-        assert code == 1
+        code, _, _ = run_cli([*flags, str(bad)])
+        assert code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "lint-baseline.json").exists()
 
     def test_list_rules(self):
         code, out, _ = run_cli(["--list-rules"])
@@ -410,7 +349,7 @@ class TestCli:
         stale.write_text(
             "x = 1  # repro-lint: disable=RPL003\n", encoding="utf-8"
         )
-        code, out, _ = run_cli(["--no-baseline", str(stale)])
+        code, out, _ = run_cli([str(stale)])
         assert code == 1
         assert "RPL901" in out
         assert "stale suppressions" in out
@@ -427,12 +366,8 @@ class TestCli:
             "    return m.todense()\n",
             encoding="utf-8",
         )
-        serial_code, serial_out, _ = run_cli(
-            ["--no-baseline", str(tmp_path)]
-        )
-        jobs_code, jobs_out, _ = run_cli(
-            ["--no-baseline", "--jobs", "2", str(tmp_path)]
-        )
+        serial_code, serial_out, _ = run_cli([str(tmp_path)])
+        jobs_code, jobs_out, _ = run_cli(["--jobs", "2", str(tmp_path)])
         assert serial_code == jobs_code == 1
         assert jobs_out == serial_out
 

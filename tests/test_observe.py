@@ -13,7 +13,11 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.tester import distortion_samples, minimal_m
+from repro.core.tester import (
+    distortion_samples,
+    failure_estimate,
+    minimal_m,
+)
 from repro.experiments.harness import Experiment
 from repro.hardinstances.dbeta import DBeta
 from repro.hardinstances.mixtures import section3_mixture
@@ -32,7 +36,6 @@ from repro.observe import (
 from repro.observe.ledger import read_event_segments
 from repro.observe.summarize import summarize, summarize_path, summarize_paths
 from repro.sketch.countsketch import CountSketch
-from repro.utils.stats import estimate_probability
 
 pytestmark = pytest.mark.observe
 
@@ -247,9 +250,9 @@ class TestLedgerDeterminism:
         fam = CountSketch(m=16, n=128)
         with RunLedger() as ledger:
             distortion_samples(fam, inst, trials=6, rng=0)
-            estimate_probability(lambda gen: gen.random() < 0.5, 8, rng=0)
+            failure_estimate(fam, inst, 0.5, trials=8, rng=0)
         names = [e["name"] for e in ledger.events if e["kind"] == "trace"]
-        assert names == ["distortion_samples", "estimate_probability"]
+        assert names == ["distortion_samples", "failure_estimate"]
         batches = [e for e in ledger.events if e["kind"] == "batch_done"]
         assert sum(b["trials"] for b in batches) == 14
 

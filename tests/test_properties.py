@@ -156,7 +156,7 @@ class TestAntiConcentrationInvariants:
         signs = np.random.default_rng(seed).choice((-1.0, 1.0), size=3)
         from repro.hardinstances.dbeta import HardDraw
 
-        draw = HardDraw(u=np.zeros((n, d)), rows=rows, signs=signs, reps=1)
+        draw = HardDraw(n, d, rows, signs, 1)
         est = escape_probability(pi, draw, 0, 1, epsilon)
         assert est.point >= 0.25
 

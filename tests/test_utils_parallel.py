@@ -25,10 +25,8 @@ from repro.utils.parallel import (
     TrialExecutor,
     available_cpus,
     resolve_workers,
-    run_trials,
 )
 from repro.utils.rng import as_generator, spawn, spawn_seeds
-from repro.utils.stats import estimate_probability
 
 
 def _first_uniform(seed):
@@ -41,22 +39,20 @@ def _uniform_chunk(seeds):
     return [_first_uniform(seed) for seed in seeds]
 
 
-def _coin_flip(gen):
-    """Module-level event fn (picklable) for estimate_probability."""
-    return bool(gen.random() < 0.5)
-
-
 class TestTrialExecutor:
     def test_serial_matches_parallel_bitwise(self):
-        serial = TrialExecutor(workers=1).run(_first_uniform, 40, rng=3)
-        parallel = TrialExecutor(workers=2).run(_first_uniform, 40, rng=3)
+        serial = TrialExecutor(workers=1).run_seeded(
+            _first_uniform, spawn_seeds(3, 40))
+        parallel = TrialExecutor(workers=2).run_seeded(
+            _first_uniform, spawn_seeds(3, 40))
         assert serial == parallel  # exact float equality, element for element
 
     def test_chunk_size_does_not_change_results(self):
-        base = run_trials(_first_uniform, 25, rng=1, workers=1)
+        base = TrialExecutor(workers=1).run_seeded(
+            _first_uniform, spawn_seeds(1, 25))
         for chunk in (1, 3, 7, 25):
-            assert run_trials(
-                _first_uniform, 25, rng=1, workers=2, chunk_size=chunk
+            assert TrialExecutor(workers=2, chunk_size=chunk).run_seeded(
+                _first_uniform, spawn_seeds(1, 25)
             ) == base
 
     def test_results_in_trial_order(self):
@@ -127,8 +123,6 @@ class TestTrialExecutor:
             TrialExecutor(workers=-1)
         with pytest.raises(ValueError):
             TrialExecutor(chunk_size=0)
-        with pytest.raises(ValueError):
-            TrialExecutor().run(_first_uniform, 0, rng=0)
 
 
 class TestBitIdenticalTrialLoops:
@@ -157,13 +151,6 @@ class TestBitIdenticalTrialLoops:
         serial = distortion_samples(fam, inst, trials=20, rng=5, workers=1)
         parallel = distortion_samples(fam, inst, trials=20, rng=5, workers=2)
         assert np.array_equal(serial, parallel)  # bit-identical floats
-
-    def test_estimate_probability(self):
-        serial = estimate_probability(_coin_flip, trials=60, rng=11,
-                                      workers=1)
-        parallel = estimate_probability(_coin_flip, trials=60, rng=11,
-                                        workers=2)
-        assert serial == parallel
 
 
 class TestSpawnOrderIndependence:

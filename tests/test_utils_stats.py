@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.utils.stats import (
     BernoulliEstimate,
-    estimate_probability,
     fit_power_law,
     geometric_mean,
     wilson_interval,
@@ -101,28 +100,6 @@ class TestBernoulliEstimate:
 
     def test_str_contains_counts(self):
         assert "3/10" in str(BernoulliEstimate(3, 10))
-
-
-class TestEstimateProbability:
-    def test_sure_event(self):
-        est = estimate_probability(lambda g: True, trials=20, rng=0)
-        assert est.point == 1.0
-
-    def test_impossible_event(self):
-        est = estimate_probability(lambda g: False, trials=20, rng=0)
-        assert est.point == 0.0
-
-    def test_fair_coin_near_half(self):
-        est = estimate_probability(
-            lambda g: g.random() < 0.5, trials=2000, rng=0
-        )
-        assert 0.45 < est.point < 0.55
-
-    def test_deterministic_given_seed(self):
-        event = lambda g: g.random() < 0.3
-        a = estimate_probability(event, trials=100, rng=7).point
-        b = estimate_probability(event, trials=100, rng=7).point
-        assert a == b
 
 
 class TestFitPowerLaw:
