@@ -4,44 +4,39 @@ A checkpoint is the byte-exact ``ExperimentResult.save_json`` payload of a
 *completed* experiment plus a small ``.meta.json`` sidecar recording the
 run configuration it is valid for: seed, scale and the trial engine's
 version (:data:`repro.core.tester.ENGINE_VERSION`, passed in by the CLI
-so this package never imports the engine).  Execution knobs such as
-``--workers`` and ``--batch`` change no value, so they are not part of
-it.  On ``--resume`` the CLI skips any experiment with a matching
-checkpoint and copies the stored bytes straight into ``--json-dir``, so
-a killed-midway run restarted with
+so this package never imports the engine).  ``--workers`` changes no
+value, so it is not part of it.  On ``--resume`` the CLI skips any
+experiment with a matching checkpoint and copies the stored bytes
+straight into ``--json-dir``, so a killed-midway run restarted with
 ``--resume`` produces JSON artifacts bit-identical to an uninterrupted
 run (result JSON deliberately excludes wall-clock — see
 :meth:`repro.experiments.harness.ExperimentResult.to_dict`).
 
-Both files are written atomically (temp file + ``os.replace``) so a crash
-mid-save can never leave a checkpoint that parses but lies.  Any mismatch
-— different seed, scale or engine, unreadable JSON, JSON of the wrong
-shape, missing sidecar — makes :meth:`ExperimentCheckpoint.load` return
-``None`` and the experiment simply re-runs; a stale checkpoint is never
-an error.
+Both files are written atomically, each through a temporary of its own
+(:func:`repro.utils.appendfile.replace_file`), so a crash mid-save can
+never leave a checkpoint that parses but lies, and shard passes that
+finish one experiment and save its checkpoint at once cannot collide.
+Any mismatch — different seed, scale or engine, unreadable JSON, JSON of
+the wrong shape, missing sidecar — makes :meth:`ExperimentCheckpoint.load`
+return ``None`` and the experiment simply re-runs; a stale checkpoint is
+never an error.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 from ..observe.counters import add_count
 from ..observe.ledger import emit_event
+from ..utils.appendfile import replace_file
 from ..utils.serialization import json_default
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..experiments.harness import ExperimentResult
 
 __all__ = ["ExperimentCheckpoint"]
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 class ExperimentCheckpoint:
@@ -67,16 +62,15 @@ class ExperimentCheckpoint:
         self._directory.mkdir(parents=True, exist_ok=True)
         path = self.path_for(result.experiment_id)
         # --resume copies these bytes into --json-dir.
-        os.replace(result.save_json(path.with_name(path.name + ".tmp")),
-                   path)
+        result.save_json(path)
         meta: Dict[str, Any] = {
             "experiment_id": result.experiment_id,
             **self._config(seed, scale, engine),
         }
-        _atomic_write_text(
+        replace_file(
             self._meta_path(result.experiment_id),
             json.dumps(meta, indent=2, sort_keys=True, allow_nan=False,
-                       default=json_default),
+                       default=json_default).encode("utf-8"),
         )
         add_count("checkpoint_save")
         emit_event("checkpoint_save", experiment=result.experiment_id,

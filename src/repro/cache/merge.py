@@ -20,20 +20,23 @@ whose records a serial run can replay:
   disagreeing on the shard count) raise :class:`MergeConflict` instead of
   silently folding wrong numbers.
 
-The output is written in one write to a temporary file, in the store's
-own line encoding with records sorted by key, and moved into place with
-``os.replace``, so merging the same inputs in any order produces
-identical bytes and the output may safely be one of the inputs
-(in-place re-merge).
+The output is written in one write to a temporary file of the merge's
+own, in the store's own line encoding with records sorted by key, and
+moved into place with ``os.replace``
+(:func:`repro.utils.appendfile.replace_file`), so merging the same
+inputs in any order produces identical bytes, the output may safely be
+one of the inputs (in-place re-merge), and two merges into one output
+never collide (the last replace wins; its inputs stay, so a later merge
+over all of them folds everything).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..utils.appendfile import replace_file
 from .keys import cache_key, canonical_json
 from .probes import ProbeCache
 from .store import JsonlStore, encode_record
@@ -111,19 +114,21 @@ def _parent_of(record: Dict[str, Any]) -> Tuple[str, Dict[str, Any], str]:
     return kind, spec, cache_key(kind, spec)
 
 
-def _fold_group(kind: str, parent_spec: Dict[str, Any],
+def _fold_group(kind: str, parent_spec: Dict[str, Any], parent_key: str,
                 partials: List[Dict[str, Any]]
                 ) -> Optional[Dict[str, Any]]:
     """Fold one probe's shard partials, or ``None`` while spans are missing.
 
-    Raises :class:`MergeConflict` on overlapping spans or disagreeing
-    shard counts — those are protocol violations, not pending work.
+    ``parent_key`` is the content address of ``parent_spec``, the key
+    the folded record is stored under.  Raises :class:`MergeConflict` on
+    overlapping spans or disagreeing shard counts — those are protocol
+    violations, not pending work.
     """
     counts = {int(p["spec"]["shard"]["count"]) for p in partials}
     if len(counts) != 1:
         raise MergeConflict(
-            f"probe {cache_key(kind, parent_spec)[:16]}: shards disagree "
-            f"on the shard count ({sorted(counts)})"
+            f"probe {parent_key[:16]}: shards disagree on the shard "
+            f"count ({sorted(counts)})"
         )
     trials = int(parent_spec["trials"])
     # Sort key includes the shard index so ties (two shards with empty
@@ -140,8 +145,8 @@ def _fold_group(kind: str, parent_spec: Dict[str, Any],
             continue  # empty slice: tiles nothing
         if lo < cursor:
             raise MergeConflict(
-                f"probe {cache_key(kind, parent_spec)[:16]}: overlapping "
-                f"shard spans at trial {lo}"
+                f"probe {parent_key[:16]}: overlapping shard spans at "
+                f"trial {lo}"
             )
         if lo > cursor:
             return None  # gap: a shard's partial has not arrived yet
@@ -159,8 +164,8 @@ def _fold_group(kind: str, parent_spec: Dict[str, Any],
         }
         if len(confidences) != 1:
             raise MergeConflict(
-                f"probe {cache_key(kind, parent_spec)[:16]}: shards "
-                f"disagree on the confidence level ({sorted(confidences)})"
+                f"probe {parent_key[:16]}: shards disagree on the "
+                f"confidence level ({sorted(confidences)})"
             )
         value: Dict[str, Any] = {
             "successes": sum(int(p["value"]["successes"]) for p in ordered),
@@ -177,7 +182,7 @@ def _fold_group(kind: str, parent_spec: Dict[str, Any],
             f"cannot fold shard partials of unknown probe kind {kind!r}"
         )
     return {
-        "key": cache_key(kind, parent_spec),
+        "key": parent_key,
         "kind": kind,
         "spec": parent_spec,
         "value": value,
@@ -212,19 +217,21 @@ def merge_stores(inputs: Sequence[Union[str, Path]],
                     f"key {record['key'][:16]} holds two different "
                     f"payloads across the merged stores"
                 )
-    partial_groups: Dict[str, List[Dict[str, Any]]] = {}
+    #: parent key -> (kind, parent spec, the group's partial records)
+    partial_groups: Dict[str, Tuple[str, Dict[str, Any],
+                                    List[Dict[str, Any]]]] = {}
     merged: Dict[str, Dict[str, Any]] = {}
     for key, record in by_key.items():
         if "shard" in record["spec"]:
             report.partial_records += 1
-            _, _, parent_key = _parent_of(record)
-            partial_groups.setdefault(parent_key, []).append(record)
+            kind, parent_spec, parent_key = _parent_of(record)
+            partial_groups.setdefault(
+                parent_key, (kind, parent_spec, []))[2].append(record)
         else:
             report.full_records += 1
         merged[key] = record
-    for parent_key, partials in partial_groups.items():
-        kind, parent_spec, _ = _parent_of(partials[0])
-        folded = _fold_group(kind, parent_spec, partials)
+    for parent_key, (kind, parent_spec, partials) in partial_groups.items():
+        folded = _fold_group(kind, parent_spec, parent_key, partials)
         if folded is None:
             report.pending_groups += 1
             report.pending_keys.append(parent_key[:16])
@@ -240,8 +247,6 @@ def merge_stores(inputs: Sequence[Union[str, Path]],
             report.folded_groups += 1
     report.pending_keys.sort()
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out_path.with_name(out_path.name + ".tmp")
-    tmp.write_bytes(b"".join(encode_record(merged[key])
-                             for key in sorted(merged)))
-    os.replace(tmp, out_path)
+    replace_file(out_path, b"".join(encode_record(merged[key])
+                                    for key in sorted(merged)))
     return report

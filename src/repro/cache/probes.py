@@ -170,14 +170,18 @@ class ProbeCache:
 
     def put(self, kind: str, spec: Dict[str, Any], value: Dict[str, Any],
             counters: Optional[Dict[str, int]] = None) -> None:
-        """Record a computed probe (bookkeeping counters are stripped)."""
+        """Record a computed probe (bookkeeping counters are stripped).
+
+        The record is indexed only once the store accepted it, so a
+        record the store rejects (a non-finite value) is not answered
+        from memory either: this process and a fresh one both miss it.
+        """
         canonical = canonical_json(spec)
         key = canonical_key(kind, canonical)
         stored_counters = {
             name: int(count) for name, count in (counters or {}).items()
             if not name.startswith(NON_RESULT_COUNTER_PREFIXES)
         }
-        self._index[key] = (canonical, value, stored_counters)
         self._store.append({
             "key": key,
             "kind": kind,
@@ -185,6 +189,7 @@ class ProbeCache:
             "value": value,
             "counters": stored_counters,
         })
+        self._index[key] = (canonical, value, stored_counters)
         record_cache_event("cache_put", cache_kind=kind, key=key)
 
     def scoped(self, **extra: Any) -> "ScopedProbeCache":

@@ -122,12 +122,6 @@ HardInstance.sample_supports` call, so a structured trial never
     return values
 
 
-def _check_batch(batch: Optional[int]) -> Optional[int]:
-    """Validate the ``batch`` chunk size shared by the trial-loop entry
-    points."""
-    return None if batch is None else check_positive_int(batch, "batch")
-
-
 #: Version of the trial arithmetic behind every cached probe value; part
 #: of each probe spec, so a store written by an engine whose values differ
 #: (2: the row-compacted per-trial reduction; 3: the batched reducer's
@@ -220,7 +214,8 @@ def _run_probe(kind: str, family: SketchFamily, instance: HardInstance,
     * **full compute** — all trials run and the record is stored.
     """
     trials = check_positive_int(trials, "trials")
-    batch = _check_batch(batch)
+    if batch is not None:
+        batch = check_positive_int(batch, "batch")
     shard = normalize_shard(shard)
     gen = as_generator(rng)
     spec = None
@@ -456,7 +451,6 @@ def minimal_m(family: SketchFamily, instance: HardInstance, epsilon: float,
               rng: RngLike = None,
               workers: Optional[int] = 1,
               cache: Optional[Any] = None,
-              batch: Optional[int] = None,
               shard: Optional[Any] = None) -> MinimalMResult:
     """Search for the minimal ``m`` with failure rate ≤ ``δ``.
 
@@ -485,8 +479,7 @@ def minimal_m(family: SketchFamily, instance: HardInstance, epsilon: float,
 
     ``workers`` parallelizes each probe's trials over a process pool (see
     :func:`failure_estimate`); the probe sequence itself is adaptive and
-    stays serial.  ``batch`` is each probe's chunk size, an execution knob
-    only (see :func:`failure_estimate`).
+    stays serial.
 
     ``decision`` selects how a probe passes:
 
@@ -532,7 +525,6 @@ def minimal_m(family: SketchFamily, instance: HardInstance, epsilon: float,
         raise ValueError(
             f"decision must be one of {_DECISIONS}, got {decision!r}"
         )
-    batch = _check_batch(batch)
     shard = normalize_shard(shard)
     if shard is not None and cache is None:
         raise ValueError(
@@ -569,8 +561,7 @@ def minimal_m(family: SketchFamily, instance: HardInstance, epsilon: float,
             try:
                 est = failure_estimate(
                     fam, instance, epsilon, trials, spawn(gen),
-                    workers=workers, cache=probe_cache, batch=batch,
-                    shard=shard,
+                    workers=workers, cache=probe_cache, shard=shard,
                 )
             except ShardPending:
                 # Sharded search: this probe is not resolvable yet — our

@@ -135,11 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="round limit for the in-process shard/merge loop "
              "(default 256)",
     )
-    parser.add_argument(
-        "--batch", type=int, default=None, metavar="B",
-        help="dispatch trials in chunks of B (results are identical for "
-             "every B; see docs/perf.md)",
-    )
     return parser
 
 
@@ -149,8 +144,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.resume and args.cache_dir is None:
         parser.error("--resume requires --cache-dir")
-    if args.batch is not None and args.batch < 1:
-        parser.error(f"--batch must be positive, got {args.batch}")
     if args.shard_index is not None and args.shards is None:
         parser.error("--shard-index requires --shards")
     if args.shards is not None:
@@ -226,7 +219,7 @@ def main(argv=None) -> int:
                         return run_experiment(
                             eid, scale=args.scale, rng=args.seed,
                             workers=args.workers, cache=shard_cache,
-                            shard=shard, batch=args.batch,
+                            shard=shard,
                         )
 
                     if args.shard_index is not None:
@@ -255,7 +248,6 @@ def main(argv=None) -> int:
                     result = run_experiment(
                         eid, scale=args.scale, rng=args.seed,
                         workers=args.workers, cache=cache,
-                        batch=args.batch,
                     )
                 if checkpoints is not None:
                     checkpoints.save(result, **checkpoint_config)

@@ -75,7 +75,7 @@ class CountSketchThresholdExperiment(Experiment):
             search = minimal_m(
                 family, hard, EPSILON, DELTA, trials=trials,
                 m_min=max(4, q), rng=spawn(rng), workers=self.workers,
-                cache=self.cache, shard=self.shard, batch=self.batch,
+                cache=self.cache, shard=self.shard,
             )
             m_hard = search.m_star if search.found else float("nan")
 
@@ -85,7 +85,6 @@ class CountSketchThresholdExperiment(Experiment):
                 control_family, control_inst, EPSILON, DELTA,
                 trials=max(10, trials // 2), m_min=4, rng=spawn(rng),
                 workers=self.workers, cache=self.cache, shard=self.shard,
-                batch=self.batch,
             )
             m_control = control.m_star if control.found else float("nan")
 

@@ -57,7 +57,7 @@ class EpsDeltaScalingExperiment(Experiment):
             search = minimal_m(
                 family, inst, epsilon, delta, trials=trials,
                 m_min=max(4, q), rng=spawn(rng), workers=self.workers,
-                cache=self.cache, shard=self.shard, batch=self.batch,
+                cache=self.cache, shard=self.shard,
             )
             m_star = search.m_star if search.found else float("nan")
             eps_table.add_row([inv_eps, reps, q, n, m_star])
@@ -91,7 +91,7 @@ class EpsDeltaScalingExperiment(Experiment):
             search = minimal_m(
                 family, inst, epsilon, delta, trials=trials,
                 m_min=max(4, q), rng=spawn(rng), workers=self.workers,
-                cache=self.cache, shard=self.shard, batch=self.batch,
+                cache=self.cache, shard=self.shard,
             )
             m_star = search.m_star if search.found else float("nan")
             delta_table.add_row([delta, trials, m_star])

@@ -91,7 +91,7 @@ class ColumnNormExperiment(Experiment):
             est = failure_estimate(
                 family, instance, epsilon, trials=trials,
                 rng=spawn(rng), workers=self.workers, cache=self.cache,
-                shard=self.shard, batch=self.batch,
+                shard=self.shard,
             )
             rel = abs(c - 1.0) / epsilon
             table.add_row([c, rel, est.point, est.low, est.high])

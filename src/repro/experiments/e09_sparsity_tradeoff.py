@@ -76,7 +76,7 @@ class SparsityTradeoffExperiment(Experiment):
                 search = minimal_m(
                     family, instance, epsilon, delta, trials=trials,
                     m_min=start_m, rng=spawn(rng), workers=self.workers,
-                    cache=self.cache, shard=self.shard, batch=self.batch,
+                    cache=self.cache, shard=self.shard,
                 )
                 m_star = search.m_star if search.found else float("nan")
                 floor = theorem20_lower_bound(d, s, delta)

@@ -82,7 +82,7 @@ class HeavyBudgetExperiment(Experiment):
             est = failure_estimate(
                 family, instance, epsilon, trials=trials,
                 rng=spawn(rng), workers=self.workers, cache=self.cache,
-                shard=self.shard, batch=self.batch,
+                shard=self.shard,
             )
             if name.startswith("Deflated"):
                 deflated_fail = min(deflated_fail, est.point)

@@ -71,12 +71,12 @@ class ExpectedSparsityExperiment(Experiment):
             est_osnap = failure_estimate(
                 osnap, instance, epsilon, trials=trials,
                 rng=spawn(rng), workers=self.workers, cache=self.cache,
-                shard=self.shard, batch=self.batch,
+                shard=self.shard,
             )
             est_jl = failure_estimate(
                 jl, instance, epsilon, trials=trials,
                 rng=spawn(rng), workers=self.workers, cache=self.cache,
-                shard=self.shard, batch=self.batch,
+                shard=self.shard,
             )
             jl_min_failure = min(jl_min_failure, est_jl.point)
             osnap_final = est_osnap.point
@@ -99,7 +99,7 @@ class ExpectedSparsityExperiment(Experiment):
             est = failure_estimate(
                 jl, instance, epsilon, trials=trials,
                 rng=spawn(rng), workers=self.workers, cache=self.cache,
-                shard=self.shard, batch=self.batch,
+                shard=self.shard,
             )
             sweep_table.add_row(
                 [s_exp, 1.0 / math.sqrt(s_exp), est.point]

@@ -57,7 +57,7 @@ class TwoStageExperiment(Experiment):
         single_search = minimal_m(
             single, instance, epsilon, delta, trials=trials, m_min=d,
             rng=spawn(rng), workers=self.workers, cache=self.cache,
-            shard=self.shard, batch=self.batch,
+            shard=self.shard,
         )
 
         # Two-stage: inner CountSketch at a comfortable m1 >> d^2, outer
@@ -69,7 +69,7 @@ class TwoStageExperiment(Experiment):
         composed_search = minimal_m(
             composed, instance, epsilon, delta, trials=trials, m_min=d,
             rng=spawn(rng), workers=self.workers, cache=self.cache,
-            shard=self.shard, batch=self.batch,
+            shard=self.shard,
         )
 
         table = TextTable(

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Union
 
 from ..observe.counters import NON_RESULT_COUNTER_PREFIXES, counters
 from ..observe.ledger import emit_event
+from ..utils.appendfile import replace_file
 from ..utils.parallel import ShardSpec, normalize_shard
 from ..utils.rng import RngLike, as_generator
 from ..utils.serialization import json_default, to_builtin
@@ -113,13 +114,12 @@ class ExperimentResult:
         }
 
     def save_json(self, path: Union[str, Path]) -> Path:
-        """Write the result as JSON; returns the path written."""
-        path = Path(path)
-        path.write_text(
-            json.dumps(self.to_dict(), indent=2, allow_nan=False,
-                       default=json_default)
-        )
-        return path
+        """Write the result as JSON, replacing ``path`` whole (see
+        :func:`~repro.utils.appendfile.replace_file`); returns the path
+        written."""
+        return replace_file(path, json.dumps(
+            self.to_dict(), indent=2, allow_nan=False, default=json_default,
+        ).encode("utf-8"))
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentResult":
@@ -181,9 +181,6 @@ class Experiment(abc.ABC):
     _cache = None
     #: This run's shard identity (or ``None``); set by :meth:`run`.
     _shard: Optional[ShardSpec] = None
-    #: Batched-trial width for ``failure_estimate`` (or ``None``); set by
-    #: :meth:`run`.
-    _batch: Optional[int] = None
 
     @property
     def workers(self) -> int:
@@ -220,20 +217,8 @@ class Experiment(abc.ABC):
         """
         return self._shard
 
-    @property
-    def batch(self) -> Optional[int]:
-        """Trial chunk size for this run's trial loops (or ``None``).
-
-        Experiment implementations forward this as the ``batch=`` argument
-        of ``failure_estimate`` / ``minimal_m``.  Like ``workers`` it is
-        an execution knob only: every value, ``None`` included, gives the
-        same result bytes (see ``docs/perf.md``).
-        """
-        return self._batch
-
     def run(self, scale: float = 1.0, rng: RngLike = None,
-            workers: int = 1, cache=None, shard=None,
-            batch: Optional[int] = None) -> ExperimentResult:
+            workers: int = 1, cache=None, shard=None) -> ExperimentResult:
         """Run the experiment; ``scale`` shrinks or grows the workload.
 
         ``workers`` parallelizes the experiment's Monte-Carlo trial loops
@@ -260,12 +245,9 @@ class Experiment(abc.ABC):
                 "shard= requires cache=: shard passes exchange probe "
                 "partials through the probe cache (see repro.shard)"
             )
-        if batch is not None and batch < 1:
-            raise ValueError(f"batch must be positive, got {batch}")
         self._workers = workers
         self._cache = cache
         self._shard = shard
-        self._batch = batch
         emit_event(
             "experiment_start", experiment=self.experiment_id,
             title=self.title, scale=scale, workers=workers,
@@ -277,7 +259,6 @@ class Experiment(abc.ABC):
         finally:
             self._cache = None
             self._shard = None
-            self._batch = None
         result.elapsed_seconds = time.perf_counter() - started
         delta = counters().diff(before)
         for name in sorted(delta):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Type
+from typing import Dict, List, Type
 
 from ..utils.rng import RngLike
 from .e01_countsketch_threshold import CountSketchThresholdExperiment
@@ -71,8 +71,7 @@ def get_experiment(experiment_id: str) -> Experiment:
 def run_experiment(experiment_id: str, scale: float = 1.0,
                    rng: RngLike = None,
                    workers: int = 1, cache=None,
-                   shard=None,
-                   batch: Optional[int] = None) -> ExperimentResult:
+                   shard=None) -> ExperimentResult:
     """Run one experiment by id.
 
     ``workers`` parallelizes its trial loops; ``cache`` (a
@@ -80,22 +79,18 @@ def run_experiment(experiment_id: str, scale: float = 1.0,
     neither changes any result at a fixed seed.  ``shard`` (a
     :class:`~repro.utils.parallel.ShardSpec` or ``(index, count)`` pair)
     runs one shard pass of an N-way fan-out; see :mod:`repro.shard`.
-    ``batch`` is the Monte-Carlo trial loops' chunk size, which changes no
-    result either (see :attr:`repro.experiments.harness.Experiment.batch`).
     """
     return get_experiment(experiment_id).run(
         scale=scale, rng=rng, workers=workers, cache=cache, shard=shard,
-        batch=batch,
     )
 
 
 def run_all(scale: float = 1.0, rng: RngLike = None,
             workers: int = 1, cache=None,
-            shard=None,
-            batch: Optional[int] = None) -> List[ExperimentResult]:
+            shard=None) -> List[ExperimentResult]:
     """Run every experiment, returning results in order."""
     return [
         run_experiment(eid, scale=scale, rng=rng, workers=workers,
-                       cache=cache, shard=shard, batch=batch)
+                       cache=cache, shard=shard)
         for eid in experiment_ids()
     ]

@@ -1,8 +1,8 @@
 """``repro.sanitize`` — runtime determinism sanitizer.
 
 The repository's determinism contract — bit-identical results across
-``workers``, cache states, ``batch`` settings, and shard/merge/replay
-runs at a fixed seed — is enforced at runtime by *stream tracing*: every
+``workers``, cache states, and shard/merge/replay runs at a fixed
+seed — is enforced at runtime by *stream tracing*: every
 RNG fan-out (:func:`repro.utils.rng.spawn_seeds`) and
 every probe-cache key is reported to an installed observer, recorded as
 a canonical trace, and diffed between a reference serial execution and a

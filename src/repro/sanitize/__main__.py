@@ -3,16 +3,16 @@
 Usage::
 
     python -m repro.sanitize run -- E1 --scale 0.05 --seed 7
-    python -m repro.sanitize run --workers 4 --batch 8 --shards 3 \\
+    python -m repro.sanitize run --workers 4 --shards 3 \\
         --report sanitize.json -- E1 --scale 0.02
 
 Arguments after ``--`` are parsed with the :mod:`repro.experiments` CLI
 grammar (experiment id or ``all``, ``--scale``, ``--seed``); arguments
 before it configure the sanitizer's axis battery.  For every selected
-experiment the battery runs a serial reference plus three candidate
-configurations (``--workers N``, ``--batch B`` at two worker counts, a
-``--shards K`` shard/merge/replay protocol), diffing each recorded
-RNG-stream trace against the reference and comparing result bytes —
+experiment the battery runs a serial reference plus two candidate
+configurations (``--workers N`` and a ``--shards K`` shard/merge/replay
+protocol), diffing each recorded RNG-stream trace against the
+reference and comparing result bytes —
 see :mod:`repro.sanitize.runner`.  Exit status 0 means zero divergences
 across all configurations; 1 means at least one, detailed on stderr and
 in the ``--report`` JSON.
@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.sanitize",
         description="Runtime determinism sanitizer: re-execute an "
-                    "experiment across workers/batch/shard configurations "
+                    "experiment across workers/shard configurations "
                     "and diff the RNG stream traces.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
@@ -49,10 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--workers", type=int, default=4, metavar="N",
         help="worker-pool width of the parallel candidate (default 4)",
-    )
-    run.add_argument(
-        "--batch", type=int, default=8, metavar="B",
-        help="trial chunk size of the batch candidate (default 8)",
     )
     run.add_argument(
         "--shards", type=int, default=3, metavar="K",
@@ -70,7 +66,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     before, after = _split_argv(argv)
     options = _build_parser().parse_args(before)
-    for name in ("workers", "batch", "shards"):
+    for name in ("workers", "shards"):
         if getattr(options, name) < 1:
             print(f"--{name} must be positive, got "
                   f"{getattr(options, name)}", file=sys.stderr)
@@ -96,8 +92,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     report = sanitize_run(
         targets, scale=workload.scale, seed=workload.seed,
-        workers=options.workers, batch=options.batch,
-        shards=options.shards,
+        workers=options.workers, shards=options.shards,
     )
     if options.report is not None:
         write_report(report, options.report)

@@ -7,7 +7,7 @@ captured: ``channel="stream"`` events from the RNG fan-out primitives
 ``channel="cache"`` events from the probe cache.  Two executions of the
 same workload at the same seed must produce **identical** stream traces
 — same events, same order, same spawn-tree positions — regardless of
-``workers``, ``batch``, caching, or sharding; any difference is a
+``workers``, caching, or sharding; any difference is a
 determinism bug, even when the final result bytes happen to agree.
 
 Three failure classes are distinguished:

@@ -1,16 +1,12 @@
-"""Config-axis sanitizer battery: serial vs workers vs batch vs shards.
+"""Config-axis sanitizer battery: serial vs workers vs shards.
 
 Drives one experiment through every execution strategy that promises
 determinism and diffs the recorded stream traces against the serial
 reference run:
 
-* ``workers=N`` — the process-pool trial engine must derive exactly the
-  serial run's child streams and reproduce its result bit for bit.
-* ``batch=B`` — the trial chunk size is an execution knob only: a
-  trial's value depends on its own streams alone, so at one and at
-  ``workers`` workers the result must equal the serial reference's bytes,
-  and the stream trace must match it (chunking may not change which
-  streams are consumed).
+* ``workers=N`` — the process-pool trial engine, which also chunks the
+  trials differently from the serial run, must derive exactly the serial
+  run's child streams and reproduce its result bit for bit.
 * ``shards=K`` — the full shard/merge/replay protocol of
   :func:`repro.shard.sharded_call`.  Every per-shard pass gets its own
   recorder (rounds re-run the schedule from scratch, so cross-round
@@ -64,7 +60,7 @@ def _axis_entry(axis: str, trace: List[Dict[str, Any]],
 
 def sanitize_experiment(experiment_id: str, *, scale: float = 0.05,
                         seed: Optional[int] = 0, workers: int = 4,
-                        batch: int = 8, shards: int = 3,
+                        shards: int = 3,
                         shard_dir: Optional[Union[str, Path]] = None
                         ) -> Dict[str, Any]:
     """Run the full axis battery for one experiment; returns the report.
@@ -108,33 +104,6 @@ def sanitize_experiment(experiment_id: str, *, scale: float = 0.05,
     axes.append(_axis_entry(
         f"workers={workers}", trace, divergences,
         result_match=_result_payload(candidate) == reference_payload,
-    ))
-
-    batched_serial, trace_b1 = run_traced(
-        f"batch={batch}:workers=1", workers=1, batch=batch,
-    )
-    batched_pool, trace_bn = run_traced(
-        f"batch={batch}:workers={workers}", workers=workers, batch=batch,
-    )
-    divergences = check_trace(trace_b1, axis=f"batch={batch}:workers=1")
-    divergences += check_trace(
-        trace_bn, axis=f"batch={batch}:workers={workers}",
-    )
-    drift = diff_traces(
-        trace_b1, trace_bn,
-        axis=f"batch={batch}: workers={workers} vs workers=1",
-    )
-    if drift is not None:
-        divergences.append(drift)
-    drift = diff_traces(reference_trace, trace_b1,
-                        axis=f"batch={batch} vs serial")
-    if drift is not None:
-        divergences.append(drift)
-    axes.append(_axis_entry(
-        f"batch={batch}", trace_bn, divergences,
-        result_match=(_result_payload(batched_serial)
-                      == _result_payload(batched_pool)
-                      == reference_payload),
     ))
 
     passes: List[Tuple[str, List[Dict[str, Any]]]] = []
@@ -187,11 +156,11 @@ def sanitize_experiment(experiment_id: str, *, scale: float = 0.05,
 
 def sanitize_run(experiment_ids: List[str], *, scale: float = 0.05,
                  seed: Optional[int] = 0, workers: int = 4,
-                 batch: int = 8, shards: int = 3) -> Dict[str, Any]:
+                 shards: int = 3) -> Dict[str, Any]:
     """Axis battery over several experiments; aggregates their reports."""
     reports = [
         sanitize_experiment(eid, scale=scale, seed=seed, workers=workers,
-                            batch=batch, shards=shards)
+                            shards=shards)
         for eid in experiment_ids
     ]
     clean = all(report["status"] == "ok" for report in reports)

@@ -4,7 +4,7 @@ diff the two stream traces.
 :func:`sanitized_rerun` is the engine behind :func:`sanitized`, the
 wrapper for :func:`repro.core.tester.failure_estimate` /
 ``distortion_samples`` / ``minimal_m``: the probe runs *twice* — first
-exactly as the caller configured it (workers, cache, batch), then as a
+exactly as the caller configured it (workers, cache), then as a
 cache-off serial replay from the same stream state — and the two
 recordings must agree event for event, and the two results bit for bit.
 Any disagreement raises :class:`~repro.sanitize.diff.DeterminismError`

@@ -464,19 +464,16 @@ class EstimationService:
             )
         scale = optional_field(payload, "scale", 1.0,
                                require_positive_float)
-        batch = optional_field(payload, "batch", None,
-                               require_positive_int)
         normalized = {
             "experiment": experiment,
             "scale": scale,
-            "batch": batch,
         }
 
         def compute() -> Dict[str, Any]:
             result = run_experiment(
                 experiment, scale=scale,
                 rng=self._request_rng(seed, spawn_key),
-                workers=self._workers, cache=self._cache, batch=batch,
+                workers=self._workers, cache=self._cache,
             )
             return result.to_dict()
 

@@ -1,4 +1,5 @@
-"""Whole-line appends to, and complete-line reads of, shared JSON-lines files.
+"""Whole-line appends to, and complete-line reads of, shared JSON-lines
+files, and whole-file replaces of shared files.
 
 The probe store (:class:`repro.cache.store.JsonlStore`) and the run ledger
 (:class:`repro.observe.ledger.RunLedger`) are JSON-lines files that
@@ -24,6 +25,12 @@ the append discipline both follow:
 once its newline lands, so a final line without one (a writer
 mid-append, or a dead writer's fragment the next append trims) is never
 read, and a complete line that does not parse is corruption and raises.
+
+:func:`replace_file` is the rule for files rewritten whole — a merged
+probe store, a checkpoint and its sidecar, a result JSON: each write goes
+to a temporary of its own and is moved into place with one
+``os.replace``, so concurrent writers of one target never share a
+temporary and the target always holds one complete write.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import threading
 from pathlib import Path
 from typing import Any, List, Optional, Tuple, Union
 
-__all__ = ["AppendOnlyFile", "parse_complete_lines"]
+__all__ = ["AppendOnlyFile", "parse_complete_lines", "replace_file"]
 
 
 class AppendOnlyFile:
@@ -122,3 +129,28 @@ def parse_complete_lines(data: bytes, source: str) -> Tuple[List[Any], int]:
                 f"{source}: unparseable line {number}: {line[:80]!r}"
             ) from None
     return values, end
+
+
+def replace_file(path: Union[str, Path], data: bytes) -> Path:
+    """Replace ``path`` with a file holding ``data``; returns ``path``.
+
+    ``data`` is written to a temporary of this call's own, a random name
+    in ``path``'s directory created with ``O_EXCL`` (so it is never an
+    existing file) and the mode a plain ``open`` gives (0o666 under the
+    umask), which one ``os.replace`` then moves onto ``path``.  Readers
+    see the old file or the new one, never a part of either, and writers
+    of one target never write, move or remove each other's temporary:
+    the last replace wins whole.  A write that fails removes its
+    temporary.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(str(tmp), os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path

@@ -543,7 +543,7 @@ class TestBatchedKernelValidation:
 
 def _recording_stub(threshold, trials=20):
     """Deterministic ``failure_estimate`` stand-in recording effective
-    dimensions; accepts the ``batch``/``shard`` forwarded by ``minimal_m``."""
+    dimensions; accepts the ``shard`` forwarded by ``minimal_m``."""
     seen = []
 
     def fake(family, instance, epsilon, probe_trials, rng=None,
@@ -625,7 +625,7 @@ class TestMinimalMEffectiveDimension:
         instance = DBeta(N, 16, reps=1)
         result = minimal_m(family, instance, epsilon=0.6, delta=0.2,
                            trials=16, rng=np.random.SeedSequence(8),
-                           m_min=4, m_max=50, batch=8)
+                           m_min=4, m_max=50)
         for m, _ in result.evaluations:
             assert m % 4 == 0
             assert m <= 50
@@ -633,12 +633,12 @@ class TestMinimalMEffectiveDimension:
             assert result.m_star == family.with_m(result.m_star).m
             assert result.m_star in [m for m, _ in result.evaluations]
 
-    def test_minimal_m_always_forwards_batch_and_shard(self, monkeypatch):
-        # Every probe receives batch= and shard= explicitly, unset or not.
+    def test_minimal_m_always_forwards_shard(self, monkeypatch):
+        # Every probe receives shard= explicitly, unset or not.
         forwarded = []
 
         def stub(family, instance, epsilon, trials, rng=None, **kwargs):
-            forwarded.append((kwargs["batch"], kwargs["shard"]))
+            forwarded.append(kwargs["shard"])
             return BernoulliEstimate(0 if family.m >= 8 else trials, trials)
 
         monkeypatch.setattr("repro.core.tester.failure_estimate", stub)
@@ -646,4 +646,4 @@ class TestMinimalMEffectiveDimension:
                            trials=20, rng=np.random.SeedSequence(0),
                            m_min=1, m_max=32)
         assert result.found and result.m_star == 8
-        assert forwarded and set(forwarded) == {(None, None)}
+        assert forwarded and set(forwarded) == {None}

@@ -8,6 +8,7 @@ alone with ``pytest -m cache``.
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -401,6 +402,17 @@ class TestProbeCacheStore:
         assert point.get("failure_estimate", {"m": 8}).value == {"successes": 1}
         # The unscoped spec is untouched as well.
         assert cache.get("failure_estimate", {"m": 8}) is None
+
+    def test_rejected_put_is_not_indexed(self, tmp_path):
+        # The store refuses a non-finite value, so this process must miss
+        # it exactly as a fresh one does.
+        cache = ProbeCache(tmp_path)
+        spec = {"m": 8, "trials": 1}
+        with pytest.raises(ValueError):
+            cache.put("distortion_samples", spec, {"values": [float("nan")]})
+        assert cache.get("distortion_samples", spec) is None
+        assert len(cache) == 0
+        assert ProbeCache(tmp_path).get("distortion_samples", spec) is None
 
     @pytest.mark.parametrize("reload", [False, True])
     def test_record_whose_spec_disagrees_with_its_key_raises(self, tmp_path,
@@ -851,6 +863,45 @@ class TestExperimentCheckpoint:
         assert sorted(path.name for path in tmp_path.iterdir()) == [
             "ET.json", "ET.meta.json"]
 
+    @pytest.mark.parametrize("target", ["ET.json", "ET.meta.json"])
+    def test_save_inside_another_saves_replace(self, tmp_path, monkeypatch,
+                                               target):
+        # Two writers of one checkpoint (shard passes finishing one
+        # experiment): the second saves while the first is between writing
+        # ``target`` and moving it into place.  Each moves a temporary of
+        # its own, and each file holds whole the write replaced last.
+        ckpt = ExperimentCheckpoint(tmp_path / "c")
+        first, second = self._result(), self._result()
+        second.metrics["x"] = 0.25
+        real_replace, nested = os.replace, []
+
+        def replace(src, dst):
+            if Path(dst).name == target and not nested:
+                nested.append(dst)
+                ckpt.save(second, seed=1, scale=0.1)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        ckpt.save(first, seed=0, scale=0.1)
+        assert nested
+        assert sorted(path.name for path in ckpt.directory.iterdir()) == [
+            "ET.json", "ET.meta.json"]
+        # The first save replaces ``target`` and then its sidecar after
+        # the second save has replaced both files.
+        last = first if target == "ET.json" else second
+        last.save_json(tmp_path / "last.json")
+        assert ckpt.raw_bytes("ET") == (tmp_path / "last.json").read_bytes()
+        meta = json.loads((ckpt.directory / "ET.meta.json").read_text())
+        assert meta["seed"] == 0
+
+    def test_save_gives_the_mode_of_a_plain_write(self, tmp_path):
+        ExperimentCheckpoint(tmp_path / "c").save(self._result(), seed=0,
+                                                  scale=0.1)
+        (tmp_path / "plain").write_bytes(b"")
+        mode = (tmp_path / "plain").stat().st_mode
+        assert (tmp_path / "c" / "ET.json").stat().st_mode == mode
+        assert (tmp_path / "c" / "ET.meta.json").stat().st_mode == mode
+
     def test_bytes_match_save_json(self, tmp_path):
         result = self._result()
         ckpt = ExperimentCheckpoint(tmp_path / "c")
@@ -928,16 +979,6 @@ class TestCliCacheAndResume:
         kinds = [json.loads(line)["kind"]
                  for line in ledger.read_text().splitlines()]
         return "experiment_resumed" in kinds
-
-    def test_resume_under_another_batch_replays(self, tmp_path, capsys):
-        # --batch is a chunk size: a run with it writes the serial bytes,
-        # and a checkpoint written without it replays under it.
-        cache = ["--cache-dir", str(tmp_path / "cache")]
-        serial = self._run(tmp_path, [], "serial")
-        assert self._run(tmp_path, ["--batch", "8"], "batched") == serial
-        self._run(tmp_path, cache, "cold")
-        assert self._resumed(tmp_path, ["--batch", "8"])
-        assert (tmp_path / "resumed" / "E1.json").read_bytes() == serial
 
     @pytest.mark.parametrize("engine", range(3, ENGINE_VERSION))
     def test_resume_of_checkpoint_from_earlier_engine_reruns(self, tmp_path,

@@ -43,6 +43,13 @@ class TestCli:
         assert excinfo.value.code == 2
         assert "workers must be" in capsys.readouterr().err
 
+    def test_batch_is_not_an_option(self, capsys):
+        # The trial chunk size is the executor's choice, not the CLI's.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["E5", "--scale", "0.2", "--batch", "8"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --batch" in capsys.readouterr().err
+
 
 class TestCliJson:
     def test_json_dir_written(self, tmp_path, capsys):

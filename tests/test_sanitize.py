@@ -37,7 +37,7 @@ from repro.sketch.countsketch import CountSketch
 from repro.sketch.osnap import OSNAP
 from repro.sketch.gaussian import GaussianSketch
 from repro.hardinstances.dbeta import DBeta
-from repro.utils.parallel import ShardSpec
+from repro.utils.parallel import ShardSpec, available_cpus
 from repro.utils.rng import (
     record_cache_event,
     seed_fingerprint,
@@ -322,61 +322,70 @@ class TestFaultInjection:
             result.save_json(tmp_path / "result.json")
 
 
-def _probe_experiment(batch_shapes_result):
+def _probe_experiment(workers_shape_result):
     """A ``run_experiment`` stand-in: one real probe, whose result bytes
-    depend on ``batch`` only when ``batch_shapes_result`` (the fault)."""
+    depend on ``workers`` only when ``workers_shape_result`` (the fault)."""
 
-    def run(experiment_id, scale, rng, workers=1, cache=None, shard=None,
-            batch=None):
+    def run(experiment_id, scale, rng, workers=1, cache=None, shard=None):
         values = distortion_samples(
             OSNAP(m=40, n=64, s=2), _instance(), 12,
             np.random.default_rng(rng), workers=workers, cache=cache,
-            shard=shard, batch=batch,
+            shard=shard,
         )
         result = ExperimentResult(experiment_id=experiment_id,
                                   title="probe")
         result.metrics["mean"] = float(values.mean())
-        if batch_shapes_result and batch is not None:
-            result.metrics["mean"] += 1e-16 * batch
+        if workers_shape_result:
+            result.metrics["workers"] = workers
         return result
 
     return run
 
 
-class TestBatchAxis:
-    """The ``batch`` axis compares result bytes with the serial
-    reference, not only among its own worker counts."""
+class TestAxisBattery:
+    """Every axis compares its result bytes with the serial reference's,
+    not only its stream trace."""
 
     def _axes(self, monkeypatch, tmp_path, fault):
         from repro.sanitize import runner
 
         monkeypatch.setattr(runner, "run_experiment",
                             _probe_experiment(fault))
-        report = runner.sanitize_experiment("EX", workers=2, batch=5,
-                                            shards=2, shard_dir=tmp_path)
+        report = runner.sanitize_experiment("EX", workers=2, shards=2,
+                                            shard_dir=tmp_path)
         return report, {axis["axis"]: axis for axis in report["axes"]}
 
-    def test_chunk_size_reproduces_the_serial_bytes(self, monkeypatch,
+    def test_every_axis_reproduces_the_serial_bytes(self, monkeypatch,
                                                     tmp_path):
         report, axes = self._axes(monkeypatch, tmp_path, fault=False)
         assert report["status"] == "ok"
-        assert axes["batch=5"]["result_match"]
+        assert all(entry["result_match"] for entry in axes.values())
 
-    def test_batch_dependent_result_is_caught(self, monkeypatch, tmp_path):
-        # Same bytes at one and at two workers, and the serial stream
-        # trace: only the comparison with the reference can catch it.
+    @pytest.mark.skipif(available_cpus() < 2,
+                        reason="the workers axis runs serially on one CPU")
+    def test_workers_dependent_result_is_caught(self, monkeypatch,
+                                                tmp_path):
+        # The pool chunks the trials differently but keeps every stream:
+        # only the comparison of result bytes can catch it.
         report, axes = self._axes(monkeypatch, tmp_path, fault=True)
         assert report["status"] == "divergent"
-        assert not axes["batch=5"]["result_match"]
-        assert not axes["batch=5"]["divergences"]
+        assert not axes["workers=2"]["result_match"]
+        assert not axes["workers=2"]["divergences"]
         assert all(entry["result_match"] for name, entry in axes.items()
-                   if name != "batch=5")
+                   if name != "workers=2")
 
 
 class TestCli:
     def test_nonpositive_axis_exits_two(self, capsys):
         assert sanitize_main(["run", "--workers", "0", "--", "E1"]) == 2
         assert "--workers" in capsys.readouterr().err
+
+    def test_batch_is_not_an_option(self, capsys):
+        # The trial chunk size is the executor's choice, on no axis.
+        with pytest.raises(SystemExit) as excinfo:
+            sanitize_main(["run", "--batch", "8", "--", "E5"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --batch" in capsys.readouterr().err
 
     def test_missing_experiment_exits_two(self, capsys):
         assert sanitize_main(["run", "--"]) == 2

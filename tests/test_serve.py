@@ -516,6 +516,7 @@ class TestHTTP:
             ("distortion_samples", dict(samples, fresh_sketch=False)),
             ("minimal_m", dict(search, trails=7)),
             ("minimal_m", dict(search, batch=8)),
+            ("run_experiment", {"experiment": "E1", "batch": 8}),
             ("sketch_apply", {"family": FAMILY_SPEC,
                               "matrix": [[1.0]] * 64, "lazy": True}),
             ("run_experiment", {"experiment": "E1", "workers": 2}),

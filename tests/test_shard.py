@@ -10,6 +10,7 @@ shard is re-run.  Run alone with ``pytest -m shard``.
 """
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -452,6 +453,35 @@ class TestMergeStores:
         expected = _write_store(tmp_path / "appended", records)
         assert (tmp_path / "out" / ProbeCache.FILENAME).read_bytes() \
             == (expected / ProbeCache.FILENAME).read_bytes()
+
+    def test_merge_inside_another_merges_replace(self, tmp_path,
+                                                 monkeypatch):
+        # Two launchers merge into one output: the second merges while the
+        # first is between its write and its replace.  Each moves a
+        # temporary of its own, the last replace wins whole, and the
+        # inputs stay, so a later merge over all of them folds everything.
+        a = _write_store(tmp_path / "a", [self._fe(0, (0, 5), 2)])
+        b = _write_store(tmp_path / "b", [self._fe(1, (5, 10), 3)])
+        out = tmp_path / "out"
+        real_replace, nested = os.replace, []
+
+        def replace(src, dst):
+            if not nested:
+                nested.append(dst)
+                merge_stores([b], out)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        merge_stores([a], out)
+        monkeypatch.setattr(os, "replace", real_replace)
+        assert nested
+        assert sorted(p.name for p in out.iterdir()) == [ProbeCache.FILENAME]
+        assert (out / ProbeCache.FILENAME).read_bytes() \
+            == (a / ProbeCache.FILENAME).read_bytes()
+        report = merge_stores([a, b], out)
+        assert report.folded_groups == 1 and report.pending_groups == 0
+        assert ProbeCache(out).get("failure_estimate", self.PARENT).value \
+            == {"successes": 5, "trials": 10, "confidence": 0.95}
 
     def test_empty_merge_leaves_an_empty_store(self, tmp_path):
         report = merge_stores([tmp_path / "absent"], tmp_path / "out")
