@@ -33,7 +33,6 @@ from typing import Any, Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..observe.counters import NON_RESULT_COUNTER_PREFIXES, add_count
 from ..observe.ledger import emit_event
-from ..utils.rng import record_cache_event
 from .keys import canonical_json, canonical_key
 from .store import JsonlStore
 
@@ -165,7 +164,6 @@ class ProbeCache:
         add_count(name)
         emit_event(name, cache_kind=kind, key=key[:16],
                    m=spec.get("m"), trials=spec.get("trials"))
-        record_cache_event(name, cache_kind=kind, key=key)
         return hit
 
     def put(self, kind: str, spec: Dict[str, Any], value: Dict[str, Any],
@@ -190,7 +188,6 @@ class ProbeCache:
             "counters": stored_counters,
         })
         self._index[key] = (canonical, value, stored_counters)
-        record_cache_event("cache_put", cache_kind=kind, key=key)
 
     def scoped(self, **extra: Any) -> "ScopedProbeCache":
         """A view that folds ``extra`` into every spec it touches.

@@ -11,7 +11,7 @@ Usage::
 
 ``--cache-dir`` enables the content-addressed probe cache and per-
 experiment checkpoints (see :mod:`repro.cache` and docs/caching.md);
-``--resume`` additionally skips experiments whose checkpoint matches the
+``--resume`` additionally skips experiments with a checkpoint for the
 requested seed and scale under the current trial engine, reusing the
 checkpointed JSON byte-for-byte.
 Results are bit-identical with the cache on, off, cold, or warm.
@@ -266,7 +266,7 @@ def main(argv=None) -> int:
                     # Copy the checkpoint's exact bytes so resumed runs
                     # produce artifacts bit-identical to uninterrupted ones.
                     (directory / f"{eid}.json").write_bytes(
-                        checkpoints.raw_bytes(eid)
+                        checkpoints.raw_bytes(eid, **checkpoint_config)
                     )
                 else:
                     result.save_json(directory / f"{eid}.json")

@@ -1,8 +1,8 @@
 """Structured run ledger: JSON-lines events for long experiment runs.
 
 A :class:`RunLedger` collects structured events — experiment start/end,
-``minimal_m`` probes, trial-batch dispatch/completion, counter aggregates,
-traced wall-clock spans — and appends them as JSON lines to a file, so a
+``minimal_m`` probes, RNG spawns, trial-batch dispatch/completion, counter
+aggregates, traced wall-clock spans — and appends them as JSON lines to a file, so a
 multi-hour (or crashed) run leaves a durable, machine-readable record.
 ``python -m repro.observe summarize LEDGER`` renders it back into tables.
 
@@ -74,9 +74,12 @@ EXECUTION_KINDS = frozenset({
 #: stripped from the deterministic view.  ``shard`` is identity, not
 #: payload: an N-shard run merged back together must produce the same
 #: view as a serial run (see :mod:`repro.shard`).  ``mono`` is the
-#: monotonic companion of ``t`` (see :meth:`RunLedger.emit`).
+#: monotonic companion of ``t`` (see :meth:`RunLedger.emit`).  ``site``
+#: is the call site of a ``spawn`` (:func:`repro.utils.rng.spawn_seeds`):
+#: a cache-hit replay reaches the same spawn from other code than a cold
+#: run.
 TIMING_FIELDS = frozenset({"t", "mono", "elapsed", "worker", "workers",
-                           "pid", "shard"})
+                           "pid", "shard", "site"})
 
 
 class RunLedger:

@@ -1,10 +1,11 @@
 """Trace canonicalisation, divergence diffing, and intra-trace checks.
 
 The comparison layer of :mod:`repro.sanitize`.  A *trace* is the plain
-list of event dicts a :class:`~repro.sanitize.recorder.StreamTraceRecorder`
-captured: ``channel="stream"`` events from the RNG fan-out primitives
-(:func:`repro.utils.rng.spawn_seeds`) and
-``channel="cache"`` events from the probe cache.  Two executions of the
+list of event dicts a :class:`~repro.observe.ledger.RunLedger` kept
+for one execution: ``spawn``/``fallback_draw`` events from the RNG
+fan-out primitive (:func:`repro.utils.rng.spawn_seeds`) and
+``cache_hit``/``cache_miss`` events from the probe cache, beside the
+ledger's other events.  Two executions of the
 same workload at the same seed must produce **identical** stream traces
 — same events, same order, same spawn-tree positions — regardless of
 ``workers``, caching, or sharding; any difference is a
@@ -23,16 +24,19 @@ Three failure classes are distinguished:
   distinct sequence objects shared one spawn-tree position — the classic
   rebuilt-parent race that silently correlates "independent" trials.
 
-Stack provenance attached by the recorder is excluded from comparison
-(:func:`canonical_event`): a cache-hit replay legitimately reaches a
-spawn through different frames than a cold run while consuming exactly
-the same streams.  Stdlib-only by design.
+The ledger's timing and identity fields, the call ``site`` included
+(:data:`~repro.observe.ledger.TIMING_FIELDS`), are excluded from
+comparison (:func:`canonical_event`): a cache-hit replay legitimately
+reaches a spawn from other code than a cold run while consuming exactly
+the same streams.
 """
 
 from __future__ import annotations
 
 import json
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+
+from ..observe.ledger import TIMING_FIELDS
 
 __all__ = [
     "DeterminismError",
@@ -45,8 +49,9 @@ __all__ = [
     "stream_events",
 ]
 
-#: Event keys carrying provenance rather than identity; never compared.
-_PROVENANCE_KEYS = frozenset({"stack"})
+#: Ledger event kinds of the RNG fan-out, and of probe-cache lookups.
+_STREAM_KINDS = frozenset({"spawn", "fallback_draw"})
+_CACHE_KINDS = frozenset({"cache_hit", "cache_miss"})
 
 
 class DeterminismError(Exception):
@@ -67,8 +72,8 @@ class DeterminismError(Exception):
 class Divergence(NamedTuple):
     """One detected determinism fault, anchored to a trace position.
 
-    ``reference``/``candidate`` are the full recorded events (provenance
-    included) on each side; for intra-trace faults (``double-consumption``)
+    ``reference``/``candidate`` are the full recorded events (``site``
+    and timing included) on each side; for intra-trace faults (``double-consumption``)
     they are the two conflicting events of the *same* trace.
     """
 
@@ -92,21 +97,22 @@ class Divergence(NamedTuple):
 
 
 def canonical_event(event: Dict[str, Any]) -> Dict[str, Any]:
-    """``event`` stripped to its comparable identity (no provenance)."""
+    """``event`` stripped to its comparable identity (no timing, no
+    provenance)."""
     return {
         key: value for key, value in event.items()
-        if key not in _PROVENANCE_KEYS
+        if key not in TIMING_FIELDS
     }
 
 
 def stream_events(trace: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """The RNG fan-out events of ``trace``, in recording order."""
-    return [e for e in trace if e.get("channel", "stream") == "stream"]
+    return [e for e in trace if e.get("kind") in _STREAM_KINDS]
 
 
 def cache_events(trace: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """The probe-cache events of ``trace``, in recording order."""
-    return [e for e in trace if e.get("channel") == "cache"]
+    """The probe-cache lookups of ``trace``, in recording order."""
+    return [e for e in trace if e.get("kind") in _CACHE_KINDS]
 
 
 def _parent_id(event: Dict[str, Any]) -> Tuple[str, Tuple[int, ...]]:
@@ -236,8 +242,8 @@ def _describe_event(event: Optional[Dict[str, Any]]) -> List[str]:
     identity = canonical_event(event)
     parts = [f"{key}={identity[key]!r}" for key in sorted(identity)]
     lines = ["    " + " ".join(parts)]
-    for frame in event.get("stack", []):
-        lines.append(f"      at {frame}")
+    if "site" in event:
+        lines.append(f"      at {event['site']}")
     return lines
 
 

@@ -8,12 +8,17 @@ reference run:
   trials differently from the serial run, must derive exactly the serial
   run's child streams and reproduce its result bit for bit.
 * ``shards=K`` — the full shard/merge/replay protocol of
-  :func:`repro.shard.sharded_call`.  Every per-shard pass gets its own
-  recorder (rounds re-run the schedule from scratch, so cross-round
-  stream reuse is legitimate — but *within* one pass double-consumption
-  is a hard error), and the final serial replay's trace must equal the
-  serial reference's: a pure cache-hit replay consumes exactly the
-  streams a cold run would.
+  :func:`repro.shard.sharded_call`.  Every per-shard pass records into
+  a ledger of its own (rounds re-run the schedule from scratch, so
+  cross-round stream reuse is legitimate — but *within* one pass
+  double-consumption is a hard error), and the final serial replay's
+  trace must equal the serial reference's: a pure cache-hit replay
+  consumes exactly the streams a cold run would.
+
+Each leg, axis and shard pass records into an in-memory
+:class:`~repro.observe.ledger.RunLedger`; its ``spawn`` events are the
+stream trace, and its ``cache_hit``/``cache_miss`` events are counted in
+the report.
 
 The battery is what ``python -m repro.sanitize run`` executes and what
 the CI sanitizer smoke gate runs at a fixed seed.
@@ -27,12 +32,12 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..experiments.registry import run_experiment
+from ..observe.ledger import RunLedger
 from ..shard import sharded_call
 from ..utils.parallel import resolve_workers
 from ..utils.serialization import json_default, to_builtin
 from .diff import Divergence, cache_events, check_trace, diff_traces, \
     format_divergence, stream_events
-from .recorder import StreamTraceRecorder
 
 __all__ = ["sanitize_experiment", "sanitize_run", "write_report"]
 
@@ -80,22 +85,20 @@ def sanitize_experiment(experiment_id: str, *, scale: float = 0.05,
     workers = min(resolve_workers(workers), resolve_workers(0))
     axes: List[Dict[str, Any]] = []
 
-    def run_traced(label: str, **kwargs: Any
-                   ) -> Tuple[Any, List[Dict[str, Any]]]:
-        recorder = StreamTraceRecorder(label=f"{experiment_id}:{label}")
-        with recorder.activate():
+    def run_traced(workers: int) -> Tuple[Any, List[Dict[str, Any]]]:
+        with RunLedger() as ledger:
             result = run_experiment(experiment_id, scale=scale, rng=seed,
-                                    **kwargs)
-        return result, recorder.trace()
+                                    workers=workers)
+        return result, ledger.events
 
-    reference, reference_trace = run_traced("serial", workers=1)
+    reference, reference_trace = run_traced(1)
     reference_payload = _result_payload(reference)
     axes.append(_axis_entry(
         "serial(reference)", reference_trace,
         check_trace(reference_trace, axis="serial"), result_match=True,
     ))
 
-    candidate, trace = run_traced(f"workers={workers}", workers=workers)
+    candidate, trace = run_traced(workers)
     divergences = check_trace(trace, axis=f"workers={workers}")
     drift = diff_traces(reference_trace, trace,
                         axis=f"workers={workers} vs serial")
@@ -110,17 +113,15 @@ def sanitize_experiment(experiment_id: str, *, scale: float = 0.05,
 
     def sharded(shard_cache: Any, shard: Any) -> Any:
         tag = "replay" if shard is None else f"pass{shard.index}"
-        recorder = StreamTraceRecorder(
-            label=f"{experiment_id}:shards={shards}:{tag}",
-        )
+        ledger = RunLedger()
         try:
-            with recorder.activate():
+            with ledger:
                 return run_experiment(
                     experiment_id, scale=scale, rng=seed, workers=1,
                     cache=shard_cache, shard=shard,
                 )
         finally:
-            passes.append((tag, recorder.trace()))
+            passes.append((tag, ledger.events))
 
     if shard_dir is not None:
         sharded_result = sharded_call(sharded, shards, shard_dir)

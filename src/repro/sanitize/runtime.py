@@ -5,10 +5,14 @@ diff the two stream traces.
 wrapper for :func:`repro.core.tester.failure_estimate` /
 ``distortion_samples`` / ``minimal_m``: the probe runs *twice* — first
 exactly as the caller configured it (workers, cache), then as a
-cache-off serial replay from the same stream state — and the two
-recordings must agree event for event, and the two results bit for bit.
-Any disagreement raises :class:`~repro.sanitize.diff.DeterminismError`
-naming the first divergent draw.
+cache-off serial replay from the same stream state — each leg recording
+into an in-memory :class:`~repro.observe.ledger.RunLedger` of its own,
+and the two legs' ``spawn`` events must agree event for event, and the
+two results bit for bit.  Any disagreement raises
+:class:`~repro.sanitize.diff.DeterminismError` naming the first
+divergent draw.  Because each leg installs its own ledger, a ledger the
+caller installed around a sanitized call does not receive that call's
+events.
 
 The serial replay is possible without perturbing the caller's generator
 because those probes only ever *spawn* from it, never draw: the
@@ -23,6 +27,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
+from ..observe.ledger import RunLedger
 from ..utils.rng import RngLike, as_generator, seed_fingerprint
 from .diff import (
     DeterminismError,
@@ -31,7 +36,6 @@ from .diff import (
     diff_traces,
     format_divergence,
 )
-from .recorder import StreamTraceRecorder
 
 __all__ = ["SanitizedCall", "replay_generator", "sanitized",
            "sanitized_rerun"]
@@ -120,18 +124,16 @@ def sanitized_rerun(label: str, call: SanitizedCall, *,
             f" state, so its stream cannot be replayed without perturbing"
             f" it"
         )
-    candidate_recorder = StreamTraceRecorder(label=f"{label}:candidate")
-    with candidate_recorder.activate():
+    with RunLedger() as candidate_ledger:
         candidate = call(gen, workers, cache)
-    candidate_trace = candidate_recorder.trace()
+    candidate_trace = candidate_ledger.events
     _raise_on_faults(
         f"{label} (candidate run)",
         check_trace(candidate_trace, axis=f"{label}:candidate"),
     )
-    reference_recorder = StreamTraceRecorder(label=f"{label}:reference")
-    with reference_recorder.activate():
+    with RunLedger() as reference_ledger:
         reference = call(replay_generator(fingerprint), 1, None)
-    reference_trace = reference_recorder.trace()
+    reference_trace = reference_ledger.events
     _raise_on_faults(
         f"{label} (serial replay)",
         check_trace(reference_trace, axis=f"{label}:reference"),

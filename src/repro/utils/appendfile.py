@@ -27,7 +27,7 @@ mid-append, or a dead writer's fragment the next append trims) is never
 read, and a complete line that does not parse is corruption and raises.
 
 :func:`replace_file` is the rule for files rewritten whole — a merged
-probe store, a checkpoint and its sidecar, a result JSON: each write goes
+probe store, a checkpoint, a result JSON: each write goes
 to a temporary of its own and is moved into place with one
 ``os.replace``, so concurrent writers of one target never share a
 temporary and the target always holds one complete write.

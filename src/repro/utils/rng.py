@@ -42,11 +42,12 @@ uniform rows and Rademacher signs.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
+import sys
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+from ..observe.ledger import RunLedger, current_ledger
 
 __all__ = [
     "KeyedStream",
@@ -56,7 +57,6 @@ __all__ = [
     "keyed_sample",
     "keyed_words",
     "lane_words",
-    "record_cache_event",
     "reduce_words",
     "seed_fingerprint",
     "spawn",
@@ -64,50 +64,7 @@ __all__ = [
     "spawn_seeds",
     "stream",
     "trial_keys",
-    "use_stream_observer",
 ]
-
-#: The installed stream observer (see :func:`use_stream_observer`), or
-#: ``None``.  With none installed — the default — every fan-out site and
-#: every probe-cache event pays exactly one ``ContextVar.get`` returning
-#: ``None``; observation never consumes randomness, changes which children
-#: are spawned, or changes which cache records are read or written.
-_STREAM_OBSERVER: "contextvars.ContextVar[Optional[Any]]" = \
-    contextvars.ContextVar("repro_stream_observer", default=None)
-
-
-@contextlib.contextmanager
-def use_stream_observer(observer: Any) -> Iterator[Any]:
-    """Install ``observer`` as the current stream observer.
-
-    The observer must expose ``record_stream_event(kind, **fields)``; it
-    is called from :func:`spawn_seeds` with the spawn-tree position
-    (parent entropy + spawn key), the parent's draw counter (``base`` =
-    children already spawned), and the children being derived.  It must
-    also expose ``record_cache_event(kind, **fields)``, called through
-    :func:`record_cache_event` with every probe-cache lookup and write and
-    its content-addressed key.
-    :mod:`repro.sanitize` uses both to reconstruct the stream fan-out of a
-    run and diff it against a reference execution.
-    """
-    token = _STREAM_OBSERVER.set(observer)
-    try:
-        yield observer
-    finally:
-        _STREAM_OBSERVER.reset(token)
-
-
-def record_cache_event(kind: str, **fields: Any) -> None:
-    """Report one probe-cache event to the installed observer, if any.
-
-    Called from :mod:`repro.cache.probes` with every logical lookup
-    (``cache_hit``/``cache_miss``) and every record write (``cache_put``),
-    so a divergence report can say *which* probe key went wrong, not just
-    which draw.
-    """
-    observer = _STREAM_OBSERVER.get()
-    if observer is not None:
-        observer.record_cache_event(kind, **fields)
 
 
 class KeyedStream:
@@ -184,24 +141,32 @@ def spawn_seeds(rng: RngLike, count: int) -> List[np.random.SeedSequence]:
     from the parent (only on how many children it has already spawned).
     Seed sequences are picklable, which makes this the right primitive for
     seeding process-pool workers.
+
+    With a run ledger installed (:mod:`repro.observe.ledger`), each call
+    emits one ``spawn`` event: the parent's spawn-tree position
+    (``entropy``, ``spawn_key``), its spawn counter before the call
+    (``base``), ``count`` and the caller's ``site``.  With none installed
+    the cost is one ``ContextVar`` read; emission never consumes
+    randomness or changes which children are spawned.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    observer = _STREAM_OBSERVER.get()
-    seq = _resolve_seed_sequence(rng, observer)
-    if observer is not None:
-        observer.record_stream_event(
+    ledger = current_ledger()
+    seq = _resolve_seed_sequence(rng, ledger)
+    if ledger is not None:
+        ledger.emit(
             "spawn",
             entropy=_canonical_entropy(seq),
             spawn_key=[int(key) for key in seq.spawn_key],
             base=int(seq.n_children_spawned),
             count=int(count),
+            site=_call_site(),
         )
     return seq.spawn(count)
 
 
 def _resolve_seed_sequence(rng: RngLike,
-                           observer: Optional[Any]
+                           ledger: Optional[RunLedger]
                            ) -> np.random.SeedSequence:
     """The sequence backing ``rng``, building a draw-derived fallback."""
     seq = _seed_sequence_of(rng)
@@ -210,15 +175,25 @@ def _resolve_seed_sequence(rng: RngLike,
         # seed material from its stream (not order-robust, but functional).
         parent = as_generator(rng)
         entropy = [int(x) for x in parent.integers(0, 2**63 - 1, size=4)]
-        if observer is not None:
-            observer.record_stream_event("fallback_draw",
-                                         words=len(entropy))
+        if ledger is not None:
+            ledger.emit("fallback_draw", words=len(entropy),
+                        site=_call_site())
         # Deliberate draw-derived seeding: this generator carries no
         # SeedSequence, so spawn-based derivation is impossible by
         # construction.
         # repro-lint: disable-next-line=RPL002
         seq = np.random.SeedSequence(entropy)
     return seq
+
+
+def _call_site() -> str:
+    """``module:line:function`` of the nearest caller outside this module."""
+    frame = sys._getframe(1)
+    while frame.f_back is not None \
+            and frame.f_globals.get("__name__") == __name__:
+        frame = frame.f_back
+    return (f"{frame.f_globals.get('__name__')}:{frame.f_lineno}:"
+            f"{frame.f_code.co_name}")
 
 
 def _canonical_entropy(seq: np.random.SeedSequence) -> Any:

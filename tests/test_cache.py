@@ -831,83 +831,110 @@ class TestExperimentCheckpoint:
         ckpt.save(self._result(), seed=0, scale=0.1, engine=4)
         assert ckpt.load("ET", seed=0, scale=0.1, engine=4) is not None
         assert ckpt.load("ET", seed=0, scale=0.1, engine=engine) is None
-        meta = json.loads((tmp_path / "ET.meta.json").read_text())
-        assert "batch" not in meta  # a chunk size changes no value
+        # One file, named by (seed, scale, engine): a chunk size changes
+        # no value and names no checkpoint.
+        assert [path.name for path in tmp_path.iterdir()] == [
+            ckpt.path_for("ET", seed=0, scale=0.1, engine=4).name]
 
     def test_corrupt_checkpoint_reruns_not_raises(self, tmp_path):
         ckpt = ExperimentCheckpoint(tmp_path)
         ckpt.save(self._result(), seed=0, scale=0.1)
-        ckpt.path_for("ET").write_text("{ corrupt")
+        ckpt.path_for("ET", seed=0, scale=0.1).write_text("{ corrupt")
         assert ckpt.load("ET", seed=0, scale=0.1) is None
 
-    @pytest.mark.parametrize("name,text", [
-        ("ET.json", '{"experiment_id": "ET", "title": "t", "tables": 5}'),
-        ("ET.json", '{"experiment_id": "ET", "title": "t", '
-                    '"tables": ["x"]}'),
-        ("ET.json", '["x"]'),
-        ("ET.meta.json", '["x"]'),
-        ("ET.meta.json", '5'),
-    ], ids=["number-tables", "string-table", "list-payload", "list-sidecar",
-            "number-sidecar"])
-    def test_wrong_shaped_checkpoint_reruns_not_raises(self, tmp_path, name,
+    @pytest.mark.parametrize("text", [
+        '{"experiment_id": "ET", "title": "t", "tables": 5}',
+        '{"experiment_id": "ET", "title": "t", "tables": ["x"]}',
+        '["x"]',
+    ], ids=["number-tables", "string-table", "list-payload"])
+    def test_wrong_shaped_checkpoint_reruns_not_raises(self, tmp_path,
                                                        text):
         # Valid JSON of the wrong shape is as stale as unreadable JSON.
         ckpt = ExperimentCheckpoint(tmp_path)
         ckpt.save(self._result(), seed=0, scale=0.1)
-        (tmp_path / name).write_text(text)
+        ckpt.path_for("ET", seed=0, scale=0.1).write_text(text)
         assert ckpt.load("ET", seed=0, scale=0.1) is None
 
-    def test_save_leaves_no_temporary_file(self, tmp_path):
-        ExperimentCheckpoint(tmp_path).save(self._result(), seed=0,
-                                            scale=0.1)
-        assert sorted(path.name for path in tmp_path.iterdir()) == [
-            "ET.json", "ET.meta.json"]
+    def test_old_layout_checkpoint_is_not_read(self, tmp_path):
+        # A checkpoint named by the experiment alone (with a sidecar
+        # naming its configuration) is never read: the experiment re-runs.
+        self._result().save_json(tmp_path / "ET.json")
+        (tmp_path / "ET.meta.json").write_text(
+            '{"experiment_id": "ET", "seed": 0, "scale": 0.1, '
+            '"engine": null}')
+        assert ExperimentCheckpoint(tmp_path).load("ET", seed=0,
+                                                   scale=0.1) is None
 
-    @pytest.mark.parametrize("target", ["ET.json", "ET.meta.json"])
-    def test_save_inside_another_saves_replace(self, tmp_path, monkeypatch,
-                                               target):
-        # Two writers of one checkpoint (shard passes finishing one
-        # experiment): the second saves while the first is between writing
-        # ``target`` and moving it into place.  Each moves a temporary of
-        # its own, and each file holds whole the write replaced last.
-        ckpt = ExperimentCheckpoint(tmp_path / "c")
+    def test_save_leaves_no_temporary_file(self, tmp_path):
+        ckpt = ExperimentCheckpoint(tmp_path)
+        ckpt.save(self._result(), seed=0, scale=0.1)
+        assert [path.name for path in tmp_path.iterdir()] == [
+            ckpt.path_for("ET", seed=0, scale=0.1).name]
+
+    def _save_inside_replace(self, ckpt, monkeypatch, nested_seed):
+        """Save ``x = 0.5`` at seed 0 while, inside each of its
+        ``os.replace`` calls, a save of ``x = 0.25`` at ``nested_seed``
+        runs whole."""
         first, second = self._result(), self._result()
         second.metrics["x"] = 0.25
-        real_replace, nested = os.replace, []
+        real_replace, inside, nested = os.replace, [], []
 
         def replace(src, dst):
-            if Path(dst).name == target and not nested:
+            if not inside:
+                inside.append(dst)
+                try:
+                    ckpt.save(second, seed=nested_seed, scale=0.1)
+                finally:
+                    inside.pop()
                 nested.append(dst)
-                ckpt.save(second, seed=1, scale=0.1)
             real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", replace)
         ckpt.save(first, seed=0, scale=0.1)
+        monkeypatch.setattr(os, "replace", real_replace)
         assert nested
-        assert sorted(path.name for path in ckpt.directory.iterdir()) == [
-            "ET.json", "ET.meta.json"]
-        # The first save replaces ``target`` and then its sidecar after
-        # the second save has replaced both files.
-        last = first if target == "ET.json" else second
-        last.save_json(tmp_path / "last.json")
-        assert ckpt.raw_bytes("ET") == (tmp_path / "last.json").read_bytes()
-        meta = json.loads((ckpt.directory / "ET.meta.json").read_text())
-        assert meta["seed"] == 0
+        return first
+
+    def test_save_inside_another_saves_replace(self, tmp_path, monkeypatch):
+        # Two writers of one checkpoint (shard passes finishing one
+        # experiment): the second saves while the first is between writing
+        # its temporary and moving it into place.  Each moves a temporary
+        # of its own, and the file holds whole the write replaced last.
+        ckpt = ExperimentCheckpoint(tmp_path / "c")
+        first = self._save_inside_replace(ckpt, monkeypatch, nested_seed=0)
+        path = ckpt.path_for("ET", seed=0, scale=0.1)
+        assert [entry.name for entry in ckpt.directory.iterdir()] == [
+            path.name]
+        first.save_json(tmp_path / "last.json")
+        assert ckpt.raw_bytes("ET", seed=0, scale=0.1) == \
+            (tmp_path / "last.json").read_bytes()
+
+    def test_save_under_another_configuration_keeps_both(self, tmp_path,
+                                                         monkeypatch):
+        # Two CLI runs at different seeds on one --cache-dir: a seed-1
+        # save inside the seed-0 save's replace never makes ``load``
+        # return the other configuration's result.
+        ckpt = ExperimentCheckpoint(tmp_path / "c")
+        self._save_inside_replace(ckpt, monkeypatch, nested_seed=1)
+        own = ckpt.load("ET", seed=0, scale=0.1)
+        other = ckpt.load("ET", seed=1, scale=0.1)
+        assert own is not None and own.metrics == {"x": 0.5}
+        assert other is not None and other.metrics == {"x": 0.25}
 
     def test_save_gives_the_mode_of_a_plain_write(self, tmp_path):
-        ExperimentCheckpoint(tmp_path / "c").save(self._result(), seed=0,
-                                                  scale=0.1)
+        ckpt = ExperimentCheckpoint(tmp_path / "c")
+        path = ckpt.save(self._result(), seed=0, scale=0.1)
         (tmp_path / "plain").write_bytes(b"")
         mode = (tmp_path / "plain").stat().st_mode
-        assert (tmp_path / "c" / "ET.json").stat().st_mode == mode
-        assert (tmp_path / "c" / "ET.meta.json").stat().st_mode == mode
+        assert path.stat().st_mode == mode
 
     def test_bytes_match_save_json(self, tmp_path):
         result = self._result()
         ckpt = ExperimentCheckpoint(tmp_path / "c")
         ckpt.save(result, seed=0, scale=0.1)
         result.save_json(tmp_path / "direct.json")
-        assert ckpt.raw_bytes("ET") == (tmp_path / "direct.json").read_bytes()
+        assert ckpt.raw_bytes("ET", seed=0, scale=0.1) == \
+            (tmp_path / "direct.json").read_bytes()
 
 
 class TestCliCacheAndResume:
@@ -983,30 +1010,41 @@ class TestCliCacheAndResume:
     @pytest.mark.parametrize("engine", range(3, ENGINE_VERSION))
     def test_resume_of_checkpoint_from_earlier_engine_reruns(self, tmp_path,
                                                              capsys, engine):
-        cache = ["--cache-dir", str(tmp_path / "cache")]
-        baseline = self._run(tmp_path, cache, "cold")
-        meta_path = tmp_path / "cache" / "checkpoints" / "E1.meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta["engine"] = engine
-        meta_path.write_text(json.dumps(meta))
+        from repro.experiments.harness import ExperimentResult
+
+        baseline = self._run(tmp_path, [], "off")
+        stale = ExperimentResult.from_dict(json.loads(baseline))
+        stale.metrics["stale"] = 1.0
+        ExperimentCheckpoint(tmp_path / "cache" / "checkpoints").save(
+            stale, seed=3, scale=0.02, engine=engine)
         assert not self._resumed(tmp_path, [])
         assert (tmp_path / "resumed" / "E1.json").read_bytes() == baseline
         assert self._resumed(tmp_path, [])
 
-    @pytest.mark.parametrize("name,text", [
-        ("E1.json", '{"experiment_id": "E1", "title": "t", "tables": 5}'),
-        ("E1.meta.json", '["x"]'),
-    ], ids=["number-tables", "list-sidecar"])
+    def test_resume_at_another_seed_keeps_this_seeds_checkpoint(
+            self, tmp_path, capsys):
+        # Runs at two seeds on one --cache-dir each keep a checkpoint.
+        baseline = self._run(tmp_path, ["--cache-dir",
+                                        str(tmp_path / "cache")], "cold")
+        assert not self._resumed(tmp_path, ["--seed", "4"])
+        assert self._resumed(tmp_path, [])
+        assert (tmp_path / "resumed" / "E1.json").read_bytes() == baseline
+
+    @pytest.mark.parametrize("text", [
+        '{"experiment_id": "E1", "title": "t", "tables": 5}',
+    ], ids=["number-tables"])
     def test_resume_of_wrong_shaped_checkpoint_reruns(self, tmp_path,
-                                                      capsys, name, text):
+                                                      capsys, text):
         cache = ["--cache-dir", str(tmp_path / "cache")]
         baseline = self._run(tmp_path, cache, "cold")
-        checkpoints = tmp_path / "cache" / "checkpoints"
-        (checkpoints / name).write_text(text)
+        checkpoint = ExperimentCheckpoint(
+            tmp_path / "cache" / "checkpoints").path_for(
+                "E1", seed=3, scale=0.02, engine=ENGINE_VERSION)
+        checkpoint.write_text(text)
         assert not self._resumed(tmp_path, [])
         assert (tmp_path / "resumed" / "E1.json").read_bytes() == baseline
         # The re-run rewrote the checkpoint, which now replays.
-        assert (checkpoints / "E1.json").read_bytes() == baseline
+        assert checkpoint.read_bytes() == baseline
         assert self._resumed(tmp_path, [])
 
     def test_resume_without_cache_dir_is_usage_error(self, tmp_path, capsys):

@@ -1,11 +1,12 @@
 """Tests for :mod:`repro.sanitize` — the determinism race detector.
 
-Covers the recorder/diff layer (stream traces, double-consumption,
-draw-count drift), the :func:`~repro.sanitize.sanitized` re-execution
-wrapper around the three probes, and seeded fault injection: each of the historical failure modes
-(double-consumed child streams, a cache spec missing a result-shaping
-field, NaN reaching a JSON emit site) must be caught with the right
-diagnostic.  Run alone with ``pytest -m sanitize``.
+Covers the ledger-recorded trace and the diff layer (stream traces,
+double-consumption, draw-count drift), the :func:`~repro.sanitize.sanitized`
+re-execution wrapper around the three probes, and seeded fault
+injection: each of the historical failure modes (double-consumed child
+streams, a cache spec missing a result-shaping field, NaN reaching a
+JSON emit site) must be caught with the right diagnostic.  Run alone
+with ``pytest -m sanitize``.
 """
 
 import numpy as np
@@ -20,9 +21,9 @@ from repro.core.tester import (
     minimal_m,
 )
 from repro.experiments.harness import ExperimentResult
+from repro.observe.ledger import RunLedger
 from repro.sanitize import (
     DeterminismError,
-    StreamTraceRecorder,
     cache_events,
     canonical_event,
     check_trace,
@@ -39,7 +40,6 @@ from repro.sketch.gaussian import GaussianSketch
 from repro.hardinstances.dbeta import DBeta
 from repro.utils.parallel import ShardSpec, available_cpus
 from repro.utils.rng import (
-    record_cache_event,
     seed_fingerprint,
     spawn,
     spawn_seeds,
@@ -58,7 +58,7 @@ def _instance():
 
 def _spawn_event(base, count=2, entropy=7, spawn_key=(), **extra):
     event = {
-        "channel": "stream", "kind": "spawn", "entropy": entropy,
+        "kind": "spawn", "entropy": entropy,
         "spawn_key": list(spawn_key), "base": base, "count": count,
     }
     event.update(extra)
@@ -67,17 +67,16 @@ def _spawn_event(base, count=2, entropy=7, spawn_key=(), **extra):
 
 class TestRecorder:
     def test_nothing_recorded_outside_activation(self):
-        recorder = StreamTraceRecorder(label="idle")
+        ledger = RunLedger()
         spawn_seeds(np.random.default_rng(7), 3)
-        assert len(recorder) == 0
+        assert ledger.events == []
 
     def test_spawn_events_carry_tree_position_and_counter(self):
-        recorder = StreamTraceRecorder(label="t")
         child = np.random.SeedSequence(9).spawn(2)[1]
-        with recorder.activate():
+        with RunLedger() as ledger:
             spawn_seeds(np.random.default_rng(7), 3)
             spawn_seeds(child, 2)
-        events = stream_events(recorder.trace())
+        events = stream_events(ledger.events)
         assert [e["kind"] for e in events] == ["spawn", "spawn"]
         first, second = events
         assert first["entropy"] == 7
@@ -88,74 +87,60 @@ class TestRecorder:
         assert second["base"] == 0 and second["count"] == 2
 
     def test_spawn_counter_advances_across_calls(self):
-        recorder = StreamTraceRecorder(label="t")
         gen = np.random.default_rng(3)
-        with recorder.activate():
+        with RunLedger() as ledger:
             spawn_seeds(gen, 2)
             spawn_seeds(gen, 2)
-        bases = [e["base"] for e in stream_events(recorder.trace())]
+        bases = [e["base"] for e in stream_events(ledger.events)]
         assert bases == [0, 2]
 
-    def test_stack_provenance_attached_but_not_compared(self):
-        recorder = StreamTraceRecorder(label="t")
-        with recorder.activate():
+    def test_site_provenance_attached_but_not_compared(self):
+        with RunLedger() as ledger:
             spawn(np.random.default_rng(0))
-        event = stream_events(recorder.trace())[0]
-        assert event["stack"], "expected captured provenance frames"
-        assert any("test_sanitize" in frame for frame in event["stack"])
-        assert "stack" not in canonical_event(event)
-
-    def test_cache_channel_recorded_separately(self):
-        recorder = StreamTraceRecorder(label="t")
-        with recorder.activate():
-            record_cache_event("cache_miss", cache_kind="failure_estimate",
-                               key="abc123")
-        trace = recorder.trace()
-        assert stream_events(trace) == []
-        [event] = cache_events(trace)
-        assert event["kind"] == "cache_miss" and event["key"] == "abc123"
+        event = stream_events(ledger.events)[0]
+        module, line, function = event["site"].split(":")
+        assert "test_sanitize" in module and int(line) > 0
+        assert function == "test_site_provenance_attached_but_not_compared"
+        assert "site" not in canonical_event(event)
 
     def test_probe_cache_lookups_reach_the_recorder(self, tmp_path):
         cache = ProbeCache(tmp_path)
-        recorder = StreamTraceRecorder(label="t")
-        with recorder.activate():
-            failure_estimate(_family(), _instance(), 0.3, 6,
-                             rng=np.random.default_rng(1), cache=cache)
-        kinds = {e["kind"] for e in cache_events(recorder.trace())}
-        assert "cache_miss" in kinds and "cache_put" in kinds
+        with RunLedger() as ledger:
+            for _ in range(2):
+                failure_estimate(_family(), _instance(), 0.3, 6,
+                                 rng=np.random.default_rng(1), cache=cache)
+        kinds = [e["kind"] for e in cache_events(ledger.events)]
+        assert kinds == ["cache_miss", "cache_hit"]
 
 
 class TestCheckTrace:
     def test_one_live_parent_never_overlaps(self):
-        recorder = StreamTraceRecorder(label="t")
         gen = np.random.default_rng(3)
-        with recorder.activate():
+        with RunLedger() as ledger:
             spawn_seeds(gen, 4)
             spawn_seeds(gen, 4)
-        assert check_trace(recorder.trace()) == []
+        assert check_trace(ledger.events) == []
 
     def test_rebuilt_parent_double_consumption_detected(self):
         # Two distinct SeedSequence objects at the same spawn-tree
         # position: the classic race that silently correlates trials.
-        recorder = StreamTraceRecorder(label="t")
-        with recorder.activate():
+        with RunLedger() as ledger:
             spawn_seeds(np.random.default_rng(7), 2)
             spawn_seeds(np.random.default_rng(7), 2)
-        faults = check_trace(recorder.trace())
+        faults = check_trace(ledger.events)
         assert [fault.kind for fault in faults] == ["double-consumption"]
         assert "handed out twice" in faults[0].detail
 
     def _shard_slices(self, tmp_path, shards):
-        """Run the given shard slices of one probe under one recorder."""
-        recorder = StreamTraceRecorder(label="t")
+        """Run the given shard slices of one probe under one ledger."""
         cache = ProbeCache(tmp_path)
-        with recorder.activate():
+        with RunLedger() as ledger:
             for shard in shards:
                 with pytest.raises(ShardPending):
                     distortion_samples(_family(), _instance(), 12,
                                        np.random.default_rng(7),
                                        cache=cache, shard=shard)
-        return recorder.trace()
+        return ledger.events
 
     def test_shard_slice_spawns_one_child_per_probe(self, tmp_path):
         # A shard's slice of trial indices consumes one probe-level spawn
@@ -169,7 +154,7 @@ class TestCheckTrace:
     def test_two_shard_slices_in_one_pass_detected(self, tmp_path):
         # Shards rebuild the parent from the seed, so two of them inside
         # one recording hand out the probe's child twice; each shard pass
-        # must get its own recorder.
+        # must record into a ledger of its own.
         trace = self._shard_slices(tmp_path, [(0, 3), (2, 3)])
         faults = check_trace(trace)
         assert [fault.kind for fault in faults] == ["double-consumption"]
@@ -181,8 +166,8 @@ class TestDiffTraces:
         assert diff_traces([_spawn_event(0)], [_spawn_event(0)]) is None
 
     def test_provenance_differences_are_ignored(self):
-        reference = [_spawn_event(0, stack=["cold.py:1:run"])]
-        candidate = [_spawn_event(0, stack=["hit.py:9:replay"])]
+        reference = [_spawn_event(0, site="cold:1:run", t=1.0, pid=10)]
+        candidate = [_spawn_event(0, site="hit:9:replay", t=2.0, pid=11)]
         assert diff_traces(reference, candidate) is None
 
     def test_draw_count_drift_classified(self):
@@ -206,6 +191,13 @@ class TestDiffTraces:
         assert divergence.kind == "missing-events" and divergence.index == 1
         extra = diff_traces(reference[:1], reference)
         assert extra is not None and extra.kind == "extra-events"
+
+    def test_other_ledger_events_are_not_stream_events(self):
+        # A recorded ledger holds every event of the run; only spawns and
+        # fallback draws are compared.
+        reference = [{"kind": "probe", "m": 8}, _spawn_event(0)]
+        candidate = [_spawn_event(0), {"kind": "batch_done", "batch": 3}]
+        assert diff_traces(reference, candidate) is None
 
 
 class TestReplayGenerator:

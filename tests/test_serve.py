@@ -283,6 +283,25 @@ class TestServiceIdentity:
         assert replay["params"]["family"] == CountSketch(16, 64).spec()
         service.close()
 
+    def test_served_request_stream_is_in_the_ledger(self, tmp_path):
+        ledger_path = tmp_path / "serve-ledger.jsonl"
+        service = EstimationService(tmp_path / "cache",
+                                    ledger_path=ledger_path)
+        request = dict(ESTIMATE_REQUEST, seed=5, spawn_key=[2])
+        response = asyncio.run(
+            service.handle("failure_estimate", request)
+        )
+        service.close()
+        events = read_events(ledger_path)
+        kinds = [event["kind"] for event in events]
+        served = events[kinds.index("request_start"):
+                        kinds.index("request_done")]
+        spawns = [(event["entropy"], event["spawn_key"], event["count"],
+                   event["base"])
+                  for event in served if event["kind"] == "spawn"]
+        fingerprint = response["replay"]["seed_fingerprint"]
+        assert spawns == [(5, [2], 1, fingerprint["children_spawned"])]
+
     def test_batch_is_a_chunk_size_outside_the_key(self, tmp_path):
         # Requests that differ only in batch share one key and replay,
         # and a record computed at one batch is a hit at another.
