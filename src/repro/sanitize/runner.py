@@ -85,10 +85,10 @@ def sanitize_experiment(experiment_id: str, *, scale: float = 0.05,
     workers = min(resolve_workers(workers), resolve_workers(0))
     axes: List[Dict[str, Any]] = []
 
-    def run_traced(workers: int) -> Tuple[Any, List[Dict[str, Any]]]:
+    def run_traced(pool: int) -> Tuple[Any, List[Dict[str, Any]]]:
         with RunLedger() as ledger:
             result = run_experiment(experiment_id, scale=scale, rng=seed,
-                                    workers=workers)
+                                    workers=pool)
         return result, ledger.events
 
     reference, reference_trace = run_traced(1)

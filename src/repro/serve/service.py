@@ -139,7 +139,7 @@ class EstimationService:
     ledger_path:
         Request-log destination.  ``None`` keeps the service silent;
         otherwise every request appends ``request_*`` events plus the
-        computation's own events (cache hits, batch dispatches) —
+        computation's own events (spawns, cache hits, batch dispatches) —
         flushed per event, so the log is live for ``observe summarize``.
     max_inflight:
         Bound on *distinct* concurrent computations (coalesced followers
