@@ -21,7 +21,6 @@ from ..hardinstances.dbeta import HardInstance
 from ..linalg.distortion import distortion_of_product
 from ..observe.counters import add_count, counters
 from ..observe.ledger import emit_event
-from ..observe.trace import trace
 from ..sketch.base import Sketch, SketchFamily, sample_sketch
 from ..sketch.batched import BatchedColumnScatter
 from ..utils.parallel import (
@@ -271,12 +270,8 @@ def _run_probe(kind: str, family: SketchFamily, instance: HardInstance,
     run = partial(executor.run_chunked,
                   partial(_trial_chunk, family, instance, fixed, key),
                   range(*span))
-    if shard is None:
-        with trace(kind, m=family.m, trials=trials):
-            values = run()
-    else:
-        # Empty slices (more shards than work units) run nothing.
-        values = run() if span[0] < span[1] else []
+    # Empty slices (more shards than work units) run nothing.
+    values = run() if span[0] < span[1] else []
     record = reduce(values)
     if record_spec is not None:
         cache.put(kind, record_spec, record, counters().diff(before))

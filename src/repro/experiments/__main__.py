@@ -40,6 +40,7 @@ from typing import Optional
 from ..core.tester import ENGINE_VERSION
 from ..observe.counters import add_count
 from ..observe.ledger import RunLedger, emit_event
+from ..utils.appendfile import replace_file
 from .registry import EXPERIMENTS, experiment_ids, run_experiment
 
 
@@ -129,11 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run only shard K of --shards N (one pass; partial probe "
              "slices land in DIR/shard-0K).  Exits 3 while probes await "
              "'python -m repro.cache merge DIR/merged DIR/shard-*'",
-    )
-    parser.add_argument(
-        "--max-rounds", type=int, default=256, metavar="R",
-        help="round limit for the in-process shard/merge loop "
-             "(default 256)",
     )
     return parser
 
@@ -240,10 +236,8 @@ def main(argv=None) -> int:
                             )
                             continue
                     else:
-                        result = sharded_call(
-                            sharded, args.shards, cache_dir,
-                            max_rounds=args.max_rounds,
-                        )
+                        result = sharded_call(sharded, args.shards,
+                                              cache_dir)
                 else:
                     result = run_experiment(
                         eid, scale=args.scale, rng=args.seed,
@@ -264,9 +258,11 @@ def main(argv=None) -> int:
                 directory.mkdir(parents=True, exist_ok=True)
                 if resumed and checkpoints is not None:
                     # Copy the checkpoint's exact bytes so resumed runs
-                    # produce artifacts bit-identical to uninterrupted ones.
-                    (directory / f"{eid}.json").write_bytes(
-                        checkpoints.raw_bytes(eid, **checkpoint_config)
+                    # produce artifacts bit-identical to uninterrupted
+                    # ones, replacing the target whole as save_json does.
+                    replace_file(
+                        directory / f"{eid}.json",
+                        checkpoints.raw_bytes(eid, **checkpoint_config),
                     )
                 else:
                     result.save_json(directory / f"{eid}.json")

@@ -232,10 +232,12 @@ class Experiment(abc.ABC):
         to the result as ``count_*`` metrics; they are identical for
         serial and parallel runs of the same seed, and for cached and
         uncached runs — cache bookkeeping counters
-        (:data:`NON_RESULT_COUNTER_PREFIXES`) are reported to the ledger
-        but kept out of the metrics.  With a run ledger installed,
-        ``experiment_start``/``counters``/``experiment_end`` events
-        bracket the run.
+        (:data:`NON_RESULT_COUNTER_PREFIXES`) are dropped.  With a run
+        ledger installed, ``experiment_start``/``counters``/
+        ``experiment_end`` events bracket the run; the ``counters`` event
+        carries exactly the counters behind the ``count_*`` metrics, so
+        it too is the same for every cache state (the ledger's
+        ``cache_hit``/``cache_miss`` events count the lookups).
         """
         if scale <= 0:
             raise ValueError(f"scale must be positive, got {scale}")
@@ -260,10 +262,11 @@ class Experiment(abc.ABC):
             self._cache = None
             self._shard = None
         result.elapsed_seconds = time.perf_counter() - started
-        delta = counters().diff(before)
+        delta = {
+            name: count for name, count in counters().diff(before).items()
+            if not name.startswith(NON_RESULT_COUNTER_PREFIXES)
+        }
         for name in sorted(delta):
-            if name.startswith(NON_RESULT_COUNTER_PREFIXES):
-                continue
             result.metrics.setdefault(f"count_{name}", delta[name])
         emit_event("counters", experiment=self.experiment_id, **delta)
         emit_event(

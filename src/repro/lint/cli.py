@@ -61,13 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules", action="store_true",
         help="print the rule catalog and exit",
     )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help=(
-            "lint files on a pool of N worker processes; output order and "
-            "bytes are identical to a serial run (default: 1)"
-        ),
-    )
     return parser
 
 
@@ -105,14 +98,9 @@ def main(argv: Optional[List[str]] = None,
         else list(DEFAULT_EXCLUDES)
     excludes.extend(options.exclude or [])
 
-    if options.jobs < 1:
-        err.write(f"error: --jobs must be positive, got {options.jobs}\n")
-        return USAGE_ERROR
-
     try:
         violations, files_checked = lint_paths(
             options.paths, excludes=excludes, select=select, ignore=ignore,
-            jobs=options.jobs,
         )
     except FileNotFoundError as exc:
         err.write(f"error: {exc}\n")

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import ast
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from pathlib import Path
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence
 
@@ -154,36 +152,17 @@ def lint_file(path: Path, *,
     return lint_source(source, str(path), select=select, ignore=ignore)
 
 
-def _lint_file_task(path_str: str,
-                    select: Optional[FrozenSet[str]],
-                    ignore: Optional[FrozenSet[str]]) -> List[Violation]:
-    """Picklable per-file unit of work for ``lint_paths(jobs=N)``."""
-    return lint_file(Path(path_str), select=select, ignore=ignore)
-
-
 def lint_paths(paths: Sequence[str], *,
                excludes: Sequence[str] = DEFAULT_EXCLUDES,
                select: Optional[FrozenSet[str]] = None,
                ignore: Optional[FrozenSet[str]] = None,
-               jobs: int = 1,
                ) -> "tuple[List[Violation], int]":
-    """Lint every Python file under ``paths``.
-
-    ``jobs > 1`` fans files out over a process pool; results are gathered
-    in discovery order, so output is byte-identical to a serial run.
+    """Lint every Python file under ``paths``, in discovery order.
 
     Returns ``(violations, files_checked)``.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be positive, got {jobs}")
     files = list(iter_python_files(paths, excludes))
     violations: List[Violation] = []
-    if jobs == 1 or len(files) <= 1:
-        for path in files:
-            violations.extend(lint_file(path, select=select, ignore=ignore))
-        return violations, len(files)
-    task = partial(_lint_file_task, select=select, ignore=ignore)
-    with ProcessPoolExecutor(max_workers=min(jobs, len(files))) as pool:
-        for found in pool.map(task, [str(path) for path in files]):
-            violations.extend(found)
+    for path in files:
+        violations.extend(lint_file(path, select=select, ignore=ignore))
     return violations, len(files)

@@ -1,25 +1,25 @@
-"""Observability layer: run ledger, tracing, and operation counters.
+"""Observability layer: run ledger and operation counters.
 
 Long ``minimal_m`` searches and full-scale experiment runs are expensive
 to re-measure, so this package turns them into inspectable artifacts:
 
 * :class:`RunLedger` appends structured JSON-lines events (experiment
-  start/end, every ``minimal_m`` probe, trial-batch dispatch/completion,
-  traced spans, counter aggregates) to a file; install one with
-  ``with RunLedger(path): ...`` or the CLI's ``--ledger PATH``;
-* :func:`trace` times a named span into the ledger;
+  start/end, every ``minimal_m`` probe, RNG spawns, trial-batch
+  dispatch/completion with each batch's elapsed time, counter
+  aggregates) to a file; install one with ``with RunLedger(path): ...``
+  or the CLI's ``--ledger PATH``;
 * :class:`Counters` aggregates operation counts (sketch samples, kernel
   applies, trials) that surface as ``count_*`` metrics on
   ``ExperimentResult``;
 * ``python -m repro.observe summarize LEDGER`` renders a ledger back
-  into per-probe tables and wall-clock breakdowns (see
+  into per-probe tables and trial-batch totals (see
   :mod:`repro.observe.summarize`).
 
 Everything is a no-op-by-default: with no ledger installed, the
 instrumented hot paths pay one context-variable read, and emission never
-consumes randomness — serial and parallel runs of one seed produce
-bit-identical results and identical deterministic event views
-(:func:`deterministic_view`).
+consumes randomness — serial, parallel, cold, warm and merged-shard runs
+of one seed produce bit-identical results and identical deterministic
+event views (:func:`deterministic_view`).
 """
 
 from .counters import Counters, add_count, counters, use_counters
@@ -34,7 +34,6 @@ from .ledger import (
     read_events,
     use_ledger,
 )
-from .trace import trace
 
 __all__ = [
     "EXECUTION_KINDS",
@@ -48,7 +47,6 @@ __all__ = [
     "emit_event",
     "read_event_segments",
     "read_events",
-    "trace",
     "use_counters",
     "use_ledger",
 ]

@@ -27,7 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command")
     summarize = commands.add_parser(
         "summarize",
-        help="render per-probe tables and wall-clock breakdowns from a "
+        help="render per-probe tables and trial-batch totals from a "
              "JSON-lines ledger",
     )
     summarize.add_argument("ledger", metavar="LEDGER", nargs="+",

@@ -2,8 +2,8 @@
 
 A :class:`RunLedger` collects structured events — experiment start/end,
 ``minimal_m`` probes, RNG spawns, trial-batch dispatch/completion, counter
-aggregates, traced wall-clock spans — and appends them as JSON lines to a file, so a
-multi-hour (or crashed) run leaves a durable, machine-readable record.
+aggregates — and appends them as JSON lines to a file, so a multi-hour
+(or crashed) run leaves a durable, machine-readable record.
 ``python -m repro.observe summarize LEDGER`` renders it back into tables.
 
 Design constraints, in order:
@@ -14,7 +14,7 @@ Design constraints, in order:
 * **never perturbs determinism** — emission consumes no randomness, and
   the *deterministic view* of a ledger (execution-scope events dropped,
   timing fields stripped; see :func:`deterministic_view`) is identical for
-  serial and parallel runs of the same seed;
+  serial, parallel, cold, warm and merged-shard runs of the same seed;
 * **fork-safe** — a ledger only accepts events from the process that
   created it, so pool workers inheriting the context variable can never
   write duplicate or torn lines;
@@ -89,20 +89,21 @@ class RunLedger:
     ----------
     path:
         Destination file; events are *appended*, so successive runs can
-        share one ledger.  ``None`` keeps events in memory only.
+        share one ledger.
     progress:
         Echo one human-readable line per semantic event to stderr.
     buffer_lines:
         Serialized lines held before a write+flush; keeps emission off the
         hot path without risking more than a tail of events on a crash.
-    keep_events:
-        Retain events on :attr:`events` for in-process inspection.
-        Defaults to ``True`` exactly when ``path`` is ``None``.
     shard:
         Optional shard label (e.g. ``"1/3"``) stamped on every event, so
         segments from concurrent shard passes can share a ledger file (or
         be read together with :func:`read_event_segments`) and still be
         regrouped per shard by ``summarize``.
+
+    A ledger with neither ``path`` nor ``progress`` is an in-memory
+    recorder: it keeps its events on :attr:`events`.  Any other ledger
+    keeps none.
 
     Every event additionally carries the emitting process id as ``pid``;
     both stamps are identity fields (:data:`TIMING_FIELDS`) and never
@@ -111,7 +112,6 @@ class RunLedger:
 
     def __init__(self, path: Union[str, Path, None] = None, *,
                  progress: bool = False, buffer_lines: int = 256,
-                 keep_events: Optional[bool] = None,
                  shard: Optional[str] = None) -> None:
         if buffer_lines < 1:
             raise ValueError(
@@ -121,7 +121,7 @@ class RunLedger:
         self._progress = progress
         self._buffer: List[str] = []
         self._buffer_lines = buffer_lines
-        self._keep = (path is None) if keep_events is None else keep_events
+        self._keep = path is None and not progress
         self._events: List[Dict[str, Any]] = []
         self._shard = shard
         self._pid = os.getpid()
@@ -140,7 +140,7 @@ class RunLedger:
 
     @property
     def events(self) -> List[Dict[str, Any]]:
-        """Events retained in memory (see ``keep_events``)."""
+        """Events kept in memory (an in-memory recorder's only)."""
         return list(self._events)
 
     def emit(self, kind: str, **fields: Any) -> None:
@@ -252,9 +252,13 @@ def deterministic_view(events: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
 
     Drops execution-scope events (:data:`EXECUTION_KINDS`) and strips
     timing/identity fields (:data:`TIMING_FIELDS`) from the rest.  For a
-    fixed seed, serial and parallel runs of the same workload produce
-    equal deterministic views — the observability analogue of the trial
-    engine's bit-identical-results contract.
+    fixed seed, serial, parallel, cold-cache, warm-cache and merged-shard
+    runs of the same workload produce equal deterministic views — the
+    observability analogue of the trial engine's bit-identical-results
+    contract.  Trial chunks run with no ledger installed
+    (:mod:`repro.utils.parallel`), so a view holds nothing that only a
+    chunk running in this process could log.  The determinism sanitizer
+    (:func:`repro.sanitize.diff_traces`) diffs these views.
     """
     view = []
     for event in events:

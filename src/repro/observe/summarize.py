@@ -7,15 +7,17 @@ event list) reconstructs, from the JSON-lines events alone:
   totals, and wall-clock time;
 * one table per ``minimal_m`` search listing every probe
   ``(m, failures, trials, rate, phase, verdict, seconds)``;
-* a wall-clock breakdown aggregated over ``trace`` spans and trial
-  batches;
+* the trial batches of each experiment — how many, how many trials, and
+  the time spent in them — totalled from ``batch_done`` events, which
+  every computed probe logs, shard slices included;
 * counter aggregates per experiment;
 * probe-cache hit rates (from ``cache_hit``/``cache_miss`` events) and
   resumed-from-checkpoint experiments, when a run used ``--cache-dir``.
 
 The renderer never requires end events: a crashed ``all --scale 1.0`` run
 summarizes up to its last flushed line, with incomplete experiments and
-searches marked as such.
+searches marked as such.  Events of kinds it does not render (such as the
+``trace`` spans older ledgers hold) are ignored.
 
 A ledger holding events from several processes — shard passes appending
 to one file, or multiple segments read together — is **regrouped per
@@ -50,6 +52,24 @@ class _Search:
         self.end: Optional[Dict[str, Any]] = None
 
 
+class _Batches:
+    """Totals of ``batch_done`` events: trials run and the time in them.
+
+    On a worker pool the chunks run concurrently, so ``seconds`` adds up
+    worker time rather than wall-clock time.
+    """
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.trials = 0
+        self.seconds = 0.0
+
+    def add(self, event: Dict[str, Any]) -> None:
+        self.count += 1
+        self.trials += int(event.get("trials", 0) or 0)
+        self.seconds += float(event.get("elapsed", 0.0) or 0.0)
+
+
 class _Experiment:
     """Accumulator for one ``experiment_start`` … ``experiment_end`` span."""
 
@@ -59,7 +79,7 @@ class _Experiment:
         self.start: Dict[str, Any] = start or {}
         self.end: Optional[Dict[str, Any]] = None
         self.probes = 0
-        self.trials = 0
+        self.batches = _Batches()
         self.searches = 0
         self.counters: Dict[str, int] = {}
         self.cache_hits = 0
@@ -171,8 +191,7 @@ def _render_stream(events: List[Dict[str, Any]]) -> str:
     events, clamped = _clamp_negative_intervals(events)
     experiments: List[_Experiment] = []
     searches: List[_Search] = []
-    spans: Dict[str, List[float]] = {}
-    batches = 0
+    loose_batches = _Batches()
     cache_hits = 0
     cache_misses = 0
     resumed: List[str] = []
@@ -209,12 +228,6 @@ def _render_stream(events: List[Dict[str, Any]]) -> str:
             if current_search is not None:
                 current_search.end = event
             current_search = None
-        elif kind == "trace":
-            spans.setdefault(str(event.get("name")), []).append(
-                float(event.get("elapsed", 0.0))
-            )
-            if current_exp is not None:
-                current_exp.trials += int(event.get("trials", 0) or 0)
         elif kind == "counters":
             if current_exp is not None:
                 for key, value in event.items():
@@ -223,7 +236,8 @@ def _render_stream(events: List[Dict[str, Any]]) -> str:
                     current_exp.counters[key] = \
                         current_exp.counters.get(key, 0) + int(value)
         elif kind == "batch_done":
-            batches += 1
+            (current_exp.batches if current_exp is not None
+             else loose_batches).add(event)
         elif kind == "cache_hit":
             cache_hits += 1
             if current_exp is not None:
@@ -254,7 +268,7 @@ def _render_stream(events: List[Dict[str, Any]]) -> str:
         if elapsed is None and exp.end is not None:
             elapsed = _mono_span(exp.start, exp.end)
         overview.add_row([
-            exp.name, status, exp.searches, exp.probes, exp.trials,
+            exp.name, status, exp.searches, exp.probes, exp.batches.trials,
             _fmt_seconds(elapsed) if elapsed is not None else "?",
         ])
     for name in resumed:
@@ -313,17 +327,21 @@ def _render_stream(events: List[Dict[str, Any]]) -> str:
             ])
         parts.append(table.render())
 
-    if spans:
+    batch_rows = [(exp.name, exp.batches) for exp in experiments]
+    batch_rows.append(("(no experiment)", loose_batches))
+    batch_rows = [(name, totals) for name, totals in batch_rows
+                  if totals.count]
+    if batch_rows:
         breakdown = TextTable(
-            title="Wall-clock breakdown (trace spans)",
-            columns=["span", "calls", "total s", "mean s"],
+            title="Trial batches (time in trials)",
+            columns=["experiment", "batches", "trials", "total s",
+                     "mean s"],
         )
-        for name in sorted(spans, key=lambda n: -sum(spans[n])):
-            values = spans[name]
-            total = sum(values)
+        for name, totals in batch_rows:
             breakdown.add_row([
-                name, len(values), f"{total:.2f}",
-                f"{total / len(values):.4f}",
+                name, totals.count, totals.trials,
+                f"{totals.seconds:.2f}",
+                f"{totals.seconds / totals.count:.4f}",
             ])
         parts.append(breakdown.render())
 
@@ -337,6 +355,7 @@ def _render_stream(events: List[Dict[str, Any]]) -> str:
             table.add_row([name, exp.counters[name]])
         parts.append(table.render())
 
+    batches = sum(totals.count for _, totals in batch_rows)
     footer = (
         f"({len(events)} events, {len(experiments)} experiments, "
         f"{len(searches)} searches, {batches} trial batches)"

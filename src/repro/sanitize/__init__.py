@@ -2,16 +2,18 @@
 
 The repository's determinism contract — bit-identical results across
 ``workers``, cache states, and shard/merge/replay runs at a fixed
-seed — is enforced at runtime by *stream tracing*: every
+seed — is enforced at runtime by diffing run ledgers: every
 RNG fan-out (:func:`repro.utils.rng.spawn_seeds`) is a ``spawn`` event
 in the installed run ledger (:class:`repro.observe.ledger.RunLedger`),
-and every probe-cache lookup a ``cache_hit``/``cache_miss`` event.  The
-sanitizer records a reference serial execution and a candidate
-configuration into in-memory ledgers of their own and diffs their spawn
-events.  The first divergent draw is reported with its spawn-tree path,
-its call ``site``, and the configuration axis that broke — and
-double-consumed child streams or draw-count drift are hard errors even
-when the final bytes happen to agree.
+beside the probes, searches and counters, and every probe-cache lookup
+is a ``cache_hit``/``cache_miss`` event.  The sanitizer records a
+reference serial execution and a candidate configuration into in-memory
+ledgers of their own and diffs their deterministic views
+(:func:`repro.observe.deterministic_view`).  The first divergent event
+is reported with its payload — for a draw, its spawn-tree path and call
+``site`` — and the configuration axis that broke; double-consumed
+child streams or draw-count drift are hard errors even when the final
+bytes happen to agree.
 
 Three entry points:
 
@@ -35,7 +37,6 @@ from .diff import (
     DeterminismError,
     Divergence,
     cache_events,
-    canonical_event,
     check_trace,
     diff_traces,
     format_divergence,
@@ -48,7 +49,6 @@ __all__ = [
     "Divergence",
     "SanitizedCall",
     "cache_events",
-    "canonical_event",
     "check_trace",
     "diff_traces",
     "format_divergence",

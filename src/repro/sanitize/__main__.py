@@ -11,8 +11,8 @@ grammar (experiment id or ``all``, ``--scale``, ``--seed``); arguments
 before it configure the sanitizer's axis battery.  For every selected
 experiment the battery runs a serial reference plus two candidate
 configurations (``--workers N`` and a ``--shards K`` shard/merge/replay
-protocol), diffing each recorded RNG-stream trace against the
-reference and comparing result bytes —
+protocol), diffing each recorded ledger's deterministic view against
+the reference's and comparing result bytes —
 see :mod:`repro.sanitize.runner`.  Exit status 0 means zero divergences
 across all configurations; 1 means at least one, detailed on stderr and
 in the ``--report`` JSON.
@@ -38,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.sanitize",
         description="Runtime determinism sanitizer: re-execute an "
                     "experiment across workers/shard configurations "
-                    "and diff the RNG stream traces.",
+                    "and diff the run ledgers' deterministic views.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
     run = commands.add_parser(
@@ -114,7 +114,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"  {axis['axis']}: result bytes differ from the "
                       f"reference run", file=sys.stderr)
     if report["status"] == "ok":
-        print("no divergences: stream traces and result bytes agree "
+        print("no divergences: deterministic views and result bytes agree "
               "across all configurations")
         return 0
     print("determinism divergence detected — see report above",

@@ -1,34 +1,39 @@
-"""Trace canonicalisation, divergence diffing, and intra-trace checks.
+"""Deterministic-view diffing and intra-trace checks.
 
 The comparison layer of :mod:`repro.sanitize`.  A *trace* is the plain
 list of event dicts a :class:`~repro.observe.ledger.RunLedger` kept
 for one execution: ``spawn``/``fallback_draw`` events from the RNG
 fan-out primitive (:func:`repro.utils.rng.spawn_seeds`) and
 ``cache_hit``/``cache_miss`` events from the probe cache, beside the
-ledger's other events.  Two executions of the
-same workload at the same seed must produce **identical** stream traces
-— same events, same order, same spawn-tree positions — regardless of
-``workers``, caching, or sharding; any difference is a
-determinism bug, even when the final result bytes happen to agree.
+ledger's other events.  Two executions of the same workload at the same
+seed must produce **equal deterministic views**
+(:func:`~repro.observe.ledger.deterministic_view`) — same events, same
+order, same payloads, the spawn-tree positions included — regardless of
+``workers``, caching, or sharding; any difference is a determinism bug,
+even when the final result bytes happen to agree.
 
-Three failure classes are distinguished:
+Four failure classes are distinguished:
 
 * ``stream-divergence`` — the runs derived different child streams (a
   different parent, a different fan-out width, a different primitive).
 * ``draw-count-drift`` — same primitive on the same parent sequence, but
   at a different spawn counter: something consumed extra children (or
   skipped some) before this point.
+* ``event-divergence`` — the first mismatch is not between two RNG
+  fan-out events: a probe's verdict, a search bracket, a counter or any
+  other payload differs.
 * ``double-consumption`` — *within one trace*, the same parent handed
   out overlapping child-index ranges.  A live ``SeedSequence`` cannot do
   this (spawning advances its counter), so an overlap proves two
   distinct sequence objects shared one spawn-tree position — the classic
   rebuilt-parent race that silently correlates "independent" trials.
 
-The ledger's timing and identity fields, the call ``site`` included
-(:data:`~repro.observe.ledger.TIMING_FIELDS`), are excluded from
-comparison (:func:`canonical_event`): a cache-hit replay legitimately
-reaches a spawn from other code than a cold run while consuming exactly
-the same streams.
+The view leaves out the execution-scope events
+(:data:`~repro.observe.ledger.EXECUTION_KINDS`: trial batches, cache
+lookups, shard rounds) and the timing and identity fields, the call
+``site`` included (:data:`~repro.observe.ledger.TIMING_FIELDS`): a
+cache-hit replay legitimately reaches a spawn from other code than a
+cold run while consuming exactly the same streams.
 """
 
 from __future__ import annotations
@@ -36,13 +41,12 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
-from ..observe.ledger import TIMING_FIELDS
+from ..observe.ledger import EXECUTION_KINDS, deterministic_view
 
 __all__ = [
     "DeterminismError",
     "Divergence",
     "cache_events",
-    "canonical_event",
     "check_trace",
     "diff_traces",
     "format_divergence",
@@ -72,9 +76,12 @@ class DeterminismError(Exception):
 class Divergence(NamedTuple):
     """One detected determinism fault, anchored to a trace position.
 
+    ``index`` is the position in the deterministic view for a diff, and
+    in the trace's stream events for an intra-trace fault.
     ``reference``/``candidate`` are the full recorded events (``site``
-    and timing included) on each side; for intra-trace faults (``double-consumption``)
-    they are the two conflicting events of the *same* trace.
+    and timing included) on each side; for intra-trace faults
+    (``double-consumption``) they are the two conflicting events of the
+    *same* trace.
     """
 
     index: int
@@ -94,15 +101,6 @@ class Divergence(NamedTuple):
             "candidate": self.candidate,
             "detail": self.detail,
         }
-
-
-def canonical_event(event: Dict[str, Any]) -> Dict[str, Any]:
-    """``event`` stripped to its comparable identity (no timing, no
-    provenance)."""
-    return {
-        key: value for key, value in event.items()
-        if key not in TIMING_FIELDS
-    }
 
 
 def stream_events(trace: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
@@ -134,9 +132,9 @@ def _parent_label(event: Dict[str, Any]) -> str:
 def _handed_range(event: Dict[str, Any]) -> Optional[Tuple[int, int]]:
     """Child-index range ``event`` handed to its caller, or ``None``.
 
-    ``spawn`` hands out every derived child.  Trials never spawn (their
-    streams are counter-based lanes of one probe key), so only
-    probe-level spawns appear here.
+    ``spawn`` hands out every derived child.  Trial chunks run with no
+    ledger installed (:mod:`repro.utils.parallel`), so only probe-level
+    spawns appear here.
     """
     if event.get("kind") != "spawn":
         return None
@@ -183,42 +181,58 @@ def check_trace(trace: List[Dict[str, Any]], *,
     return faults
 
 
+def _classify(index: int, r: Dict[str, Any],
+              c: Dict[str, Any]) -> Tuple[str, str]:
+    """Failure class and detail of a first mismatch between two view
+    events."""
+    if r.get("kind") not in _STREAM_KINDS \
+            or c.get("kind") not in _STREAM_KINDS:
+        fields = sorted(key for key in r.keys() | c.keys()
+                        if r.get(key) != c.get(key))
+        return "event-divergence", (
+            f"view event #{index} differs: reference {r.get('kind')}, "
+            f"candidate {c.get('kind')} (fields {', '.join(fields)})"
+        )
+    if (r.get("kind") == c.get("kind")
+            and _parent_id(r) == _parent_id(c)
+            and r.get("base") != c.get("base")):
+        return "draw-count-drift", (
+            f"same fan-out on parent {_parent_label(r)} but at spawn "
+            f"counter {c.get('base')} instead of {r.get('base')}:"
+            f" something consumed a different number of child streams "
+            f"before this point"
+        )
+    return "stream-divergence", (
+        f"view event #{index} differs: reference derived "
+        f"{r.get('kind')} on {_parent_label(r)}, candidate "
+        f"{c.get('kind')} on {_parent_label(c)}"
+    )
+
+
 def diff_traces(reference: List[Dict[str, Any]],
                 candidate: List[Dict[str, Any]], *,
                 axis: str = "") -> Optional[Divergence]:
-    """First divergent stream event between two recordings, or ``None``.
+    """First difference between two recordings' deterministic views, or
+    ``None``.
 
-    Comparison is positional over :func:`canonical_event` forms —
-    determinism means the *sequence* of fan-outs matches, not merely the
-    set.  A mismatch where kind and parent agree but the spawn counter
-    (``base``) differs is classified as ``draw-count-drift``; a length
-    mismatch as ``missing-events``/``extra-events``.
+    Comparison is positional over the views
+    (:func:`~repro.observe.ledger.deterministic_view`) — determinism
+    means the *sequence* of events matches, not merely the set.  A first
+    mismatch between two RNG fan-out events is a ``draw-count-drift``
+    when kind and parent agree but the spawn counter (``base``) differs,
+    and a ``stream-divergence`` otherwise; any other first mismatch is an
+    ``event-divergence``, and a length mismatch is
+    ``missing-events``/``extra-events``.
     """
-    ref = stream_events(reference)
-    cand = stream_events(candidate)
-    for index, (r, c) in enumerate(zip(ref, cand)):
-        r_id, c_id = canonical_event(r), canonical_event(c)
-        if r_id == c_id:
-            continue
-        kind = "stream-divergence"
-        if (r_id.get("kind") == c_id.get("kind")
-                and _parent_id(r) == _parent_id(c)
-                and r_id.get("base") != c_id.get("base")):
-            kind = "draw-count-drift"
-            detail = (
-                f"same fan-out on parent {_parent_label(r)} but at spawn "
-                f"counter {c_id.get('base')} instead of {r_id.get('base')}:"
-                f" something consumed a different number of child streams "
-                f"before this point"
-            )
-        else:
-            detail = (
-                f"stream event #{index} differs: reference derived "
-                f"{r_id.get('kind')} on {_parent_label(r)}, candidate "
-                f"{c_id.get('kind')} on {_parent_label(c)}"
-            )
-        return Divergence(index=index, axis=axis, kind=kind,
-                          reference=r, candidate=c, detail=detail)
+    ref = [e for e in reference if e.get("kind") not in EXECUTION_KINDS]
+    cand = [e for e in candidate if e.get("kind") not in EXECUTION_KINDS]
+    ref_view, cand_view = deterministic_view(ref), deterministic_view(cand)
+    for index, (r, c) in enumerate(zip(ref_view, cand_view)):
+        if r != c:
+            kind, detail = _classify(index, r, c)
+            return Divergence(index=index, axis=axis, kind=kind,
+                              reference=ref[index], candidate=cand[index],
+                              detail=detail)
     if len(ref) != len(cand):
         index = min(len(ref), len(cand))
         return Divergence(
@@ -229,8 +243,8 @@ def diff_traces(reference: List[Dict[str, Any]],
             reference=ref[index] if index < len(ref) else None,
             candidate=cand[index] if index < len(cand) else None,
             detail=(
-                f"reference recorded {len(ref)} stream events, candidate "
-                f"{len(cand)}; traces agree up to event #{index}"
+                f"reference recorded {len(ref)} view events, candidate "
+                f"{len(cand)}; views agree up to event #{index}"
             ),
         )
     return None
@@ -239,7 +253,7 @@ def diff_traces(reference: List[Dict[str, Any]],
 def _describe_event(event: Optional[Dict[str, Any]]) -> List[str]:
     if event is None:
         return ["    (no event — trace ended)"]
-    identity = canonical_event(event)
+    [identity] = deterministic_view([event])
     parts = [f"{key}={identity[key]!r}" for key in sorted(identity)]
     lines = ["    " + " ".join(parts)]
     if "site" in event:
@@ -250,7 +264,7 @@ def _describe_event(event: Optional[Dict[str, Any]]) -> List[str]:
 def format_divergence(divergence: Divergence) -> str:
     """Multi-line human-readable report of one divergence."""
     lines = [
-        f"first divergence at stream event #{divergence.index}"
+        f"first divergence at event #{divergence.index}"
         f" [{divergence.axis}]: {divergence.kind}",
         f"  {divergence.detail}",
         "  reference event:",

@@ -1,8 +1,8 @@
 """Config-axis sanitizer battery: serial vs workers vs shards.
 
 Drives one experiment through every execution strategy that promises
-determinism and diffs the recorded stream traces against the serial
-reference run:
+determinism and diffs the recorded ledgers' deterministic views against
+the serial reference run's:
 
 * ``workers=N`` — the process-pool trial engine, which also chunks the
   trials differently from the serial run, must derive exactly the serial
@@ -12,13 +12,14 @@ reference run:
   a ledger of its own (rounds re-run the schedule from scratch, so
   cross-round stream reuse is legitimate — but *within* one pass
   double-consumption is a hard error), and the final serial replay's
-  trace must equal the serial reference's: a pure cache-hit replay
-  consumes exactly the streams a cold run would.
+  view must equal the serial reference's: a pure cache-hit replay
+  consumes exactly the streams a cold run would and logs the same
+  probes, searches and counters.
 
 Each leg, axis and shard pass records into an in-memory
-:class:`~repro.observe.ledger.RunLedger`; its ``spawn`` events are the
-stream trace, and its ``cache_hit``/``cache_miss`` events are counted in
-the report.
+:class:`~repro.observe.ledger.RunLedger`; the report counts its
+``spawn``/``fallback_draw`` events (the stream events) and its
+``cache_hit``/``cache_miss`` events.
 
 The battery is what ``python -m repro.sanitize run`` executes and what
 the CI sanitizer smoke gate runs at a fixed seed.

@@ -1,5 +1,5 @@
 """Sanitized re-execution: run once as configured, replay serially, and
-diff the two stream traces.
+diff the two ledgers' deterministic views.
 
 :func:`sanitized_rerun` is the engine behind :func:`sanitized`, the
 wrapper for :func:`repro.core.tester.failure_estimate` /
@@ -7,10 +7,10 @@ wrapper for :func:`repro.core.tester.failure_estimate` /
 exactly as the caller configured it (workers, cache), then as a
 cache-off serial replay from the same stream state — each leg recording
 into an in-memory :class:`~repro.observe.ledger.RunLedger` of its own,
-and the two legs' ``spawn`` events must agree event for event, and the
-two results bit for bit.  Any disagreement raises
+and the two legs' deterministic views must agree event for event, and
+the two results bit for bit.  Any disagreement raises
 :class:`~repro.sanitize.diff.DeterminismError` naming the first
-divergent draw.  Because each leg installs its own ledger, a ledger the
+divergent event.  Because each leg installs its own ledger, a ledger the
 caller installed around a sanitized call does not receive that call's
 events.
 
@@ -111,8 +111,8 @@ def sanitized_rerun(label: str, call: SanitizedCall, *,
     Raises
     ------
     DeterminismError
-        If either leg double-consumes a child stream, if the stream
-        traces diverge (including draw-count drift, a hard error even
+        If either leg double-consumes a child stream, if the ledger
+        views diverge (including draw-count drift, a hard error even
         when final bytes agree), or if the results differ bitwise.
     """
     gen = as_generator(rng)
@@ -148,7 +148,7 @@ def sanitized_rerun(label: str, call: SanitizedCall, *,
                                divergence=divergence)
     if not _results_equal(reference, candidate):
         raise DeterminismError(
-            f"{label}: stream traces agree but results differ between the"
+            f"{label}: ledger views agree but results differ between the"
             f" configured run and the serial cache-off replay — a cache"
             f" record, merge, or reduction produced wrong bytes"
             f" (candidate={candidate!r}, reference={reference!r})"
@@ -165,7 +165,7 @@ def sanitized(probe: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
     keyword here).  The call executes twice through
     :func:`sanitized_rerun` — once as configured, once as a serial
     cache-off replay from the same stream state — and any divergence in
-    RNG stream traces or result bytes raises
+    deterministic ledger views or result bytes raises
     :class:`~repro.sanitize.diff.DeterminismError`.  Returns the
     configured run's result, leaving the caller's generator exactly where
     an unsanitized call would.

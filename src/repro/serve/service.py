@@ -158,8 +158,7 @@ class EstimationService:
             else None
         if ledger_path is not None:
             self._ledger: Optional[RunLedger] = RunLedger(
-                ledger_path, buffer_lines=1, keep_events=False,
-            )
+                ledger_path, buffer_lines=1)
         else:
             self._ledger = None
         self._gate = SingleFlightGate(max_inflight)

@@ -38,7 +38,7 @@ from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Se
 import numpy as np
 
 from ..observe.counters import counters
-from ..observe.ledger import emit_event
+from ..observe.ledger import emit_event, use_ledger
 from .validation import check_positive_int
 
 __all__ = [
@@ -187,10 +187,17 @@ def _run_chunk_observed(fn: ChunkFn, units: Sequence[Any]) -> _ChunkOutcome:
     the counter delta (including the ``trials`` count) is snapshotted
     there and merged back into the parent so counter totals are identical
     for serial and parallel runs of the same workload.
+
+    ``fn`` runs with no ledger installed, so an in-process chunk logs what
+    a pool worker's chunk logs: nothing.  A sketch that spawns inside a
+    trial (a two-stage or stacked family) would otherwise put ``spawn``
+    events in the ledger only when its trials ran in this process, never
+    on a pool, a cache hit or a merged shard replay.
     """
     before = counters().snapshot()
     started = time.perf_counter()
-    results = list(fn(units))
+    with use_ledger(None):
+        results = list(fn(units))
     if len(results) != len(units):
         raise ValueError(
             f"chunk function returned {len(results)} results for "

@@ -1047,6 +1047,18 @@ class TestCliCacheAndResume:
         assert checkpoint.read_bytes() == baseline
         assert self._resumed(tmp_path, [])
 
+    def test_resumed_json_replaces_the_target_whole(self, tmp_path, capsys):
+        # The resumed copy is a new file moved into place: a reader still
+        # holding the old --json-dir file (here a hard link to it) keeps
+        # the old bytes instead of seeing them rewritten in place.
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        baseline = self._run(tmp_path, cache, "out")
+        target = tmp_path / "out" / "E1.json"
+        target.write_bytes(b"{}")
+        os.link(target, tmp_path / "old.json")
+        assert self._run(tmp_path, cache + ["--resume"], "out") == baseline
+        assert (tmp_path / "old.json").read_bytes() == b"{}"
+
     def test_resume_without_cache_dir_is_usage_error(self, tmp_path, capsys):
         from repro.experiments.__main__ import main
 

@@ -44,11 +44,14 @@ class TestCli:
         assert "workers must be" in capsys.readouterr().err
 
     def test_batch_is_not_an_option(self, capsys):
-        # The trial chunk size is the executor's choice, not the CLI's.
-        with pytest.raises(SystemExit) as excinfo:
-            main(["E5", "--scale", "0.2", "--batch", "8"])
-        assert excinfo.value.code == 2
-        assert "unrecognized arguments: --batch" in capsys.readouterr().err
+        # The trial chunk size is the executor's choice, not the CLI's,
+        # and the in-process shard loop keeps its own round bound.
+        for flag, value in (("--batch", "8"), ("--max-rounds", "5")):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["E5", "--scale", "0.2", flag, value])
+            assert excinfo.value.code == 2
+            assert f"unrecognized arguments: {flag}" in \
+                capsys.readouterr().err
 
 
 class TestCliJson:

@@ -320,10 +320,11 @@ class TestCli:
 
     @pytest.mark.parametrize("flags", [
         ["--baseline", "lint-baseline.json"], ["--no-baseline"],
-        ["--write-baseline"],
-    ], ids=["baseline", "no-baseline", "write-baseline"])
+        ["--write-baseline"], ["--jobs", "2"],
+    ], ids=["baseline", "no-baseline", "write-baseline", "jobs"])
     def test_baseline_flags_are_unknown(self, tmp_path, flags, capsys):
-        # Every violation is reported; nothing can be grandfathered.
+        # Every violation is reported; nothing can be grandfathered.  The
+        # files are linted serially, in discovery order.
         bad = tmp_path / "bad.py"
         bad.write_text("m.todense()\n", encoding="utf-8")
         code, _, _ = run_cli([*flags, str(bad)])
@@ -355,26 +356,6 @@ class TestCli:
         assert "stale suppressions" in out
         assert "disable=RPL003" in out
 
-    def test_parallel_jobs_output_matches_serial(self, tmp_path):
-        # Three files, two dirty: --jobs must preserve discovery-order
-        # output byte for byte.
-        (tmp_path / "a_bad.py").write_text("m.todense()\n", encoding="utf-8")
-        (tmp_path / "b_clean.py").write_text("x = 1\n", encoding="utf-8")
-        (tmp_path / "c_bad.py").write_text(
-            "import scipy.sparse as sp\n"
-            "def f(m):\n"
-            "    return m.todense()\n",
-            encoding="utf-8",
-        )
-        serial_code, serial_out, _ = run_cli([str(tmp_path)])
-        jobs_code, jobs_out, _ = run_cli(["--jobs", "2", str(tmp_path)])
-        assert serial_code == jobs_code == 1
-        assert jobs_out == serial_out
-
-    def test_nonpositive_jobs_exits_two(self, tmp_path):
-        code, _, err = run_cli(["--jobs", "0", str(tmp_path)])
-        assert code == 2
-        assert "--jobs" in err
 
 
 class TestRepoIsClean:

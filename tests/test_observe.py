@@ -1,9 +1,10 @@
 """Tests for the observability layer (``repro.observe``).
 
 Covers the counter arithmetic, the ledger's buffering/fork/no-op
-contracts, trace spans, the deterministic-view guarantee (serial vs
-``workers=4`` event payloads identical modulo timing fields), the
-harness's ``count_*`` metrics, and the ``summarize`` renderer.
+contracts, the deterministic-view guarantee (cache-off serial,
+``workers``, cold, warm and merged-shard event payloads identical modulo
+timing fields), the harness's ``count_*`` metrics, and the ``summarize``
+renderer.
 """
 
 import json
@@ -18,6 +19,7 @@ from repro.core.tester import (
     failure_estimate,
     minimal_m,
 )
+from repro.cache import ProbeCache
 from repro.experiments.harness import Experiment
 from repro.hardinstances.dbeta import DBeta
 from repro.hardinstances.mixtures import section3_mixture
@@ -30,12 +32,14 @@ from repro.observe import (
     deterministic_view,
     emit_event,
     read_events,
-    trace,
     use_ledger,
 )
 from repro.observe.ledger import read_event_segments
 from repro.observe.summarize import summarize, summarize_path, summarize_paths
+from repro.shard import merged_dir, sharded_call
+from repro.sketch.compose import TwoStageSketch
 from repro.sketch.countsketch import CountSketch
+from repro.sketch.gaussian import GaussianSketch
 
 pytestmark = pytest.mark.observe
 
@@ -172,27 +176,13 @@ class TestRunLedger:
         with pytest.raises(ValueError):
             RunLedger(buffer_lines=0)
 
-
-class TestTrace:
-    def test_trace_emits_elapsed(self):
-        with RunLedger() as ledger:
-            with trace("span", trials=12):
-                pass
-        [event] = ledger.events
-        assert event["kind"] == "trace" and event["name"] == "span"
-        assert event["trials"] == 12
-        assert event["elapsed"] >= 0.0
-
-    def test_trace_without_ledger_is_noop(self):
-        with trace("span"):
-            pass
-
-    def test_trace_emits_on_exception(self):
-        with RunLedger() as ledger:
-            with pytest.raises(RuntimeError):
-                with trace("span"):
-                    raise RuntimeError("boom")
-        assert [e["kind"] for e in ledger.events] == ["trace"]
+    def test_progress_only_ledger_keeps_no_events(self, capsys):
+        # The CLI's --progress without --ledger echoes every event and
+        # reads none back; only a path-less, silent ledger records.
+        with RunLedger(progress=True) as ledger:
+            emit_event("experiment_start", experiment="E1", scale=0.05)
+        assert ledger.events == []
+        assert "E1 start" in capsys.readouterr().err
 
 
 class TestDeterministicView:
@@ -251,8 +241,6 @@ class TestLedgerDeterminism:
         with RunLedger() as ledger:
             distortion_samples(fam, inst, trials=6, rng=0)
             failure_estimate(fam, inst, 0.5, trials=8, rng=0)
-        names = [e["name"] for e in ledger.events if e["kind"] == "trace"]
-        assert names == ["distortion_samples", "failure_estimate"]
         batches = [e for e in ledger.events if e["kind"] == "batch_done"]
         assert sum(b["trials"] for b in batches) == 14
 
@@ -308,6 +296,62 @@ class TestExperimentCounters:
         assert counter_event["trials"] == 8
 
 
+class _ViewExperiment(Experiment):
+    """A ``failure_estimate`` on a two-stage sketch, whose trials spawn
+    inside their chunk, then a ``minimal_m`` on CountSketch."""
+
+    experiment_id = "EV"
+    title = "view fixture"
+    paper_claim = "n/a"
+
+    def _run(self, scale, rng):
+        result = self._result()
+        knobs = dict(workers=self.workers, cache=self.cache,
+                     shard=self.shard)
+        est = failure_estimate(
+            TwoStageSketch(CountSketch(m=64, n=256),
+                           GaussianSketch(m=16, n=64)),
+            DBeta(n=256, d=4, reps=1), 0.5, 12, rng, **knobs,
+        )
+        search = minimal_m(
+            CountSketch(m=8, n=256), DBeta(n=256, d=4, reps=1), 0.5, 0.25,
+            trials=12, m_min=8, rng=rng, **knobs,
+        )
+        result.metrics["failures"] = est.successes
+        result.metrics["m_star"] = search.m_star
+        return result
+
+
+class TestViewContract:
+    def test_every_run_logs_one_view(self, tmp_path):
+        # Cache-off serial, a worker pool, a cold and a warm cache, and a
+        # 3-shard merged replay log equal deterministic views.
+        def run(**knobs):
+            with RunLedger() as ledger:
+                result = _ViewExperiment().run(scale=1.0, rng=0, **knobs)
+            return result.to_dict(), deterministic_view(ledger.events)
+
+        cache = ProbeCache(tmp_path / "cache")
+        runs = {
+            "serial": run(),
+            "workers=2": run(workers=2),
+            "cold": run(cache=cache),
+            "warm": run(cache=cache),
+        }
+        sharded_call(
+            lambda shard_cache, shard: _ViewExperiment().run(
+                scale=1.0, rng=0, cache=shard_cache, shard=shard),
+            3, tmp_path / "sharded",
+        )
+        runs["shards=3"] = run(
+            cache=ProbeCache(merged_dir(tmp_path / "sharded")))
+        result, view = runs["serial"]
+        assert any(event["kind"] == "spawn" for event in view)
+        for name, (other_result, other_view) in runs.items():
+            assert other_result == result, name
+            assert other_view == view, name
+
+
 class TestSummarize:
     def _ledger_events(self, tmp_path, workers=1):
         inst = section3_mixture(n=512, d=4, epsilon=1 / 16)
@@ -327,7 +371,27 @@ class TestSummarize:
             assert f"{m}" in text
         assert "minimal_m #1" in text
         assert f"m*={result.m_star}" in text
-        assert "Wall-clock breakdown" in text
+        # Trial time is totalled from the batch events of every probe.
+        assert "Trial batches" in text
+        trials = sum(est.trials for _, est in result.evaluations)
+        [row] = [line.split() for line in text.splitlines()
+                 if line.strip().startswith("(no experiment)")]
+        assert row[3] == str(trials)
+
+    def test_old_trace_events_are_ignored(self):
+        # Ledgers written before the batch totals hold trace spans.
+        events = [
+            {"t": 0, "kind": "experiment_start", "experiment": "E1"},
+            {"t": 1, "kind": "trace", "name": "failure_estimate",
+             "m": 8, "trials": 10, "elapsed": 0.5},
+            {"t": 2, "kind": "batch_done", "batch": 0, "span": [0, 10],
+             "trials": 10, "worker": 1, "elapsed": 0.4},
+            {"t": 3, "kind": "experiment_end", "experiment": "E1",
+             "elapsed": 1.0, "metrics": {}},
+        ]
+        text = summarize(events)
+        assert "failure_estimate" not in text
+        assert "1 trial batches" in text
 
     def test_incomplete_run_is_diagnosable(self):
         # A crashed run: experiment and search started, no end events.
@@ -393,7 +457,7 @@ class TestMonotonicStamps:
         import threading
 
         path = tmp_path / "threads.jsonl"
-        ledger = RunLedger(path, buffer_lines=2, keep_events=False)
+        ledger = RunLedger(path, buffer_lines=2)
         per_thread = 200
 
         def hammer(worker):
@@ -418,8 +482,8 @@ class TestNegativeIntervalClamping:
             {"t": 100.0, "kind": "experiment_start", "experiment": "E1"},
             {"t": 90.0, "kind": "experiment_end", "experiment": "E1",
              "elapsed": elapsed},
-            {"t": 91.0, "kind": "trace", "name": "span",
-             "elapsed": elapsed},
+            {"t": 91.0, "kind": "batch_done", "batch": 0, "span": [0, 4],
+             "trials": 4, "elapsed": elapsed},
         ]
 
     def test_negative_intervals_clamped_and_flagged(self):

@@ -21,11 +21,10 @@ from repro.core.tester import (
     minimal_m,
 )
 from repro.experiments.harness import ExperimentResult
-from repro.observe.ledger import RunLedger
+from repro.observe.ledger import RunLedger, deterministic_view
 from repro.sanitize import (
     DeterminismError,
     cache_events,
-    canonical_event,
     check_trace,
     diff_traces,
     replay_generator,
@@ -34,6 +33,7 @@ from repro.sanitize import (
     stream_events,
 )
 from repro.sanitize.__main__ import main as sanitize_main
+from repro.sketch.compose import StackedSketch, TwoStageSketch
 from repro.sketch.countsketch import CountSketch
 from repro.sketch.osnap import OSNAP
 from repro.sketch.gaussian import GaussianSketch
@@ -101,7 +101,7 @@ class TestRecorder:
         module, line, function = event["site"].split(":")
         assert "test_sanitize" in module and int(line) > 0
         assert function == "test_site_provenance_attached_but_not_compared"
-        assert "site" not in canonical_event(event)
+        assert "site" not in deterministic_view([event])[0]
 
     def test_probe_cache_lookups_reach_the_recorder(self, tmp_path):
         cache = ProbeCache(tmp_path)
@@ -192,12 +192,30 @@ class TestDiffTraces:
         extra = diff_traces(reference[:1], reference)
         assert extra is not None and extra.kind == "extra-events"
 
-    def test_other_ledger_events_are_not_stream_events(self):
-        # A recorded ledger holds every event of the run; only spawns and
-        # fallback draws are compared.
-        reference = [{"kind": "probe", "m": 8}, _spawn_event(0)]
-        candidate = [_spawn_event(0), {"kind": "batch_done", "batch": 3}]
+    def test_execution_events_ignored_and_other_events_compared(self):
+        # A recorded ledger holds every event of the run; the diff
+        # compares its deterministic view, so trial batches and cache
+        # lookups are ignored and probes are compared.
+        probe = {"kind": "probe", "m": 8, "successes": 2, "elapsed": 0.1}
+        reference = [probe, {"kind": "cache_miss", "key": "ab"},
+                     _spawn_event(0)]
+        candidate = [{"kind": "batch_done", "batch": 3},
+                     {**probe, "elapsed": 0.7}, _spawn_event(0)]
         assert diff_traces(reference, candidate) is None
+        assert diff_traces([probe, _spawn_event(0)],
+                           [_spawn_event(0), probe]) is not None
+
+    def test_other_event_mismatch_is_event_divergence(self):
+        probe = {"kind": "probe", "m": 8, "successes": 2, "trials": 10}
+        divergence = diff_traces(
+            [_spawn_event(0), probe],
+            [_spawn_event(0), {**probe, "successes": 3}],
+            axis="shards=3",
+        )
+        assert divergence is not None
+        assert divergence.kind == "event-divergence"
+        assert divergence.index == 1
+        assert "successes" in divergence.detail
 
 
 class TestReplayGenerator:
@@ -255,6 +273,21 @@ class TestSanitizedHook:
                             workers=2)
         plain = failure_estimate(family, instance, 0.3, 12,
                                  rng=np.random.default_rng(5))
+        assert checked == plain
+
+    @pytest.mark.parametrize("family", [
+        TwoStageSketch(CountSketch(64, 512), GaussianSketch(16, 64)),
+        StackedSketch([GaussianSketch(8, 512)] * 2),
+    ], ids=["two-stage", "stacked"])
+    def test_families_that_spawn_in_trials_sanitized_across_workers(
+            self, family):
+        # Their sample() spawns per trial; a trial chunk logs nothing,
+        # wherever it runs.
+        instance = DBeta(512, 4)
+        plain = failure_estimate(family, instance, 0.5, 16,
+                                 rng=np.random.default_rng(3))
+        checked = sanitized(failure_estimate, family, instance, 0.5, 16,
+                            rng=np.random.default_rng(3), workers=2)
         assert checked == plain
 
     def test_sanitized_rejects_shard_passes(self):

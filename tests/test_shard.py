@@ -325,20 +325,19 @@ class TestShardedMinimalM:
         assert result is None and pending == 1
 
     def test_deterministic_ledger_view_matches_serial_replay(self, tmp_path):
-        # Both replays are all-cache-hits over identical probe schedules;
-        # their deterministic views (shard/cache events dropped, timing
-        # and identity fields stripped) must coincide event for event.
+        # The merged replay hits the cache for every probe the cold serial
+        # run computed; their deterministic views (shard/cache/batch events
+        # dropped, timing and identity fields stripped) must coincide
+        # event for event.
         fn = _search_fn()
-        serial_cache = ProbeCache(tmp_path / "serial")
-        fn(serial_cache, None)  # cold
         with RunLedger() as ledger:
-            serial_warm = fn(serial_cache, None)
+            serial_cold = fn(ProbeCache(tmp_path / "serial"), None)
         serial_events = ledger.events
         sharded_call(fn, 3, tmp_path / "sharded")
         merged_cache = ProbeCache(merged_dir(tmp_path / "sharded"))
         with RunLedger() as ledger:
             replay = fn(merged_cache, None)
-        assert _search_key(replay) == _search_key(serial_warm)
+        assert _search_key(replay) == _search_key(serial_cold)
         assert deterministic_view(ledger.events) == \
             deterministic_view(serial_events)
 
